@@ -3,7 +3,7 @@
 The package computes the generalized transform M f(lambda, phi) = integral of
 f over the family curve with parameters (lambda, phi), weighted by the
 reciprocal gradient of the generating function, and inverts it through a
-principal-value filter in lambda followed by backprojection. Seven curve
+principal-value filter in lambda followed by backprojection. Eight curve
 families are built in; see funkradon.geometry for the catalogue.
 """
 

@@ -37,8 +37,6 @@ from .transform import (
 )
 from .trigpoly import kernel_scale, nucleus_ladder
 
-TAU = 2.0 * np.pi
-
 
 def _parse_pair(text, flag):
     parts = text.split(",")
@@ -48,21 +46,6 @@ def _parse_pair(text, flag):
         return float(parts[0]), float(parts[1])
     except ValueError:
         raise ValueError(f"non-numeric value in {flag}: {text!r}") from None
-
-
-def _sample_region(geom, for_closed_form=False):
-    """Radial band of the family's valid region for random point draws."""
-    rmax = geom.support_radius
-    if geom.tag == "ellipse" and for_closed_form:
-        rmax = min(rmax, 0.95 * min(geom.e1, geom.e2))
-    return 0.05 * rmax, rmax
-
-
-def _draw_points(geom, rng, n, for_closed_form=False):
-    rmin, rmax = _sample_region(geom, for_closed_form)
-    r = np.sqrt(rng.uniform(rmin * rmin, rmax * rmax, n))
-    th = rng.uniform(0.0, TAU, n)
-    return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 
 
 def cmd_forward(args) -> int:
@@ -111,13 +94,14 @@ def cmd_kernel_check(args) -> int:
     if args.pairs < 1:
         raise ValueError("--pairs must be at least 1")
     rng = np.random.default_rng(args.seed)
+    rmax = geom.support_radius
     worst = 0.0
     worst_ratio = 0.0
     ok = True
     for i in range(args.pairs):
-        x, y = _draw_points(geom, rng, 2)
+        x, y = acceptance._sample_disc(rng, 2, 0.05 * rmax, rmax)
         while np.allclose(x, y):
-            y = _draw_points(geom, rng, 1)[0]
+            y = acceptance._sample_disc(rng, 1, 0.05 * rmax, rmax)[0]
         try:
             eps, levels, est = nucleus_ladder(geom, x, y)
         except ValueError as exc:
@@ -149,7 +133,8 @@ def cmd_dcoef(args) -> int:
     if args.points < 1:
         raise ValueError("--points must be at least 1")
     rng = np.random.default_rng(args.seed)
-    pts = _draw_points(geom, rng, args.points, for_closed_form=True)
+    rmax = geom.record.dcoef_radius(geom)
+    pts = acceptance._sample_disc(rng, args.points, 0.05 * rmax, rmax)
     worst = 0.0
     for x in pts:
         closed = float(geo.dcoef_closed(geom, x))

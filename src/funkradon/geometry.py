@@ -1,12 +1,17 @@
-"""Seven plane curve families and their generating functions.
+"""Eight plane curve families and their generating functions.
 
 Each family is the level-curve system of a generating function psi(x, phi):
 the data curve at parameters (lambda, phi) is {x : lambda_of(x, phi) = lambda}.
 This module owns the formulas: psi itself, its gradient magnitude in the
 family metric, the admissible lambda interval over a support disc, the
 m(x) * mu(lambda) factorization of the gradient where it exists, the
-pointwise normalizer D(x) used by the reconstruction, and the exact
-trigonometric polynomial psi(x, .) - psi(y, .) where that difference is one.
+pointwise normalizer D(x) used by the reconstruction, the exact
+trigonometric polynomial psi(x, .) - psi(y, .) where that difference is one,
+and the closed-form arcs the forward transform integrates along.
+
+Everything one family knows lives in one record (a _Family subclass below),
+registered under its tag; the public functions dispatch into it, and other
+modules ask ``geom.record`` for the family traits they need.
 
 Families
 --------
@@ -26,7 +31,9 @@ cormack      polar curves r^k cos(k theta - phi) = lambda, k a positive
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -50,10 +57,17 @@ __all__ = [
     "weight_mu",
     "trig_difference",
     "arc_element",
+    "arcs",
     "domain_radius_cap",
 ]
 
-TAGS = ("radon", "funk", "hgeodesic", "equidistant", "ellipse", "hyperbola", "parabola", "cormack")
+TAU = 2.0 * np.pi
+
+# fraction of a zero-lambda threshold relative to the axis scale
+_LAM_TINY = 1e-12
+# rays that emanate from the origin start a hair away from it, since the
+# punctured families reject the origin itself
+_RAY_START = 1e-9
 
 
 class GeometryDomainError(ValueError):
@@ -74,24 +88,22 @@ class GeometryFamily:
     k: int | None = None
 
     def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown curve family tag {self.tag!r}")
+        record = _record(self.tag)
         if not (self.support_radius > 0):
             raise ValueError("support_radius must be positive")
-        if self.tag == "ellipse":
-            if self.e1 is None or self.e2 is None:
-                raise ValueError("ellipse needs half-axes e1 and e2")
-            if not (self.e1 > 0 and self.e2 > 0):
-                raise ValueError("ellipse half-axes must be positive")
-        if self.tag == "hyperbola":
-            if self.eps is None or not (self.eps > 1):
-                raise ValueError("hyperbola needs eccentricity eps > 1")
-        if self.tag == "cormack":
-            if self.k is None or int(self.k) != self.k or self.k < 1:
-                raise ValueError("cormack needs a positive integer order k")
-            object.__setattr__(self, "k", int(self.k))
-        if self.tag in ("hgeodesic", "equidistant") and not (self.support_radius < 1):
+        for p in record.params:
+            value = getattr(self, p.name)
+            if value is None or not p.valid(value):
+                raise ValueError(f"{self.tag} needs {p.need}")
+            if p.cast is not None:
+                object.__setattr__(self, p.name, p.cast(value))
+        if record.open_disc and not (self.support_radius < 1):
             raise ValueError(f"{self.tag} lives on the open unit disc; support_radius must be < 1")
+
+    @property
+    def record(self) -> "_Family":
+        """The family record: formulas, arcs and traits of this tag."""
+        return _FAMILIES[self.tag]
 
     @property
     def kernel_condition_ok(self) -> bool:
@@ -102,9 +114,14 @@ class GeometryFamily:
         when support_radius < min(e1, e2). Construction does not enforce it
         so that diagnostic tooling can demonstrate the failure mode.
         """
-        if self.tag == "ellipse":
-            return self.support_radius < min(self.e1, self.e2)
-        return True
+        return self.record.kernel_condition_ok(self)
+
+
+def _record(tag: str) -> "_Family":
+    try:
+        return _FAMILIES[tag]
+    except KeyError:
+        raise ValueError(f"unknown curve family tag {tag!r}") from None
 
 
 def _fmt(v) -> str:
@@ -114,23 +131,20 @@ def _fmt(v) -> str:
 
 def descriptor(geom: GeometryFamily) -> str:
     """Canonical string form, e.g. ``ellipse:e1=1.2,e2=0.8,support=0.7``."""
-    parts = []
-    if geom.tag == "ellipse":
-        parts += [f"e1={_fmt(geom.e1)}", f"e2={_fmt(geom.e2)}"]
-    elif geom.tag == "hyperbola":
-        parts.append(f"eps={_fmt(geom.eps)}")
-    elif geom.tag == "cormack":
-        parts.append(f"k={geom.k}")
+    parts = [f"{p.name}={_fmt(getattr(geom, p.name))}" for p in geom.record.params]
     parts.append(f"support={_fmt(geom.support_radius)}")
     return geom.tag + ":" + ",".join(parts)
 
 
 def parse_geometry(text: str) -> GeometryFamily:
-    """Parse a descriptor string (case-sensitive, order-insensitive params)."""
+    """Parse a descriptor string (case-sensitive, order-insensitive params).
+
+    Values are passed on as floats, so validation (an integer k, say) is the
+    constructor's alone.
+    """
     text = text.strip()
     tag, _, rest = text.partition(":")
-    if tag not in TAGS:
-        raise ValueError(f"unknown curve family tag {tag!r}")
+    record = _record(tag)
     kv = {}
     if rest:
         for item in rest.split(","):
@@ -143,18 +157,10 @@ def parse_geometry(text: str) -> GeometryFamily:
             except ValueError:
                 raise ValueError(f"non-numeric value for {key!r} in {text!r}") from None
     support = kv.pop("support", 1.0)
-    known = {"ellipse": {"e1", "e2"}, "hyperbola": {"eps"}, "cormack": {"k"}}.get(tag, set())
-    extra = set(kv) - known
+    extra = set(kv) - {p.name for p in record.params}
     if extra:
         raise ValueError(f"parameter(s) {sorted(extra)} not valid for family {tag!r}")
-    return GeometryFamily(
-        tag,
-        support_radius=support,
-        e1=kv.get("e1"),
-        e2=kv.get("e2"),
-        eps=kv.get("eps"),
-        k=int(kv["k"]) if "k" in kv else None,
-    )
+    return GeometryFamily(tag, support_radius=support, **kv)
 
 
 def _split(x):
@@ -164,44 +170,26 @@ def _split(x):
     return x[..., 0], x[..., 1]
 
 
-def _check_domain(geom: GeometryFamily, x1, x2):
+def _domain_split(geom: GeometryFamily, x):
+    x1, x2 = _split(x)
     r2 = x1 * x1 + x2 * x2
-    if geom.tag in ("hgeodesic", "equidistant") and np.any(r2 >= 1.0):
+    if geom.record.open_disc and np.any(r2 >= 1.0):
         raise GeometryDomainError(f"{geom.tag} requires |x| < 1")
-    if geom.tag in ("parabola", "cormack") and np.any(r2 == 0.0):
+    if geom.record.punctured and np.any(r2 == 0.0):
         raise GeometryDomainError(f"{geom.tag} is undefined at the origin")
+    return x1, x2
 
 
 def domain_radius_cap(geom: GeometryFamily) -> float:
     """Largest radius the family's domain admits (inf when unbounded)."""
-    return 1.0 if geom.tag in ("hgeodesic", "equidistant") else np.inf
+    return 1.0 if geom.record.open_disc else np.inf
 
 
 def psi(geom: GeometryFamily, x, phi):
     """Generating function psi(x, phi); broadcasts over points and angles."""
-    x1, x2 = _split(x)
-    _check_domain(geom, x1, x2)
+    x1, x2 = _domain_split(geom, x)
     phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(phi), np.sin(phi)
-    tag = geom.tag
-    if tag == "radon":
-        return -(x1 * c + x2 * s)
-    if tag == "funk":
-        return x1 * c + x2 * s
-    if tag == "hgeodesic":
-        return -2.0 * (x1 * c + x2 * s) / (1.0 + x1 * x1 + x2 * x2)
-    if tag == "equidistant":
-        return -2.0 * (x1 * c + x2 * s) / (1.0 - (x1 * x1 + x2 * x2))
-    if tag == "ellipse":
-        return (x1 - geom.e1 * c) ** 2 + (x2 - geom.e2 * s) ** 2
-    if tag == "hyperbola":
-        return geom.eps * (x1 * c + x2 * s) - np.hypot(x1, x2)
-    if tag == "parabola":
-        rad = np.hypot(x1, x2) + x1 * c + x2 * s
-        return -np.sqrt(np.maximum(rad, 0.0))
-    # cormack
-    w = (x1 + 1j * x2) ** geom.k
-    return -(w.real * c + w.imag * s)
+    return geom.record.psi(geom, x1, x2, np.cos(phi), np.sin(phi))
 
 
 def psi_branch(geom: GeometryFamily, x, phi):
@@ -213,54 +201,27 @@ def psi_branch(geom: GeometryFamily, x, phi):
     circle, and the squared difference that enters the kernel is what must be
     2pi-periodic, which it is.
     """
-    if geom.tag != "parabola":
+    branch = geom.record.psi_branch
+    if branch is None:
         return psi(geom, x, phi)
-    x1, x2 = _split(x)
-    _check_domain(geom, x1, x2)
-    phi = np.asarray(phi, dtype=float)
-    r = np.hypot(x1, x2)
-    theta = np.arctan2(x2, x1)
-    return -np.sqrt(2.0 * r) * np.cos(0.5 * (phi - theta))
+    x1, x2 = _domain_split(geom, x)
+    return branch(geom, x1, x2, np.asarray(phi, dtype=float))
 
 
 def grad_norm(geom: GeometryFamily, x, phi):
     """|grad psi(x, phi)| in the family metric (spherical for funk,
     Euclidean otherwise); strictly positive on the domain."""
-    x1, x2 = _split(x)
-    _check_domain(geom, x1, x2)
+    x1, x2 = _domain_split(geom, x)
     phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(phi), np.sin(phi)
-    tag = geom.tag
-    if tag == "radon":
-        val = np.ones(np.broadcast(x1, c).shape)
-    elif tag == "funk":
-        val = np.sqrt((1.0 + x1 * x1 + x2 * x2) * (1.0 + (x1 * c + x2 * s) ** 2))
-    elif tag == "hgeodesic":
-        p = psi(geom, x, phi)
-        val = (2.0 / (1.0 + x1 * x1 + x2 * x2)) * np.sqrt(np.maximum(1.0 - p * p, 0.0))
-    elif tag == "equidistant":
-        p = psi(geom, x, phi)
-        val = (2.0 / (1.0 - (x1 * x1 + x2 * x2))) * np.sqrt(1.0 + p * p)
-    elif tag == "ellipse":
-        val = 2.0 * np.hypot(x1 - geom.e1 * c, x2 - geom.e2 * s)
-    elif tag == "hyperbola":
-        r = np.hypot(x1, x2)
-        if np.any(r == 0.0):
-            raise GeometryDomainError("hyperbola gradient is undefined at the origin")
-        val = np.sqrt(1.0 + geom.eps**2 - 2.0 * geom.eps * (x1 * c + x2 * s) / r)
-    elif tag == "parabola":
-        val = 1.0 / np.sqrt(2.0 * np.hypot(x1, x2)) + np.zeros(np.broadcast(x1, c).shape)
-    else:  # cormack
-        r = np.hypot(x1, x2)
-        val = geom.k * r ** (geom.k - 1) + np.zeros(np.broadcast(x1, c).shape)
+    val = geom.record.grad_norm(geom, x1, x2, np.cos(phi), np.sin(phi))
     if not np.all(val > 0.0):
-        raise GeometryDomainError(f"{tag} gradient is not strictly positive at the given point")
+        raise GeometryDomainError(f"{geom.tag} gradient is not strictly positive at the given point")
     return val if val.shape else float(val)
 
 
 def lambda_sign(geom: GeometryFamily) -> float:
     """Sign s with lambda_of = s * psi (curves are level sets of lambda_of)."""
-    return 1.0 if geom.tag in ("ellipse", "hyperbola") else -1.0
+    return geom.record.lambda_sign
 
 
 def lambda_of(geom: GeometryFamily, x, phi):
@@ -272,24 +233,7 @@ def lambda_range(geom: GeometryFamily, support_radius: float | None = None):
     """Interval of lambda values for curves meeting |x| <= support_radius,
     intersected with the family's admissible parameter set."""
     rho = geom.support_radius if support_radius is None else float(support_radius)
-    tag = geom.tag
-    if tag in ("radon", "funk"):
-        return (-rho, rho)
-    if tag == "hgeodesic":
-        z = 2.0 * rho / (1.0 + rho * rho)
-        return (-z, z)
-    if tag == "equidistant":
-        z = min(2.0 * rho / (1.0 - rho * rho), 1.0)
-        return (-z, z)
-    if tag == "ellipse":
-        lo = max(min(geom.e1, geom.e2) - rho, 0.0)
-        hi = max(geom.e1, geom.e2) + rho
-        return (lo * lo, hi * hi)
-    if tag == "hyperbola":
-        return (-(1.0 + geom.eps) * rho, (geom.eps - 1.0) * rho)
-    if tag == "parabola":
-        return (0.0, np.sqrt(2.0 * rho))
-    return (-(rho**geom.k), rho**geom.k)
+    return geom.record.lambda_range(geom, rho)
 
 
 def dcoef_closed(geom: GeometryFamily, x):
@@ -300,85 +244,21 @@ def dcoef_closed(geom: GeometryFamily, x):
     polynomial |x - e(phi)|^2, which never vanishes for points inside the
     ellipse; the circular case reduces to 1/(4 (R^2 - |x|^2)).
     """
-    x1, x2 = _split(x)
-    _check_domain(geom, x1, x2)
-    r2 = x1 * x1 + x2 * x2
-    tag = geom.tag
-    if tag == "radon":
-        out = np.ones_like(r2)
-    elif tag == "funk":
-        out = (1.0 + r2) ** -1.5
-    elif tag == "hgeodesic":
-        out = (1.0 + r2) ** 3 / (4.0 * (1.0 - r2))
-    elif tag == "equidistant":
-        out = (1.0 - r2) ** 3 / (4.0 * (1.0 + r2))
-    elif tag == "ellipse":
-        if geom.e1 == geom.e2:
-            gap = geom.e1**2 - r2
-            if np.any(gap <= 0.0):
-                raise GeometryDomainError("normalizer needs |x| inside the circle of centers")
-            out = 0.25 / gap
-        else:
-            one = TrigPoly((1.0,))
-            flat = np.broadcast_arrays(x1, x2)
-            out = np.empty(flat[0].shape)
-            it = np.nditer(flat[0], flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                u, v = float(flat[0][idx]), float(flat[1][idx])
-                t2 = TrigPoly(
-                    (u * u + v * v + 0.5 * (geom.e1**2 + geom.e2**2), -2.0 * u * geom.e1, 0.5 * (geom.e1**2 - geom.e2**2)),
-                    (0.0, -2.0 * v * geom.e2, 0.0),
-                )
-                out[idx] = residue_integral(one, t2) / (8.0 * np.pi)
-    elif tag == "hyperbola":
-        out = np.full_like(r2, 1.0 / (geom.eps**2 - 1.0))
-    elif tag == "parabola":
-        out = 2.0 * np.sqrt(r2)
-    else:  # cormack
-        if np.any(r2 == 0.0):
-            raise GeometryDomainError("cormack normalizer is undefined at the origin")
-        out = 1.0 / (geom.k**2 * r2 ** (geom.k - 1))
+    x1, x2 = _domain_split(geom, x)
+    out = geom.record.dcoef(geom, x1, x2, x1 * x1 + x2 * x2)
     return out if np.ndim(out) else float(out)
 
 
 def weight_m(geom: GeometryFamily, x):
     """Spatial factor of |grad psi| = m(x) mu(lambda)."""
-    x1, x2 = _split(x)
-    _check_domain(geom, x1, x2)
-    r2 = x1 * x1 + x2 * x2
-    tag = geom.tag
-    if tag == "hyperbola":
-        raise FactorizationUnavailableError("hyperbola gradient does not factor as m(x) mu(lambda)")
-    if tag in ("radon", "ellipse"):
-        out = np.ones_like(r2)
-    elif tag == "funk":
-        out = np.sqrt(1.0 + r2)
-    elif tag == "hgeodesic":
-        out = 2.0 / (1.0 + r2)
-    elif tag == "equidistant":
-        out = 2.0 / (1.0 - r2)
-    elif tag == "parabola":
-        out = (2.0 * np.sqrt(r2)) ** -0.5
-    else:  # cormack
-        out = geom.k * np.sqrt(r2) ** (geom.k - 1)
+    x1, x2 = _domain_split(geom, x)
+    out = geom.record.weight_m(geom, x1 * x1 + x2 * x2)
     return out if np.ndim(out) else float(out)
 
 
 def weight_mu(geom: GeometryFamily, lam):
     """Curve-parameter factor of |grad psi| = m(x) mu(lambda)."""
-    lam = np.asarray(lam, dtype=float)
-    tag = geom.tag
-    if tag == "hyperbola":
-        raise FactorizationUnavailableError("hyperbola gradient does not factor as m(x) mu(lambda)")
-    if tag in ("radon", "parabola", "cormack"):
-        out = np.ones_like(lam)
-    elif tag in ("funk", "equidistant"):
-        out = np.sqrt(1.0 + lam * lam)
-    elif tag == "hgeodesic":
-        out = np.sqrt(1.0 - lam * lam)
-    else:  # ellipse
-        out = 2.0 * np.sqrt(lam)
+    out = geom.record.weight_mu(geom, np.asarray(lam, dtype=float))
     return out if out.shape else float(out)
 
 
@@ -394,35 +274,11 @@ def trig_difference(geom: GeometryFamily, x, y):
     y = np.asarray(y, dtype=float)
     if x.shape != (2,) or y.shape != (2,):
         raise ValueError("trig_difference expects single points")
-    _check_domain(geom, x[0], x[1])
-    _check_domain(geom, y[0], y[1])
+    _domain_split(geom, x)
+    _domain_split(geom, y)
     if np.all(x == y):
         raise ValueError("points must be distinct")
-    tag = geom.tag
-    if tag == "parabola":
-        return None
-    if tag == "radon":
-        d = y - x
-        return TrigPoly((0.0, d[0]), (0.0, d[1]))
-    if tag == "funk":
-        d = x - y
-        return TrigPoly((0.0, d[0]), (0.0, d[1]))
-    if tag == "hgeodesic":
-        w = -2.0 * (x / (1.0 + x @ x) - y / (1.0 + y @ y))
-        return TrigPoly((0.0, w[0]), (0.0, w[1]))
-    if tag == "equidistant":
-        w = -2.0 * (x / (1.0 - x @ x) - y / (1.0 - y @ y))
-        return TrigPoly((0.0, w[0]), (0.0, w[1]))
-    if tag == "ellipse":
-        d = x - y
-        return TrigPoly((x @ x - y @ y, -2.0 * d[0] * geom.e1), (0.0, -2.0 * d[1] * geom.e2))
-    if tag == "hyperbola":
-        d = x - y
-        const = np.hypot(y[0], y[1]) - np.hypot(x[0], x[1])
-        return TrigPoly((const, geom.eps * d[0]), (0.0, geom.eps * d[1]))
-    # cormack
-    w = (x[0] + 1j * x[1]) ** geom.k - (y[0] + 1j * y[1]) ** geom.k
-    return TrigPoly((0.0, -w.real), (0.0, -w.imag))
+    return geom.record.trig_difference(geom, x, y)
 
 
 def arc_element(geom: GeometryFamily, x, v):
@@ -434,8 +290,461 @@ def arc_element(geom: GeometryFamily, x, v):
     """
     x1, x2 = _split(x)
     v1, v2 = _split(v)
-    if geom.tag != "funk":
-        return np.hypot(v1, v2)
-    x0sq = 1.0 / (1.0 + x1 * x1 + x2 * x2)
-    dot = x1 * v1 + x2 * v2
-    return np.sqrt(x0sq * np.maximum(v1 * v1 + v2 * v2 - x0sq * dot * dot, 0.0))
+    return geom.record.arc_element(x1, x2, v1, v2)
+
+
+def arcs(geom: GeometryFamily, lam, phi: float, R: float, kind: str):
+    """All arcs of the curves {lambda_of = lam[i]} inside the origin disc of
+    radius R, for forward data of the given kind ("mphi" or "riemann")."""
+    lam = np.asarray(lam, dtype=float)
+    lam_eps = _LAM_TINY * (1.0 + float(np.max(np.abs(lam))))
+    return geom.record.arcs(geom, lam, lam_eps, phi, R, kind)
+
+
+# ---------------------------------------------------------------------------
+# arc geometry
+#
+# A curve restricted to the working disc of radius R splits into arcs. Each
+# arc is described by a half-width array W (one entry per lambda node; zero
+# marks rows the arc misses), a map from arc parameter beta in [-W, W] to
+# points and metric speed ds/dbeta, and an optional constant multiplicity.
+# The map receives the active row indices so it can pick its per-row data.
+
+
+@dataclass
+class _Arc:
+    W: np.ndarray
+    mapto: Callable  # (B, act) -> (P, speed) with P shape B.shape + (2,)
+    mult: float = 1.0
+    grad_done: bool = False  # speed already includes the 1/|grad psi| factor
+    point: bool = False  # degenerate arc, skipped by the tracer
+    stretch: bool = False  # cluster quadrature nodes toward the arc ends
+
+
+def _circle_halfwidth(d, rc, R):
+    """Angular half-width of the part of a circle (center distance d, radius
+    rc) lying in the origin disc of radius R; pi means the full circle."""
+    d = np.asarray(d, dtype=float)
+    rc = np.asarray(rc, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cu = (d * d + rc * rc - R * R) / (2.0 * d * rc)
+    cu = np.where(np.isfinite(cu), cu, 1.0)
+    return np.arccos(np.clip(cu, -1.0, 1.0))
+
+
+def _circle_arc(center, rc):
+    """Map for circle arcs: beta is the angle measured from the point of the
+    circle nearest the origin, so the clipped arc is symmetric in beta."""
+
+    def mapto(B, act):
+        c = center[act]
+        r = rc[act][:, None]
+        d = np.maximum(np.hypot(c[:, 0], c[:, 1]), 1e-300)
+        ux = (-c[:, 0] / d)[:, None]  # unit vector toward the origin
+        uy = (-c[:, 1] / d)[:, None]
+        cb, sb = np.cos(B), np.sin(B)
+        px = c[:, 0][:, None] + r * (cb * ux - sb * uy)
+        py = c[:, 1][:, None] + r * (sb * ux + cb * uy)
+        P = np.stack([px, py], axis=-1)
+        return P, np.broadcast_to(r, B.shape)
+
+    return mapto
+
+
+def _polar(r, ang):
+    return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+
+
+def _rays(lam, lam_eps, thetas, R, mult=1.0):
+    """Rays from the origin at the polar angles thetas, r in (0, R], on the
+    rows where lambda vanishes; none when no row does."""
+    rows = np.abs(lam) <= lam_eps
+    if not np.any(rows):
+        return []
+    half = 0.5 * (R - _RAY_START * R)
+    mid = _RAY_START * R + half
+    out = []
+    for theta in thetas:
+
+        def mapto(B, act, theta=theta):
+            return _polar(mid + B, theta), np.ones_like(B)
+
+        out.append(_Arc(np.where(rows, half, 0.0), mapto, mult=mult, stretch=True))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# family records: one block per family builds its _Family, _FAMILIES at the
+# end registers them by tag
+
+_Param = namedtuple("_Param", "name valid need cast", defaults=(None,))  # need: "<tag> needs ..."
+
+
+def _no_factorization(g, _):
+    raise FactorizationUnavailableError(f"{g.tag} gradient does not factor as m(x) mu(lambda)")
+
+
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """Formulas, arcs and traits of one curve family. Callables take the
+    GeometryFamily g holding the parameter values first; points arrive split
+    into x1, x2 and checked against the domain, angles as c, s = cos, sin."""
+
+    psi: Callable  # (g, x1, x2, c, s)
+    grad_norm: Callable  # (g, x1, x2, c, s)
+    lambda_range: Callable  # (g, rho)
+    dcoef: Callable  # (g, x1, x2, r2)
+    trig_difference: Callable  # (g, x, y), None where no polynomial exists
+    arcs: Callable  # (g, lam, lam_eps, phi, R, kind) -> list of _Arc
+    weight_m: Callable = _no_factorization  # (g, r2)
+    weight_mu: Callable = _no_factorization  # (g, lam)
+    psi_branch: Callable | None = None  # (g, x1, x2, phi); None means psi
+    arc_element: Callable = lambda x1, x2, v1, v2: np.hypot(v1, v2)
+    params: tuple = ()
+    lambda_sign: float = -1.0
+    open_disc: bool = False  # domain is the open unit disc
+    punctured: bool = False  # domain excludes the origin
+    half_range: bool = False  # data on phi in [0, pi) determines the full range
+    even_in_lambda: bool = False  # transform even in lambda, axis starting at 0
+    sheets: Callable = lambda g: 1.0  # parameter sheets through each point
+    kernel_condition_ok: Callable = lambda g: True
+    dcoef_radius: Callable = lambda g: g.support_radius  # closed-form D(x) holds inside
+    sharp_disc_data: Callable | None = None  # (g, disc, lam, phi, kind), indicator discs
+
+
+def _symmetric(z):
+    return (-z, z)
+
+
+def _harmonic(w, const=0.0):
+    """The polynomial const + w[0] cos + w[1] sin."""
+    return TrigPoly((const, w[0]), (0.0, w[1]))
+
+
+def _line_arcs(sgn, speed):
+    """Arcs of the straight lines <x, e(phi)> = sgn * lambda; speed(g, P, V)
+    is the metric length of the chord direction V at the points P."""
+
+    def arcs(g, lam, lam_eps, phi, R, kind):
+        e = np.array([np.cos(phi), np.sin(phi)])
+        eperp = np.array([-e[1], e[0]])
+        W = np.sqrt(np.maximum(R * R - lam * lam, 0.0))
+        base = sgn * lam[:, None] * e[None, :]
+
+        def mapto(B, act):
+            P = base[act][:, None, :] + B[..., None] * eperp[None, None, :]
+            return P, speed(g, P, np.broadcast_to(eperp, P.shape))
+
+        return [_Arc(W, mapto)]
+
+    return arcs
+
+
+def _radon():
+    """Straight lines <x, e(phi)> = lambda."""
+
+    def sharp_disc_data(g, disc, lam, phi, kind):
+        # exact chords of an indicator disc over the (phi, lambda) lattice
+        dist = np.cos(phi)[:, None] * disc.center[0] + np.sin(phi)[:, None] * disc.center[1] - lam[None, :]
+        chord = 2.0 * np.sqrt(np.maximum(disc.radius**2 - dist * dist, 0.0))
+        return disc.amplitude * chord
+
+    return _Family(
+        psi=lambda g, x1, x2, c, s: -(x1 * c + x2 * s),
+        grad_norm=lambda g, x1, x2, c, s: np.ones(np.broadcast(x1, c).shape),
+        lambda_range=lambda g, rho: _symmetric(rho),
+        dcoef=lambda g, x1, x2, r2: np.ones_like(r2),
+        trig_difference=lambda g, x, y: _harmonic(y - x),
+        arcs=_line_arcs(1.0, lambda g, P, V: np.ones(P.shape[:-1])),
+        weight_m=lambda g, r2: np.ones_like(r2),
+        weight_mu=lambda g, lam: np.ones_like(lam),
+        half_range=True,
+        sharp_disc_data=sharp_disc_data,
+    )
+
+
+def _funk():
+    """Great circles: chart lines <x, e(phi)> = -lambda in the sphere metric."""
+
+    def sphere_element(x1, x2, v1, v2):
+        x0sq = 1.0 / (1.0 + x1 * x1 + x2 * x2)
+        dot = x1 * v1 + x2 * v2
+        return np.sqrt(x0sq * np.maximum(v1 * v1 + v2 * v2 - x0sq * dot * dot, 0.0))
+
+    return _Family(
+        psi=lambda g, x1, x2, c, s: x1 * c + x2 * s,
+        grad_norm=lambda g, x1, x2, c, s: np.sqrt((1.0 + x1 * x1 + x2 * x2) * (1.0 + (x1 * c + x2 * s) ** 2)),
+        lambda_range=lambda g, rho: _symmetric(rho),
+        dcoef=lambda g, x1, x2, r2: (1.0 + r2) ** -1.5,
+        trig_difference=lambda g, x, y: _harmonic(x - y),
+        arcs=_line_arcs(-1.0, lambda g, P, V: arc_element(g, P, V)),
+        weight_m=lambda g, r2: np.sqrt(1.0 + r2),
+        weight_mu=lambda g, lam: np.sqrt(1.0 + lam * lam),
+        arc_element=sphere_element,
+    )
+
+
+def _poincare(den, sigma, z_max):
+    """hgeodesic (sigma = 1) and equidistant (sigma = -1) curves, with
+    psi = -2 <x, e(phi)> / den(x) and den = 1 + sigma |x|^2: the line
+    through the origin at lambda = 0, otherwise circles about
+    sigma e(phi) / lambda of radius sqrt(1 / lambda^2 - sigma)."""
+
+    def psi(g, x1, x2, c, s):
+        return -2.0 * (x1 * c + x2 * s) / den(x1, x2)
+
+    def grad_norm(g, x1, x2, c, s):
+        p = psi(g, x1, x2, c, s)
+        return (2.0 / den(x1, x2)) * np.sqrt(np.maximum(1.0 - sigma * p * p, 0.0))
+
+    def arcs(g, lam, lam_eps, phi, R, kind):
+        c, s = np.cos(phi), np.sin(phi)
+        line_rows = np.abs(lam) <= lam_eps
+        circ_rows = ~line_rows
+        out = []
+        if np.any(line_rows):
+            eperp = np.array([-s, c])
+
+            def mapto_line(B, act):
+                P = B[..., None] * eperp[None, None, :]
+                return P, np.ones_like(B)
+
+            out.append(_Arc(np.where(line_rows, R, 0.0), mapto_line))
+        if np.any(circ_rows):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inv = 1.0 / lam
+                center = (sigma * inv)[:, None] * np.array([c, s])[None, :]
+                rc = np.sqrt(np.maximum(inv * inv - sigma, 0.0))
+            W = np.where(circ_rows, _circle_halfwidth(np.abs(inv), rc, R), 0.0)
+            out.append(_Arc(np.where(rc > 0, W, 0.0), _circle_arc(center, rc)))
+        return out
+
+    return _Family(
+        psi=psi,
+        grad_norm=grad_norm,
+        lambda_range=lambda g, rho: _symmetric(min(2.0 * rho / (1.0 + sigma * rho * rho), z_max)),
+        dcoef=lambda g, x1, x2, r2: (1.0 + sigma * r2) ** 3 / (4.0 * (1.0 - sigma * r2)),
+        trig_difference=lambda g, x, y: _harmonic(-2.0 * (x / (1.0 + sigma * (x @ x)) - y / (1.0 + sigma * (y @ y)))),
+        arcs=arcs,
+        weight_m=lambda g, r2: 2.0 / (1.0 + sigma * r2),
+        weight_mu=lambda g, lam: np.sqrt(1.0 - sigma * lam * lam),
+        open_disc=True,
+    )
+
+
+def _ellipse():
+    """Circles of radius sqrt(lambda) about e(phi) = (e1 cos phi, e2 sin phi)."""
+
+    def lambda_range(g, rho):
+        lo = max(min(g.e1, g.e2) - rho, 0.0)
+        hi = max(g.e1, g.e2) + rho
+        return (lo * lo, hi * hi)
+
+    def dcoef(g, x1, x2, r2):
+        if g.e1 == g.e2:
+            gap = g.e1**2 - r2
+            if np.any(gap <= 0.0):
+                raise GeometryDomainError("normalizer needs |x| inside the circle of centers")
+            return 0.25 / gap
+        one = TrigPoly((1.0,))
+        flat = np.broadcast_arrays(x1, x2)
+        out = np.empty(flat[0].shape)
+        it = np.nditer(flat[0], flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            u, v = float(flat[0][idx]), float(flat[1][idx])
+            t2 = TrigPoly(
+                (u * u + v * v + 0.5 * (g.e1**2 + g.e2**2), -2.0 * u * g.e1, 0.5 * (g.e1**2 - g.e2**2)),
+                (0.0, -2.0 * v * g.e2, 0.0),
+            )
+            out[idx] = residue_integral(one, t2) / (8.0 * np.pi)
+        return out
+
+    def arcs(g, lam, lam_eps, phi, R, kind):
+        ctr = np.array([g.e1 * np.cos(phi), g.e2 * np.sin(phi)])
+        d0 = float(np.hypot(*ctr))
+        rc = np.sqrt(np.maximum(lam, 0.0))
+        W = np.where(lam > 0.0, _circle_halfwidth(d0, rc, R), 0.0)
+        out = [_Arc(W, _circle_arc(np.broadcast_to(ctr, (lam.size, 2)), rc))]
+        zero = (lam <= 0.0) & (d0 <= R)
+        if np.any(zero) and kind == "mphi":
+            # shrinking circles: ds/(2 sqrt(lam)) tends to dbeta/2 at the
+            # center point, so the row keeps a finite value
+            def mapto_pt(B, act):
+                P = np.broadcast_to(ctr, B.shape + (2,))
+                return P, np.full_like(B, 0.5)
+
+            out.append(_Arc(np.where(zero, np.pi, 0.0), mapto_pt, grad_done=True, point=True))
+        return out
+
+    def sharp_disc_data(g, disc, lam, phi, kind):
+        # |grad psi| = 2 sqrt(lambda) is constant on each circle, so the mphi
+        # value is the angular measure of the part inside the disc; riemann
+        # keeps arc length
+        rc = np.sqrt(np.maximum(lam[None, :], 0.0)) + np.zeros((phi.size, 1))
+        cx = g.e1 * np.cos(phi)[:, None] - disc.center[0]
+        cy = g.e2 * np.sin(phi)[:, None] - disc.center[1]
+        d = np.hypot(cx, cy) + np.zeros_like(rc)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cu = (d * d + rc * rc - disc.radius**2) / (2.0 * d * rc)
+        cu = np.where(np.isfinite(cu), cu, np.where(d + rc <= disc.radius, -1.0, 1.0))
+        gamma = np.arccos(np.clip(cu, -1.0, 1.0))
+        if kind == "mphi":
+            return disc.amplitude * gamma
+        return disc.amplitude * 2.0 * rc * gamma
+
+    half_axis = "positive half-axes e1 and e2"
+    return _Family(
+        psi=lambda g, x1, x2, c, s: (x1 - g.e1 * c) ** 2 + (x2 - g.e2 * s) ** 2,
+        grad_norm=lambda g, x1, x2, c, s: 2.0 * np.hypot(x1 - g.e1 * c, x2 - g.e2 * s),
+        lambda_range=lambda_range,
+        dcoef=dcoef,
+        trig_difference=lambda g, x, y: _harmonic(-2.0 * (x - y) * (g.e1, g.e2), x @ x - y @ y),
+        arcs=arcs,
+        weight_m=lambda g, r2: np.ones_like(r2),
+        weight_mu=lambda g, lam: 2.0 * np.sqrt(lam),
+        params=(_Param("e1", lambda v: v > 0, half_axis), _Param("e2", lambda v: v > 0, half_axis)),
+        lambda_sign=1.0,
+        kernel_condition_ok=lambda g: g.support_radius < min(g.e1, g.e2),
+        dcoef_radius=lambda g: min(g.support_radius, 0.95 * min(g.e1, g.e2)),
+        sharp_disc_data=sharp_disc_data,
+    )
+
+
+def _hyperbola():
+    """Confocal hyperbola branches r = lambda / (eps cos(theta - phi) - 1)."""
+
+    def grad_norm(g, x1, x2, c, s):
+        r = np.hypot(x1, x2)
+        if np.any(r == 0.0):
+            raise GeometryDomainError("hyperbola gradient is undefined at the origin")
+        return np.sqrt(1.0 + g.eps**2 - 2.0 * g.eps * (x1 * c + x2 * s) / r)
+
+    def arcs(g, lam, lam_eps, phi, R, kind):
+        epsc = g.eps
+        alpha0 = np.where(lam >= 0.0, 0.0, np.pi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cpos = (1.0 + lam / R) / epsc
+            cneg = (1.0 - np.abs(lam) / R) / epsc
+        Wpos = np.arccos(np.clip(cpos, -1.0, 1.0))
+        Wneg = np.pi - np.arccos(np.clip(cneg, -1.0, 1.0))
+        W = np.where(lam > lam_eps, Wpos, np.where(lam < -lam_eps, Wneg, 0.0))
+
+        def mapto_h(B, act):
+            al = alpha0[act][:, None] + B
+            den = epsc * np.cos(al) - 1.0
+            r = lam[act][:, None] / den
+            rp = r * epsc * np.sin(al) / den
+            return _polar(r, phi + al), np.sqrt(r * r + rp * rp)
+
+        astar = np.arccos(1.0 / epsc)
+        return [_Arc(W, mapto_h, stretch=True)] + _rays(lam, lam_eps, (phi + astar, phi - astar), R)
+
+    return _Family(
+        psi=lambda g, x1, x2, c, s: g.eps * (x1 * c + x2 * s) - np.hypot(x1, x2),
+        grad_norm=grad_norm,
+        lambda_range=lambda g, rho: (-(1.0 + g.eps) * rho, (g.eps - 1.0) * rho),
+        dcoef=lambda g, x1, x2, r2: np.full_like(r2, 1.0 / (g.eps**2 - 1.0)),
+        trig_difference=lambda g, x, y: _harmonic(g.eps * (x - y), np.hypot(y[0], y[1]) - np.hypot(x[0], x[1])),
+        arcs=arcs,
+        params=(_Param("eps", lambda v: v > 1, "eccentricity eps > 1"),),
+        lambda_sign=1.0,
+    )
+
+
+def _parabola():
+    """Confocal parabolas r = lambda^2 / (1 + cos(theta - phi))."""
+
+    def psi_branch(g, x1, x2, phi):
+        r = np.hypot(x1, x2)
+        theta = np.arctan2(x2, x1)
+        return -np.sqrt(2.0 * r) * np.cos(0.5 * (phi - theta))
+
+    def arcs(g, lam, lam_eps, phi, R, kind):
+        pos = lam > lam_eps
+        A = np.where(pos, np.arccos(np.clip(lam * lam / R - 1.0, -1.0, 1.0)), 0.0)
+
+        def mapto_p(B, act):
+            r = lam[act][:, None] ** 2 / (1.0 + np.cos(B))
+            return _polar(r, phi + B), r / np.cos(0.5 * B)
+
+        # at lambda = 0 the curve closes onto the backward ray, covered twice
+        return [_Arc(A, mapto_p, stretch=True)] + _rays(lam, lam_eps, (phi + np.pi,), R, mult=2.0)
+
+    return _Family(
+        psi=lambda g, x1, x2, c, s: -np.sqrt(np.maximum(np.hypot(x1, x2) + x1 * c + x2 * s, 0.0)),
+        grad_norm=lambda g, x1, x2, c, s: 1.0 / np.sqrt(2.0 * np.hypot(x1, x2)) + np.zeros(np.broadcast(x1, c).shape),
+        lambda_range=lambda g, rho: (0.0, np.sqrt(2.0 * rho)),
+        dcoef=lambda g, x1, x2, r2: 2.0 * np.sqrt(r2),
+        trig_difference=lambda g, x, y: None,
+        arcs=arcs,
+        weight_m=lambda g, r2: (2.0 * np.sqrt(r2)) ** -0.5,
+        weight_mu=lambda g, lam: np.ones_like(lam),
+        psi_branch=psi_branch,
+        punctured=True,
+        even_in_lambda=True,
+    )
+
+
+def _cormack():
+    """Polar curves r^k cos(k theta - phi) = lambda, on k parameter sheets."""
+
+    def psi(g, x1, x2, c, s):
+        w = (x1 + 1j * x2) ** g.k
+        return -(w.real * c + w.imag * s)
+
+    def dcoef(g, x1, x2, r2):
+        if np.any(r2 == 0.0):
+            raise GeometryDomainError("cormack normalizer is undefined at the origin")
+        return 1.0 / (g.k**2 * r2 ** (g.k - 1))
+
+    def trig_difference(g, x, y):
+        w = (x[0] + 1j * x[1]) ** g.k - (y[0] + 1j * y[1]) ** g.k
+        return _harmonic((-w.real, -w.imag))
+
+    def arcs(g, lam, lam_eps, phi, R, kind):
+        k = g.k
+        Rk = R**k
+        absl = np.abs(lam)
+        B0 = np.where(absl > lam_eps, np.arccos(np.clip(absl / Rk, -1.0, 1.0)), 0.0)
+        B0 = np.where(absl <= Rk, B0, 0.0)
+        off = np.where(lam >= 0.0, 0.0, np.pi)
+        out = []
+        for m in range(k):
+
+            def mapto_c(B, act, m=m):
+                r = (absl[act][:, None] / np.cos(B)) ** (1.0 / k)
+                th = (phi + off[act][:, None] + B + TAU * m) / k
+                return _polar(r, th), r / (k * np.cos(B))
+
+            out.append(_Arc(B0.copy(), mapto_c, stretch=True))
+        return out + _rays(lam, lam_eps, [(phi + 0.5 * np.pi + np.pi * j) / k for j in range(2 * k)], R)
+
+    return _Family(
+        psi=psi,
+        grad_norm=lambda g, x1, x2, c, s: g.k * np.hypot(x1, x2) ** (g.k - 1) + np.zeros(np.broadcast(x1, c).shape),
+        lambda_range=lambda g, rho: _symmetric(rho**g.k),
+        dcoef=dcoef,
+        trig_difference=trig_difference,
+        arcs=arcs,
+        weight_m=lambda g, r2: g.k * np.sqrt(r2) ** (g.k - 1),
+        weight_mu=lambda g, lam: np.ones_like(lam),
+        params=(_Param("k", lambda v: float(v).is_integer() and v >= 1, "a positive integer order k", int),),
+        punctured=True,
+        sheets=lambda g: float(g.k),
+    )
+
+
+_FAMILIES = {
+    "radon": _radon(),
+    "funk": _funk(),
+    # the denominators keep the association of the hand-written formulas
+    "hgeodesic": _poincare(lambda x1, x2: 1.0 + x1 * x1 + x2 * x2, 1.0, np.inf),
+    "equidistant": _poincare(lambda x1, x2: 1.0 - (x1 * x1 + x2 * x2), -1.0, 1.0),
+    "ellipse": _ellipse(),
+    "hyperbola": _hyperbola(),
+    "parabola": _parabola(),
+    "cormack": _cormack(),
+}
+
+TAGS = tuple(_FAMILIES)

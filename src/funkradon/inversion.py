@@ -117,7 +117,7 @@ def pv_filter(sino: Sinogram, boundary_rtol: float = 1e-6) -> FilteredSinogram:
     phi = sino.phi_axis
     g = sino.data
 
-    if geom.tag == "radon" and sino.phi_full == "half":
+    if geom.record.half_range and sino.phi_full == "half":
         # g(-lambda, phi + pi) = g(lambda, phi): mirror the lambda axis to
         # synthesize the second half of the phi range
         if np.max(np.abs(lam + lam[::-1])) > 1e-9 * (1.0 + abs(lam[-1])):
@@ -125,13 +125,13 @@ def pv_filter(sino: Sinogram, boundary_rtol: float = 1e-6) -> FilteredSinogram:
         g = np.concatenate([g, g[:, ::-1]], axis=0)
         phi = np.concatenate([phi, phi + np.pi])
 
-    if geom.tag == "parabola":
-        # physical lambda starts at 0 where the data is genuinely nonzero;
-        # the transform is even in lambda, so extend and filter on the
-        # symmetric axis, making 0 an interior node
+    if geom.record.even_in_lambda:
+        # physical lambda starts at 0 where the data is genuinely nonzero
+        # (parabola); the transform is even in lambda, so extend and filter
+        # on the symmetric axis, making 0 an interior node
         if abs(lam[0]) > 1e-12 * (1.0 + abs(lam[-1])):
             raise WindowingError(
-                "parabola filtering needs the lambda axis to start at 0 "
+                f"{geom.tag} filtering needs the lambda axis to start at 0 "
                 "for the even extension"
             )
         lam = np.concatenate([-lam[:0:-1], lam])
@@ -174,7 +174,7 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     phi = filtered.phi_axis
     pts = grid.points()
     D = np.asarray(geo.dcoef_closed(geom, pts))
-    sheet = float(geom.k) if geom.tag == "cormack" else 1.0
+    sheet = geom.record.sheets(geom)
     tol = 1e-9 * (1.0 + lam[-1] - lam[0])
     acc = np.zeros((grid.nx, grid.ny))
     for j, p in enumerate(phi):

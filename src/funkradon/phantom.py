@@ -13,7 +13,7 @@ import numpy as np
 
 from .fields import Grid, ScalarField
 
-__all__ = ["Gaussian", "Disc", "Phantom", "parse_phantom", "rel_l2", "linf"]
+__all__ = ["Gaussian", "Disc", "Phantom", "parse_phantom"]
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,3 @@ def parse_phantom(text: str) -> Phantom:
         else:
             raise ValueError(f"unknown phantom shape {shape!r}")
     return Phantom(tuple(comps))
-
-
-def rel_l2(a: ScalarField, b: ScalarField) -> float:
-    """Relative l2 error of a against reference b."""
-    return a.rel_l2(b)
-
-
-def linf(a: ScalarField, b: ScalarField) -> float:
-    return a.linf(b)

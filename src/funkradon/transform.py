@@ -1,8 +1,8 @@
 """Forward transform: family curves traced in closed form and integrated.
 
 Every family's data curve {x : lambda_of(x, phi) = lambda} is a line, a
-circle, or a polar graph, so curves are parametrized exactly and clipped to a
-working disc about the origin; no implicit-surface marching is needed. The
+circle, or a polar graph, so geometry.arcs parametrizes it exactly, clipped to
+a working disc about the origin; no implicit-surface marching is needed. The
 forward value at one sinogram node is the curve integral of the phantom
 weighted by 1/|grad psi| (kind "mphi") or by nothing (kind "riemann", plain
 metric arc length), computed by the midpoint rule with interval doubling and
@@ -37,12 +37,6 @@ __all__ = [
 ]
 
 TAU = 2.0 * np.pi
-
-# fraction of a zero-lambda threshold relative to the axis scale
-_LAM_TINY = 1e-12
-# rays that emanate from the origin start a hair away from it, since the
-# punctured families reject the origin itself
-_RAY_START = 1e-9
 
 
 class TracingError(RuntimeError):
@@ -87,7 +81,7 @@ class Sinogram:
         span = dp[0] * phi.size
         if not (abs(span - TAU) < 1e-9 or abs(span - np.pi) < 1e-9):
             raise ValueError("phi axis must tile [0, 2pi) or [0, pi)")
-        if abs(span - np.pi) < 1e-9 and self.geom.tag != "radon":
+        if abs(span - np.pi) < 1e-9 and not self.geom.record.half_range:
             raise ValueError("half-range phi axis is only meaningful for radon")
         if data.shape != (phi.size, lam.size):
             raise ValueError(f"data shape {data.shape} does not match axes ({phi.size}, {lam.size})")
@@ -124,23 +118,7 @@ def default_axes(geom: GeometryFamily, n_lambda: int, n_phi: int, half: bool = F
 
 
 # ---------------------------------------------------------------------------
-# arc geometry
-#
-# A curve restricted to the working disc of radius R splits into arcs. Each
-# arc is described by a half-width array W (one entry per lambda node; zero
-# marks rows the arc misses), a map from arc parameter beta in [-W, W] to
-# points and metric speed ds/dbeta, and an optional constant multiplicity.
-# The map receives the active row indices so it can pick its per-row data.
-
-
-@dataclass
-class _Arc:
-    W: np.ndarray
-    mapto: callable  # (B, act) -> (P, speed) with P shape B.shape + (2,)
-    mult: float = 1.0
-    grad_done: bool = False  # speed already includes the 1/|grad psi| factor
-    point: bool = False  # degenerate arc, skipped by the tracer
-    stretch: bool = False  # cluster quadrature nodes toward the arc ends
+# forward quadrature
 
 
 def _stretch_map(u):
@@ -162,200 +140,9 @@ def _stretch_map(u):
     return s, ds
 
 
-def _circle_halfwidth(d, rc, R):
-    """Angular half-width of the part of a circle (center distance d, radius
-    rc) lying in the origin disc of radius R; pi means the full circle."""
-    d = np.asarray(d, dtype=float)
-    rc = np.asarray(rc, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cu = (d * d + rc * rc - R * R) / (2.0 * d * rc)
-    cu = np.where(np.isfinite(cu), cu, 1.0)
-    return np.arccos(np.clip(cu, -1.0, 1.0))
-
-
-def _circle_arc(center, rc):
-    """Map for circle arcs: beta is the angle measured from the point of the
-    circle nearest the origin, so the clipped arc is symmetric in beta."""
-
-    def mapto(B, act):
-        c = center[act]
-        r = rc[act][:, None]
-        d = np.maximum(np.hypot(c[:, 0], c[:, 1]), 1e-300)
-        ux = (-c[:, 0] / d)[:, None]  # unit vector toward the origin
-        uy = (-c[:, 1] / d)[:, None]
-        cb, sb = np.cos(B), np.sin(B)
-        px = c[:, 0][:, None] + r * (cb * ux - sb * uy)
-        py = c[:, 1][:, None] + r * (sb * ux + cb * uy)
-        P = np.stack([px, py], axis=-1)
-        return P, np.broadcast_to(r, B.shape)
-
-    return mapto
-
-
-def _ray_arc(theta, R):
-    """Map for a ray from the origin at polar angle theta, r in (0, R]."""
-    half = 0.5 * (R - _RAY_START * R)
-    mid = _RAY_START * R + half
-
-    def mapto(B, act):
-        r = mid + B
-        px = r * np.cos(theta)
-        py = r * np.sin(theta)
-        P = np.stack([px, py], axis=-1)
-        return P, np.ones_like(B)
-
-    return mapto, half
-
-
-def _arcs(geom: GeometryFamily, lam: np.ndarray, phi: float, R: float, kind: str):
-    """All arcs of the curves {lambda_of = lam[i]} inside the origin disc."""
-    lam = np.asarray(lam, dtype=float)
-    lam_eps = _LAM_TINY * (1.0 + float(np.max(np.abs(lam))))
-    c, s = np.cos(phi), np.sin(phi)
-    e = np.array([c, s])
-    eperp = np.array([-s, c])
-    tag = geom.tag
-    arcs = []
-
-    if tag in ("radon", "funk"):
-        # straight line <x, e> = lam (radon) or <x, e> = -lam (funk chart)
-        sgn = 1.0 if tag == "radon" else -1.0
-        W = np.sqrt(np.maximum(R * R - lam * lam, 0.0))
-        base = sgn * lam[:, None] * e[None, :]
-
-        def mapto(B, act, base=base):
-            P = base[act][:, None, :] + B[..., None] * eperp[None, None, :]
-            if tag == "funk":
-                V = np.broadcast_to(eperp, P.shape)
-                return P, geo.arc_element(geom, P, V)
-            return P, np.ones_like(B)
-
-        arcs.append(_Arc(W, mapto))
-        return arcs
-
-    if tag in ("hgeodesic", "equidistant"):
-        line_rows = np.abs(lam) <= lam_eps
-        circ_rows = ~line_rows
-        if np.any(line_rows):
-            W = np.where(line_rows, R, 0.0)
-
-            def mapto_line(B, act):
-                P = B[..., None] * eperp[None, None, :]
-                return P, np.ones_like(B)
-
-            arcs.append(_Arc(W, mapto_line))
-        if np.any(circ_rows):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv = 1.0 / lam
-                if tag == "hgeodesic":
-                    center = inv[:, None] * e[None, :]
-                    rc = np.sqrt(np.maximum(inv * inv - 1.0, 0.0))
-                else:
-                    center = -inv[:, None] * e[None, :]
-                    rc = np.sqrt(1.0 + inv * inv)
-            d = np.abs(inv)
-            W = np.where(circ_rows, _circle_halfwidth(d, rc, R), 0.0)
-            W = np.where(rc > 0, W, 0.0)
-            arcs.append(_Arc(W, _circle_arc(center, rc)))
-        return arcs
-
-    if tag == "ellipse":
-        ctr = np.array([geom.e1 * c, geom.e2 * s])
-        d0 = float(np.hypot(*ctr))
-        rc = np.sqrt(np.maximum(lam, 0.0))
-        W = np.where(lam > 0.0, _circle_halfwidth(d0, rc, R), 0.0)
-        center = np.broadcast_to(ctr, (lam.size, 2))
-        arcs.append(_Arc(W, _circle_arc(center, rc)))
-        zero = (lam <= 0.0) & (d0 <= R)
-        if np.any(zero) and kind == "mphi":
-            # shrinking circles: ds/(2 sqrt(lam)) tends to dbeta/2 at the
-            # center point, so the row keeps a finite value
-            Wz = np.where(zero, np.pi, 0.0)
-
-            def mapto_pt(B, act):
-                P = np.broadcast_to(ctr, B.shape + (2,))
-                return P, np.full_like(B, 0.5)
-
-            arcs.append(_Arc(Wz, mapto_pt, grad_done=True, point=True))
-        return arcs
-
-    if tag == "hyperbola":
-        epsc = geom.eps
-        alpha0 = np.where(lam >= 0.0, 0.0, np.pi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cpos = (1.0 + lam / R) / epsc
-            cneg = (1.0 - np.abs(lam) / R) / epsc
-        Wpos = np.arccos(np.clip(cpos, -1.0, 1.0))
-        Wneg = np.pi - np.arccos(np.clip(cneg, -1.0, 1.0))
-        W = np.where(lam > lam_eps, Wpos, np.where(lam < -lam_eps, Wneg, 0.0))
-
-        def mapto_h(B, act):
-            al = alpha0[act][:, None] + B
-            den = epsc * np.cos(al) - 1.0
-            r = lam[act][:, None] / den
-            rp = r * epsc * np.sin(al) / den
-            ang = phi + al
-            P = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-            return P, np.sqrt(r * r + rp * rp)
-
-        arcs.append(_Arc(W, mapto_h, stretch=True))
-        if np.any(np.abs(lam) <= lam_eps):
-            astar = np.arccos(1.0 / epsc)
-            for sign in (1.0, -1.0):
-                mapto_r, half = _ray_arc(phi + sign * astar, R)
-                Wr = np.where(np.abs(lam) <= lam_eps, half, 0.0)
-                arcs.append(_Arc(Wr, mapto_r, stretch=True))
-        return arcs
-
-    if tag == "parabola":
-        pos = lam > lam_eps
-        A = np.where(pos, np.arccos(np.clip(lam * lam / R - 1.0, -1.0, 1.0)), 0.0)
-
-        def mapto_p(B, act):
-            al = B
-            r = lam[act][:, None] ** 2 / (1.0 + np.cos(al))
-            ang = phi + al
-            P = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-            return P, r / np.cos(0.5 * al)
-
-        arcs.append(_Arc(A, mapto_p, stretch=True))
-        if np.any(np.abs(lam) <= lam_eps):
-            # the curve closes onto the backward ray, covered twice
-            mapto_r, half = _ray_arc(phi + np.pi, R)
-            Wr = np.where(np.abs(lam) <= lam_eps, half, 0.0)
-            arcs.append(_Arc(Wr, mapto_r, mult=2.0, stretch=True))
-        return arcs
-
-    # cormack
-    k = geom.k
-    Rk = R**k
-    absl = np.abs(lam)
-    B0 = np.where(absl > lam_eps, np.arccos(np.clip(absl / Rk, -1.0, 1.0)), 0.0)
-    B0 = np.where(absl <= Rk, B0, 0.0)
-    off = np.where(lam >= 0.0, 0.0, np.pi)
-    for m in range(k):
-        def mapto_c(B, act, m=m):
-            r = (absl[act][:, None] / np.cos(B)) ** (1.0 / k)
-            th = (phi + off[act][:, None] + B + TAU * m) / k
-            P = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-            return P, r / (k * np.cos(B))
-
-        arcs.append(_Arc(B0.copy(), mapto_c, stretch=True))
-    if np.any(absl <= lam_eps):
-        for j in range(2 * k):
-            mapto_r, half = _ray_arc((phi + 0.5 * np.pi + np.pi * j) / k, R)
-            Wr = np.where(absl <= lam_eps, half, 0.0)
-            arcs.append(_Arc(Wr, mapto_r, stretch=True))
-    return arcs
-
-
-# ---------------------------------------------------------------------------
-# forward quadrature
-
-
 def _column(geom, phantom, lam, phi, R, kind, rtol, n_start, n_max):
     """One sinogram column: integrals over all lambda rows at a fixed phi."""
-    arcs = _arcs(geom, lam, float(phi), R, kind)
+    arcs = geo.arcs(geom, lam, float(phi), R, kind)
     out_shape = lam.shape
 
     def level(n):
@@ -408,30 +195,6 @@ def _split_phantom(phantom: Phantom):
     return Phantom(tuple(smooth)), sharp
 
 
-def _sharp_disc_data(geom, disc: Disc, lam, phi, kind):
-    """Exact chord (radon) or circle-arc (ellipse) integrals of an indicator
-    disc, vectorized over the whole (phi, lambda) lattice."""
-    L = lam[None, :]
-    if geom.tag == "radon":
-        dist = np.cos(phi)[:, None] * disc.center[0] + np.sin(phi)[:, None] * disc.center[1] - L
-        chord = 2.0 * np.sqrt(np.maximum(disc.radius**2 - dist * dist, 0.0))
-        return disc.amplitude * chord
-    # ellipse: the curve is a circle of radius sqrt(lambda) about e(phi), and
-    # |grad psi| = 2 sqrt(lambda) is constant on it, so the mphi value is the
-    # angular measure of the part inside the disc; riemann keeps arc length
-    rc = np.sqrt(np.maximum(L, 0.0)) + np.zeros((phi.size, 1))
-    cx = geom.e1 * np.cos(phi)[:, None] - disc.center[0]
-    cy = geom.e2 * np.sin(phi)[:, None] - disc.center[1]
-    d = np.hypot(cx, cy) + np.zeros_like(rc)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cu = (d * d + rc * rc - disc.radius**2) / (2.0 * d * rc)
-    cu = np.where(np.isfinite(cu), cu, np.where(d + rc <= disc.radius, -1.0, 1.0))
-    gamma = np.arccos(np.clip(cu, -1.0, 1.0))
-    if kind == "mphi":
-        return disc.amplitude * gamma
-    return disc.amplitude * 2.0 * rc * gamma
-
-
 def _working_radius(geom: GeometryFamily, phantom: Phantom) -> float:
     s = phantom.support_radius
     R = 1.05 * s
@@ -447,7 +210,8 @@ def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, w
     lam = np.asarray(lambda_axis, dtype=float)
     phi = np.asarray(phi_axis, dtype=float)
     smooth, sharp = _split_phantom(phantom)
-    if sharp and geom.tag not in ("radon", "ellipse"):
+    disc_data = geom.record.sharp_disc_data
+    if sharp and disc_data is None:
         raise ValueError(
             "sharp discs are integrated analytically only for radon and ellipse; "
             "give the disc a mollification width for other families"
@@ -465,7 +229,7 @@ def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, w
             cols = [_column(*job) for job in jobs]
         data += np.stack(cols, axis=0)
     for disc in sharp:
-        data += _sharp_disc_data(geom, disc, lam, phi, kind)
+        data += disc_data(geom, disc, lam, phi, kind)
     return Sinogram(geom, lam, phi, data, kind=kind)
 
 
@@ -495,10 +259,9 @@ def forward_riemann(
     workers: int | None = None,
 ) -> Sinogram:
     """Plain arc-length integrals of the phantom over the family curves."""
-    if geom.tag == "hyperbola":
-        # conversion back to mphi data needs the m*mu split, which this
-        # family lacks; refuse at production time rather than downstream
-        geo.weight_mu(geom, 0.0)
+    # conversion back to mphi data needs the m*mu split; refuse a family
+    # without one (hyperbola) at production time rather than downstream
+    geo.weight_mu(geom, 0.0)
     return _forward(phantom, geom, lambda_axis, phi_axis, "riemann", rtol, n_start, n_max, workers)
 
 
@@ -535,7 +298,7 @@ def trace_curve(geom: GeometryFamily, lam: float, phi: float, region: float, ste
         raise ValueError("region radius must be positive")
     lam_arr = np.array([float(lam)])
     lines = []
-    for arc in _arcs(geom, lam_arr, float(phi), float(region), "mphi"):
+    for arc in geo.arcs(geom, lam_arr, float(phi), float(region), "mphi"):
         if arc.point or arc.W[0] <= 0.0:
             continue
         W = float(arc.W[0])

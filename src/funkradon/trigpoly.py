@@ -202,15 +202,20 @@ def _real_root_slopes(t: TrigPoly):
     return real, slopes, cplx
 
 
-def _regularized_mean(tvals: np.ndarray, eps: float) -> float:
-    # Re 1/(t + i eps)^2 written out; even in t, bounded by 1/eps^2.
-    # Accumulated in extended precision: the peaks reach 1/eps^2 while the
-    # mean is smaller by orders of the relative level, and the digits lost
-    # to that cancellation would cap how well the ladder extrapolates.
-    t2 = np.square(tvals.astype(np.longdouble))
-    e2 = np.longdouble(eps) ** 2
+def _regularized_terms(t2, e2):
+    # Re 1/(t + i eps)^2 written out from t^2 and eps^2; even in t, bounded
+    # by 1/eps^2.
     denom = t2 + e2
-    return float(np.mean((t2 - e2) / (denom * denom)) * 2 * np.pi)
+    return (t2 - e2) / (denom * denom)
+
+
+def _regularized_mean(tvals: np.ndarray, eps: float) -> float:
+    # Mean of the terms over sampled t. Accumulated in extended precision:
+    # the peaks reach 1/eps^2 while the mean is smaller by orders of the
+    # relative level, and the digits lost to that cancellation would cap how
+    # well the ladder extrapolates.
+    t2 = np.square(tvals.astype(np.longdouble))
+    return float(np.mean(_regularized_terms(t2, np.longdouble(eps) ** 2)) * 2 * np.pi)
 
 
 def _regularized_level(t: TrigPoly, n: int, eps: float) -> float:
@@ -229,9 +234,7 @@ def _regularized_level(t: TrigPoly, n: int, eps: float) -> float:
         tv = np.full(ph.shape, np.longdouble(t.a[0]))
         for k in range(1, len(t.a)):
             tv += t.a[k] * np.cos(k * ph) + t.b[k] * np.sin(k * ph)
-        t2 = np.square(tv)
-        denom = t2 + e2
-        total += np.sum((t2 - e2) / (denom * denom))
+        total += np.sum(_regularized_terms(np.square(tv), e2))
         start += m
     return float(total / n * 2 * np.pi)
 
@@ -346,20 +349,6 @@ def residue_integral(s: TrigPoly, t: TrigPoly) -> float:
     return float(np.real(total))
 
 
-def _sampled_levels(sampler, eps: np.ndarray) -> np.ndarray:
-    """Regularized 1/d^2 levels for a difference available only by sampling."""
-    probe = sampler(4096)
-    scale = float(np.max(np.abs(probe)))
-    if scale == 0.0:
-        raise ValueError("sampled difference is identically zero")
-    slope = float(np.max(np.abs(np.diff(probe)))) / (2 * np.pi / 4096)
-    vals = np.empty(eps.size)
-    for i, e in enumerate(eps):
-        n = min(int(44.0 * max(slope, 1e-12) / e) + 256, 4_000_000)
-        vals[i] = _regularized_mean(sampler(n), e)
-    return vals
-
-
 def nucleus_ladder(geom, x, y, eps_sequence=None):
     """Regularized angular integrals of 1/(psi(x,.) - psi(y,.))^2 across a
     ladder of eps levels, plus their extrapolation to eps = 0.
@@ -382,14 +371,20 @@ def nucleus_ladder(geom, x, y, eps_sequence=None):
         ph = (np.arange(n) + 0.5) * (2 * np.pi / n)
         return psi_branch(geom, x, ph) - psi_branch(geom, y, ph)
 
+    # one coarse probe sets both the eps scale and the grid sizes
+    probe = sampler(4096)
+    scale = float(np.max(np.abs(probe)))
+    if scale == 0.0:
+        raise ValueError("sampled difference is identically zero")
     if eps_sequence is None:
-        scale = float(np.max(np.abs(sampler(4096))))
-        if scale == 0.0:
-            raise ValueError("sampled difference is identically zero")
         eps = np.asarray(DEFAULT_EPS_STEPS) * scale
     else:
         eps = _check_eps_sequence(eps_sequence)
-    vals = _sampled_levels(sampler, eps)
+    slope = float(np.max(np.abs(np.diff(probe)))) / (2 * np.pi / 4096)
+    vals = np.empty(eps.size)
+    for i, e in enumerate(eps):
+        n = min(int(44.0 * max(slope, 1e-12) / e) + 256, 4_000_000)
+        vals[i] = _regularized_mean(sampler(n), e)
     return eps, vals, _extrapolate_to_zero(eps, vals)
 
 

@@ -71,6 +71,32 @@ def test_forward_rejects_a_malformed_family_tag(capsys, tmp_path):
     assert "elipse" in err
 
 
+def test_forward_rejects_a_non_integer_cormack_order(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "forward", "--geometry", "cormack:k=2.5",
+        "--phantom", "gauss:0.5,0,0.1,1", "--out", tmp_path / "x.fkr1",
+    )
+    assert code == 2
+    assert "integer" in err
+    assert not (tmp_path / "x.fkr1").exists()
+
+
+def test_forward_sums_phantom_terms_joined_by_semicolons(capsys, tmp_path):
+    # the two-term descriptor shown in the README
+    terms = ("gauss:0.06,0.04,0.15,1", "disc:-0.2,0.1,0.1,0.5,0.02")
+    peaks = []
+    for name, phantom in (("sum", ";".join(terms)), ("a", terms[0]), ("b", terms[1])):
+        out = tmp_path / f"{name}.fkr1"
+        code, _, _ = run(
+            capsys, "forward", "--geometry", "radon", "--phantom", phantom,
+            "--nlambda", 33, "--nphi", 16, "--out", out,
+        )
+        assert code == 0
+        peaks.append(read_fkr1(out).data)
+    np.testing.assert_allclose(peaks[0], peaks[1] + peaks[2], rtol=1e-7, atol=1e-12)
+    assert np.max(peaks[2]) > 0.0
+
+
 def test_forward_rejects_a_bad_phantom_descriptor(capsys, tmp_path):
     code, _, err = run(
         capsys, "forward", "--geometry", "radon", "--phantom", "gauss:0,0,-0.1,1",

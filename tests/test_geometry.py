@@ -1,4 +1,4 @@
-"""Pins and properties for the seven curve families.
+"""Pins and properties for the eight curve families.
 
 Closed-form values are substituted by hand next to each assertion. Gradient
 norms are checked against central finite differences of psi, the normalizer
@@ -10,10 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from funkradon import FactorizationUnavailableError, GeometryDomainError, GeometryFamily, parse_geometry
 from funkradon.geometry import (
+    TAGS,
     arc_element,
     dcoef_closed,
     descriptor,
@@ -101,6 +104,40 @@ def test_parse_rejects_malformed():
         parse_geometry("radon:support")
     with pytest.raises(ValueError, match="Radon"):
         parse_geometry("Radon")  # case-sensitive
+
+
+def test_parse_leaves_the_integer_check_to_the_constructor():
+    # parsing must not truncate 2.5 to 2 before the constructor validates it
+    with pytest.raises(ValueError, match="integer"):
+        parse_geometry("cormack:k=2.5")
+    for text in ("cormack:k=2", "cormack:k=2.0"):
+        g = parse_geometry(text)
+        assert g == CORMACK2 and isinstance(g.k, int)
+
+
+_SIZES = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def valid_families(draw):
+    tag = draw(st.sampled_from(TAGS))
+    params = {}
+    if tag == "ellipse":
+        params = {"e1": draw(_SIZES), "e2": draw(_SIZES)}
+    elif tag == "hyperbola":
+        params = {"eps": draw(st.floats(min_value=1.0, max_value=1e6, exclude_min=True))}
+    elif tag == "cormack":
+        params = {"k": draw(st.integers(min_value=1, max_value=64))}
+    if tag in ("hgeodesic", "equidistant"):
+        support = draw(st.floats(min_value=1e-6, max_value=1.0, exclude_max=True))
+    else:
+        support = draw(_SIZES)
+    return GeometryFamily(tag, support_radius=support, **params)
+
+
+@given(valid_families())
+def test_descriptor_parses_back_to_the_same_family(g):
+    assert parse_geometry(descriptor(g)) == g
 
 
 # -------------------------------------------------------------------- psi
