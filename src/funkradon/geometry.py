@@ -89,12 +89,18 @@ class GeometryFamily:
 
     def __post_init__(self):
         record = _record(self.tag)
-        if not (self.support_radius > 0):
-            raise ValueError("support_radius must be positive")
+        if not (0 < self.support_radius < np.inf):
+            raise ValueError("support_radius must be positive and finite")
+        own = {p.name for p in record.params}
+        foreign = sorted(name for name in _PARAM_NAMES - own if getattr(self, name) is not None)
+        if foreign:
+            raise ValueError(f"parameter(s) {foreign} not valid for family {self.tag!r}")
         for p in record.params:
             value = getattr(self, p.name)
             if value is None or not p.valid(value):
                 raise ValueError(f"{self.tag} needs {p.need}")
+            if not np.isfinite(value):
+                raise ValueError(f"{self.tag} parameter {p.name} must be finite")
             if p.cast is not None:
                 object.__setattr__(self, p.name, p.cast(value))
         if record.open_disc and not (self.support_radius < 1):
@@ -748,3 +754,5 @@ _FAMILIES = {
 }
 
 TAGS = tuple(_FAMILIES)
+# every family parameter field of GeometryFamily
+_PARAM_NAMES = frozenset(p.name for record in _FAMILIES.values() for p in record.params)

@@ -5,10 +5,11 @@ circle, or a polar graph, so geometry.arcs parametrizes it exactly, clipped to
 a working disc about the origin; no implicit-surface marching is needed. The
 forward value at one sinogram node is the curve integral of the phantom
 weighted by 1/|grad psi| (kind "mphi") or by nothing (kind "riemann", plain
-metric arc length), computed by the midpoint rule with interval doubling and
-Richardson extrapolation until the row has converged. Columns at different
-angles are independent, so the work parallelizes over phi without changing
-any result.
+metric arc length), computed by the trapezoid rule on nested nodes (each
+doubling evaluates only the new midpoints) with Richardson extrapolation;
+each row refines until it has converged, independently of the other rows.
+Columns at different angles are independent, so the work parallelizes over
+phi without changing any result.
 """
 
 from __future__ import annotations
@@ -131,8 +132,10 @@ def _stretch_map(u):
     the ends tames the spike to a cube-root feature that a few hundred nodes
     resolve. Rays get the same treatment for a different reason: their
     integrand does not vanish at the inner endpoint, which pins the plain
-    midpoint rule at second order, while under the substitution the boundary
-    derivative terms drop and fourth-order kicks in.
+    trapezoid rule at second order, while under the substitution the boundary
+    derivative terms drop and fourth-order kicks in. Since s'(+-1) = 0, the
+    end nodes of the nested trapezoid rule carry no weight on stretched arcs
+    and are never evaluated.
     """
     u2 = u * u
     s = 1.875 * u * (1.0 - u2 * (2.0 / 3.0 - 0.2 * u2))
@@ -141,19 +144,31 @@ def _stretch_map(u):
 
 
 def _column(geom, phantom, lam, phi, R, kind, rtol, n_start, n_max):
-    """One sinogram column: integrals over all lambda rows at a fixed phi."""
-    arcs = geo.arcs(geom, lam, float(phi), R, kind)
-    out_shape = lam.shape
+    """One sinogram column: integrals over all lambda rows at a fixed phi.
 
-    def level(n):
-        mids = (np.arange(n) + 0.5) / n * 2.0 - 1.0  # midpoints of (-1, 1)
-        smap, sder = _stretch_map(mids)
-        tot = np.zeros(out_shape)
+    Every arc is integrated by the trapezoid rule on the nodes u_k = 2k/n - 1
+    of [-1, 1]. The nodes are nested: doubling n adds only the n midpoints,
+    T_2n = (T_n + M_n) / 2, so no evaluated node is thrown away. Refinement is
+    per row: a row stops once |T_2n - T_n| < rtol * scale (scale: the largest
+    row value of the column) and keeps the Richardson estimate
+    (4 T_2n - T_n) / 3 of that level; later levels evaluate only the rows
+    still refining. rtol = 0 refines every row up to n_max.
+    """
+    arcs = geo.arcs(geom, lam, float(phi), R, kind)
+
+    def node_sum(u, rows, ends=False):
+        """Per row, the sum over arcs of mult * W * sum_k f(u_k), where f is
+        the integrand in u; zero off rows. ends=True takes u = (-1, 1), where
+        stretched arcs have weight zero and are skipped."""
+        smap, sder = _stretch_map(u)
+        tot = np.zeros(lam.shape)
         for arc in arcs:
-            act = np.flatnonzero(arc.W > 0.0)
+            if ends and arc.stretch:
+                continue
+            act = np.flatnonzero((arc.W > 0.0) & rows)
             if act.size == 0:
                 continue
-            nodes = smap if arc.stretch else mids
+            nodes = smap if arc.stretch else u
             B = arc.W[act][:, None] * nodes[None, :]
             P, speed = arc.mapto(B, act)
             vals = phantom.eval(P)
@@ -164,20 +179,23 @@ def _column(geom, phantom, lam, phi, R, kind, rtol, n_start, n_max):
             vals = vals * speed
             if arc.stretch:
                 vals = vals * sder[None, :]
-            tot[act] += (2.0 * arc.W[act] / n) * np.sum(vals, axis=1) * arc.mult
+            tot[act] += arc.W[act] * np.sum(vals, axis=1) * arc.mult
         return tot
 
-    prev = level(n_start)
-    n = 2 * n_start
+    todo = np.ones(lam.shape, dtype=bool)
+    n = n_start
+    acc = node_sum(np.arange(1, n) * (2.0 / n) - 1.0, todo)
+    acc += 0.5 * node_sum(np.array([-1.0, 1.0]), todo, ends=True)
+    prev = (2.0 / n) * acc
     best = prev
-    while n <= n_max:
-        cur = level(n)
-        best = (4.0 * cur - prev) / 3.0
-        scale = max(float(np.max(np.abs(cur))), 1e-300)
-        if float(np.max(np.abs(cur - prev))) <= rtol * scale:
-            break
-        prev = cur
+    while 2 * n <= n_max and np.any(todo):
+        acc += node_sum((np.arange(n) + 0.5) * (2.0 / n) - 1.0, todo)
         n *= 2
+        cur = np.where(todo, (2.0 / n) * acc, prev)
+        best = np.where(todo, (4.0 * cur - prev) / 3.0, best)
+        scale = max(float(np.max(np.abs(cur))), 1e-300)
+        todo &= ~(np.abs(cur - prev) < rtol * scale)
+        prev = cur
     return best
 
 

@@ -81,6 +81,17 @@ def test_forward_rejects_a_non_integer_cormack_order(capsys, tmp_path):
     assert not (tmp_path / "x.fkr1").exists()
 
 
+def test_forward_rejects_non_finite_geometry_parameters(capsys, tmp_path):
+    for text, word in (("radon:support=inf", "support_radius"), ("ellipse:e1=inf,e2=1", "e1")):
+        code, _, err = run(
+            capsys, "forward", "--geometry", text,
+            "--phantom", "gauss:0,0,0.1,1", "--out", tmp_path / "x.fkr1",
+        )
+        assert code == 2
+        assert word in err and "finite" in err
+    assert not (tmp_path / "x.fkr1").exists()
+
+
 def test_forward_sums_phantom_terms_joined_by_semicolons(capsys, tmp_path):
     # the two-term descriptor shown in the README
     terms = ("gauss:0.06,0.04,0.15,1", "disc:-0.2,0.1,0.1,0.5,0.02")

@@ -81,6 +81,30 @@ def test_constructor_validation():
     assert GeometryFamily("cormack", k=3.0).k == 3
 
 
+def test_constructor_rejects_parameters_of_another_family():
+    # descriptor would drop them, so the family would not survive a file
+    with pytest.raises(ValueError, match=r"\['e1'\] not valid for family 'radon'"):
+        GeometryFamily("radon", e1=1.0)
+    with pytest.raises(ValueError, match=r"\['eps', 'k'\] not valid for family 'ellipse'"):
+        GeometryFamily("ellipse", e1=1.0, e2=1.0, eps=2.0, k=2)
+    with pytest.raises(ValueError, match="not valid for family 'hyperbola'"):
+        GeometryFamily("hyperbola", eps=2.0, k=2)
+
+
+def test_constructor_rejects_non_finite_values():
+    for support in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="support_radius must be positive and finite"):
+            GeometryFamily("radon", support_radius=support)
+    with pytest.raises(ValueError, match="e1 must be finite"):
+        GeometryFamily("ellipse", e1=math.inf, e2=1.0)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        GeometryFamily("hyperbola", eps=math.inf)
+    with pytest.raises(ValueError, match="half-axes"):
+        GeometryFamily("ellipse", e1=1.0, e2=math.nan)
+    with pytest.raises(ValueError, match="integer"):
+        GeometryFamily("cormack", k=math.inf)
+
+
 def test_parse_and_descriptor_round_trip():
     g = parse_geometry("ellipse:e1=1.2,e2=0.8,support=0.7")
     assert g == ELLIPSE

@@ -25,7 +25,7 @@ from funkradon import (
     write_fkr1,
 )
 from funkradon.geometry import lambda_of
-from funkradon.phantom import Disc, Gaussian
+from funkradon.phantom import Disc, Gaussian, parse_phantom
 from funkradon.transform import default_axes, forward_riemann, riemann_to_mphi
 
 TAU = 2.0 * np.pi
@@ -367,6 +367,65 @@ def test_forward_worker_count_is_invisible(monkeypatch):
     monkeypatch.setenv("FUNKRADON_WORKERS", "2")
     from_env = forward_mphi(ph, RADON, lam, phi, **FIXED)
     assert np.array_equal(serial.data, from_env.data)
+
+
+# ---------------------------------------------------------------------------
+# forward transform: refinement
+
+
+def count_points(monkeypatch):
+    """Count the points every Phantom.eval call receives from here on."""
+    counted = [0]
+    evaluate = Phantom.eval
+
+    def counting(self, x):
+        counted[0] += np.size(x) // 2
+        return evaluate(self, x)
+
+    monkeypatch.setattr(Phantom, "eval", counting)
+    return counted
+
+
+def test_forward_refines_only_unconverged_rows(monkeypatch):
+    # the README's two-term phantom: the smoothstep rim is only C^1, so a few
+    # rows refine to n_max while most stop at the first comparison; refining
+    # whole columns to n_max instead would cost 16256 points per entry
+    ph = parse_phantom("gauss:0.06,0.04,0.15,1;disc:-0.2,0.1,0.1,0.5,0.02")
+    lam, phi = default_axes(RADON, 33, 16)
+    counted = count_points(monkeypatch)
+    forward_mphi(ph, RADON, lam, phi)
+    assert counted[0] <= 2000 * lam.size * phi.size
+
+
+def test_forward_with_zero_rtol_runs_every_row_to_n_max(monkeypatch):
+    # every row meets the working disc; the nested trapezoid rule on a line
+    # ends with n_max + 1 nodes, each evaluated once
+    ph = Phantom((Gaussian((0.2, 0.1), 0.15),))
+    lam = np.linspace(-0.8, 0.8, 9)
+    counted = count_points(monkeypatch)
+    forward_mphi(ph, RADON, lam, uniform_phi(4), rtol=0.0, n_start=16, n_max=512)
+    assert counted[0] == 4 * lam.size * 513
+
+
+@pytest.mark.parametrize(
+    "geom, gaussians, lam",
+    [
+        (HYPER, [((0.06, 0.04), 0.15)], np.linspace(-3.0, 1.0, 17)),
+        (PARAB, [((0.55, 0.0), 0.0675)], np.linspace(0.0, np.sqrt(2.0), 17)),
+        (CORMACK2, [((0.55, 0.0), 0.0675), ((-0.55, 0.0), 0.0675)], np.linspace(-1.0, 1.0, 17)),
+    ],
+    ids=["hyperbola", "parabola", "cormack2"],
+)
+def test_forward_matches_a_fixed_depth_reference(geom, gaussians, lam):
+    # stretched arcs and the lambda = 0 rays, where rows refine furthest
+    ph = Phantom(tuple(Gaussian(c, sg) for c, sg in gaussians))
+    phi = uniform_phi(6)
+    rtol = 1e-8
+    got = forward_mphi(ph, geom, lam, phi, rtol=rtol).data
+    ref = forward_mphi(ph, geom, lam, phi, rtol=0.0, n_max=8192).data
+    zero = np.flatnonzero(lam == 0.0)
+    assert zero.size == 1 and np.max(ref[:, zero]) > 0.05 * np.max(ref)
+    assert np.max(np.abs(got - ref)) <= 2.0 * rtol * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
