@@ -143,7 +143,8 @@ def descriptor(geom: GeometryFamily) -> str:
 
 
 def parse_geometry(text: str) -> GeometryFamily:
-    """Parse a descriptor string (case-sensitive, order-insensitive params).
+    """Parse a descriptor string (case-sensitive, order-insensitive params,
+    each given at most once).
 
     Values are passed on as floats, so validation (an integer k, say) is the
     constructor's alone.
@@ -158,6 +159,8 @@ def parse_geometry(text: str) -> GeometryFamily:
             if not sep:
                 raise ValueError(f"malformed parameter {item!r} in {text!r}")
             key = key.strip()
+            if key in kv:
+                raise ValueError(f"repeated parameter {key!r} in {text!r}")
             try:
                 kv[key] = float(val)
             except ValueError:

@@ -16,6 +16,13 @@ from .fields import Grid, ScalarField
 __all__ = ["Gaussian", "Disc", "Phantom", "parse_phantom"]
 
 
+def _require_finite(what, *values):
+    # a NaN or infinite parameter makes the support radius or the values
+    # non-finite, and the forward transform would quietly return zeros
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     center: tuple[float, float]
@@ -23,6 +30,7 @@ class Gaussian:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        _require_finite("gaussian centre, sigma and amplitude", *self.center, self.sigma, self.amplitude)
         if not (self.sigma > 0):
             raise ValueError("gaussian sigma must be positive")
 
@@ -50,6 +58,9 @@ class Disc:
     width: float = 0.0
 
     def __post_init__(self):
+        _require_finite(
+            "disc centre, radius, amplitude and width", *self.center, self.radius, self.amplitude, self.width
+        )
         if not (self.radius > 0):
             raise ValueError("disc radius must be positive")
         if self.width < 0:

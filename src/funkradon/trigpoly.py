@@ -9,6 +9,7 @@ when t never vanishes on the real circle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,11 @@ DEFAULT_EPS_STEPS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 _REAL_ROOT_IM_TOL = 1e-8
 _REAL_ROOT_RESIDUAL_ULPS = 64
 _EPS = float(np.finfo(float).eps)
+
+# Largest regularized-ladder grids: midpoint nodes per level for a trig
+# polynomial t, samples per level for a sampled difference (parabola).
+_PV_GRID_CAP = 6_000_000
+_SAMPLED_GRID_CAP = 4_000_000
 
 
 def _as_coeff_tuple(c):
@@ -218,24 +224,39 @@ def _regularized_mean(tvals: np.ndarray, eps: float) -> float:
     return float(np.mean(_regularized_terms(t2, np.longdouble(eps) ** 2)) * 2 * np.pi)
 
 
-def _regularized_level(t: TrigPoly, n: int, eps: float) -> float:
-    # Same mean on an n-point midpoint grid, evaluated in bounded chunks so
-    # the fine grids demanded by nearly repeated zeros stay cheap on memory.
-    # Everything runs in extended precision, including t itself: near a peak
-    # the term sensitivity to t grows like 1/eps^3, so double-precision node
-    # values alone would put a noise floor well above the extrapolated limit.
+def _midpoint_values(t: TrigPoly, n: int):
+    # t at phi_k = (k + 1/2) 2pi/n, k = 0..n-1, in extended precision, yielded
+    # in consecutive blocks of at most 2**16 nodes so memory stays flat. With
+    # B = isqrt(n), node k = i B + j sits at anchor A_i = i B step plus offset
+    # O_j = (j + 1/2) step, and each harmonic follows from the addition formula
+    #   a cos m(A+O) + b sin m(A+O) = p_i cos mO_j + q_i sin mO_j,
+    #   p_i = a cos mA_i + b sin mA_i,  q_i = b cos mA_i - a sin mA_i,
+    # so a level costs about 2 sqrt(n) extended-precision cos/sin per
+    # harmonic instead of n of each.
     step = np.longdouble(2 * np.pi) / n
+    width = max(1, math.isqrt(n))
+    off = (np.arange(width) + np.longdouble(0.5)) * step
+    harmonics = [(m, t.a[m], t.b[m], np.cos(m * off), np.sin(m * off)) for m in range(1, len(t.a))]
+    n_rows = -(-n // width)
+    block = max(1, (1 << 16) // width)
+    for i0 in range(0, n_rows, block):
+        anchor = np.arange(i0, min(i0 + block, n_rows)) * (width * step)
+        tv = np.full((anchor.size, width), np.longdouble(t.a[0]))
+        for m, a, b, cos_off, sin_off in harmonics:
+            ca, sa = np.cos(m * anchor), np.sin(m * anchor)
+            tv += np.outer(a * ca + b * sa, cos_off) + np.outer(b * ca - a * sa, sin_off)
+        yield tv.ravel()[: n - i0 * width]
+
+
+def _regularized_level(t: TrigPoly, n: int, eps: float) -> float:
+    # Same mean on an n-point midpoint grid. Everything runs in extended
+    # precision, including t itself: near a peak the term sensitivity to t
+    # grows like 1/eps^3, so double-precision node values alone would put a
+    # noise floor well above the extrapolated limit.
     e2 = np.longdouble(eps) ** 2
     total = np.longdouble(0.0)
-    start = 0
-    while start < n:
-        m = min(n - start, 1 << 20)
-        ph = (np.arange(start, start + m) + np.longdouble(0.5)) * step
-        tv = np.full(ph.shape, np.longdouble(t.a[0]))
-        for k in range(1, len(t.a)):
-            tv += t.a[k] * np.cos(k * ph) + t.b[k] * np.sin(k * ph)
+    for tv in _midpoint_values(t, n):
         total += np.sum(_regularized_terms(np.square(tv), e2))
-        start += m
     return float(total / n * 2 * np.pi)
 
 
@@ -247,6 +268,14 @@ def _extrapolate_to_zero(eps: np.ndarray, vals: np.ndarray) -> float:
     V = np.vander(eps / eps[0], deg + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(V, vals, rcond=None)
     return float(coef[0])
+
+
+def _check_grid_sizes(eps, sizes, cap):
+    # A level on a grid coarser than its peaks need would be under-resolved
+    # with no sign of it, so refuse the ladder before any level runs.
+    for e, n in zip(eps, sizes):
+        if n > cap:
+            raise ValueError(f"level eps = {e:.3g} needs a {n}-node grid, above the cap of {cap} nodes")
 
 
 def _check_eps_sequence(eps_sequence):
@@ -273,6 +302,8 @@ def pv_inverse_square(t: TrigPoly, eps_sequence=None) -> float:
     ``eps_sequence`` entries are absolute; when omitted, a default geometric
     ladder scaled by the coefficient size of t is used, capped by the local
     slopes at real zeros or, without real zeros, by min |t| on the circle.
+    A level that would need more than 6 000 000 grid nodes is refused with
+    ValueError, before any level runs.
     """
     eps, vals = _pv_levels(t, eps_sequence)
     return _extrapolate_to_zero(eps, vals)
@@ -306,17 +337,17 @@ def _pv_levels(t: TrigPoly, eps_sequence):
     else:
         eps = _check_eps_sequence(eps_sequence)
 
-    vals = np.empty(eps.size)
-    for i, e in enumerate(eps):
+    sizes = []
+    for e in eps:
         dists = [1.0]
         if real.size:
             dists.append(float(np.min(e / slopes)))
         if cplx.size:
             dists.append(float(np.min(np.abs(cplx.imag))) * 0.5)
         dmin = max(min(dists), 1e-9)
-        n = min(int(44.0 / dmin) + 128, 6_000_000)
-        vals[i] = _regularized_level(t, n, e)
-    return eps, vals
+        sizes.append(int(44.0 / dmin) + 128)
+    _check_grid_sizes(eps, sizes, _PV_GRID_CAP)
+    return eps, np.array([_regularized_level(t, n, e) for n, e in zip(sizes, eps)])
 
 
 def residue_integral(s: TrigPoly, t: TrigPoly) -> float:
@@ -355,6 +386,8 @@ def nucleus_ladder(geom, x, y, eps_sequence=None):
 
     Returns (eps, level_values, extrapolated). Reports want the raw levels;
     everything else goes through nucleus_check, which keeps only the limit.
+    Ladders whose grids exceed the caps (6 000 000 nodes for the closed-form
+    difference, 4 000 000 samples otherwise) raise ValueError.
     """
     from .geometry import psi_branch, trig_difference
 
@@ -381,10 +414,9 @@ def nucleus_ladder(geom, x, y, eps_sequence=None):
     else:
         eps = _check_eps_sequence(eps_sequence)
     slope = float(np.max(np.abs(np.diff(probe)))) / (2 * np.pi / 4096)
-    vals = np.empty(eps.size)
-    for i, e in enumerate(eps):
-        n = min(int(44.0 * max(slope, 1e-12) / e) + 256, 4_000_000)
-        vals[i] = _regularized_mean(sampler(n), e)
+    sizes = [int(44.0 * max(slope, 1e-12) / e) + 256 for e in eps]
+    _check_grid_sizes(eps, sizes, _SAMPLED_GRID_CAP)
+    vals = np.array([_regularized_mean(sampler(n), e) for n, e in zip(sizes, eps)])
     return eps, vals, _extrapolate_to_zero(eps, vals)
 
 

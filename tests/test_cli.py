@@ -92,6 +92,28 @@ def test_forward_rejects_non_finite_geometry_parameters(capsys, tmp_path):
     assert not (tmp_path / "x.fkr1").exists()
 
 
+def test_forward_rejects_a_repeated_geometry_key(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "forward", "--geometry", "radon:support=0.5,support=0.7",
+        "--phantom", "gauss:0,0,0.1,1", "--out", tmp_path / "x.fkr1",
+    )
+    assert code == 2
+    assert "repeated parameter 'support'" in err
+    assert not (tmp_path / "x.fkr1").exists()
+
+
+def test_forward_rejects_non_finite_phantom_parameters(capsys, tmp_path):
+    # a NaN centre used to make every arc inactive and write an all-zero file
+    for phantom in ("gauss:nan,0,0.1,1", "gauss:0,0,0.1,inf", "disc:0,0,0.2,1,inf"):
+        code, _, err = run(
+            capsys, "forward", "--geometry", "radon", "--phantom", phantom,
+            "--nlambda", 9, "--nphi", 8, "--out", tmp_path / "x.fkr1",
+        )
+        assert code == 2
+        assert "finite" in err
+    assert not (tmp_path / "x.fkr1").exists()
+
+
 def test_forward_sums_phantom_terms_joined_by_semicolons(capsys, tmp_path):
     # the two-term descriptor shown in the README
     terms = ("gauss:0.06,0.04,0.15,1", "disc:-0.2,0.1,0.1,0.5,0.02")

@@ -130,6 +130,16 @@ def test_parse_rejects_malformed():
         parse_geometry("Radon")  # case-sensitive
 
 
+def test_parse_rejects_repeated_keys():
+    for text, key in (
+        ("radon:support=0.5,support=0.7", "support"),
+        ("ellipse:e1=1,e2=2,e1=3", "e1"),
+        ("ellipse:e1=1,e2=2, e1=1", "e1"),
+    ):
+        with pytest.raises(ValueError, match=f"repeated parameter '{key}'"):
+            parse_geometry(text)
+
+
 def test_parse_leaves_the_integer_check_to_the_constructor():
     # parsing must not truncate 2.5 to 2 before the constructor validates it
     with pytest.raises(ValueError, match="integer"):

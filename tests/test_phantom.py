@@ -1,9 +1,12 @@
 """Analytic phantom components, their supports, and the descriptor parser."""
 
 import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from funkradon import Grid, Phantom, parse_phantom
@@ -76,6 +79,59 @@ def test_parse_phantom_rejects_malformed():
         parse_phantom("disc:0,0,1,1,0.1,9")
     with pytest.raises(ValueError, match="non-numeric"):
         parse_phantom("gauss:0,0,sigma,1")
+
+
+_COORD = st.floats(min_value=-10.0, max_value=10.0)
+_SIZE = st.floats(min_value=1e-6, max_value=10.0)
+
+
+def _term(shape, *nums):
+    return f"{shape}:" + ",".join(map(repr, nums))
+
+
+@st.composite
+def phantom_terms(draw):
+    """A component together with its descriptor term in repr floats."""
+    cx, cy, size, amp = draw(_COORD), draw(_COORD), draw(_SIZE), draw(_COORD)
+    shape = draw(st.sampled_from(("gauss", "disc", "disc+width")))
+    if shape == "gauss":
+        return Gaussian((cx, cy), size, amp), _term(shape, cx, cy, size, amp)
+    if shape == "disc":
+        return Disc((cx, cy), size, amp), _term(shape, cx, cy, size, amp)
+    w = draw(st.floats(min_value=0.0, max_value=10.0))
+    return Disc((cx, cy), size, amp, w), _term("disc", cx, cy, size, amp, w)
+
+
+@given(st.lists(phantom_terms(), min_size=1, max_size=4))
+def test_parse_phantom_round_trips_formatted_terms(terms):
+    comps, texts = zip(*terms)
+    assert parse_phantom(";".join(texts)).components == comps
+
+
+@st.composite
+def malformed_terms(draw):
+    shape = draw(st.sampled_from(("gauss", "disc")))
+    arities = (4,) if shape == "gauss" else (4, 5)
+    flaw = draw(st.sampled_from(("arity", "shape", "non-numeric", "non-finite")))
+    if flaw == "arity":
+        arity = draw(st.integers(0, 7).filter(lambda k: k not in arities))
+    else:
+        arity = draw(st.sampled_from(arities))
+    nums = [repr(draw(_SIZE)) for _ in range(arity)]
+    if flaw == "shape":
+        shape = draw(st.text(string.ascii_lowercase, max_size=8).filter(lambda s: s not in ("gauss", "disc")))
+    elif flaw == "non-numeric":
+        nums[draw(st.integers(0, arity - 1))] = draw(st.sampled_from(("", "x", "1.0.0", "0x10", "1e", "--1")))
+    elif flaw == "non-finite":
+        nums[draw(st.integers(0, arity - 1))] = draw(st.sampled_from(("nan", "inf", "-inf", "NaN", "Infinity")))
+    return f"{shape}:{','.join(nums)}"
+
+
+@given(st.lists(phantom_terms(), max_size=2), malformed_terms())
+def test_parse_phantom_refuses_malformed_terms(valid, bad):
+    texts = [text for _, text in valid] + [bad]
+    with pytest.raises(ValueError):
+        parse_phantom(";".join(texts))
 
 
 def test_module_level_metrics():

@@ -343,8 +343,20 @@ def test_funk_antipodal_symmetry():
     assert_allclose(sino.data, flipped, rtol=1e-11, atol=1e-13)
 
 
+class _NaNComponent:
+    """A component that evaluates to NaN; Gaussian and Disc refuse to be built
+    with non-finite parameters, so the forward guard needs one of its own."""
+
+    support_radius = 0.3
+
+    def eval(self, x):
+        return np.full(np.shape(x)[:-1], np.nan)
+
+
 def test_forward_rejects_non_finite_phantom_values():
-    ph = Phantom((Gaussian((0.0, 0.0), 0.1, amplitude=float("nan")),))
+    with pytest.raises(ValueError, match="finite"):
+        Gaussian((0.0, 0.0), 0.1, amplitude=float("nan"))
+    ph = Phantom((_NaNComponent(),))
     lam = np.linspace(-0.5, 0.5, 5)
     with pytest.raises(ValueError, match="non-finite value on a curve"):
         forward_mphi(ph, RADON, lam, uniform_phi(4), **FIXED)

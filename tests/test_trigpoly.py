@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from funkradon import GeometryFamily, TrigPoly, nucleus_check, pv_inverse_square, residue_integral
 from funkradon import trigpoly
-from funkradon.trigpoly import all_real_simple, kernel_scale, roots
+from funkradon.trigpoly import all_real_simple, kernel_scale, nucleus_ladder, roots
 
 TAU = 2 * math.pi
 
@@ -243,6 +243,41 @@ def test_pv_rejects_repeated_real_zeros(t, monkeypatch):
         pv_inverse_square(t)
 
 
+def test_pv_refuses_a_ladder_beyond_the_grid_cap(monkeypatch):
+    # eps = 1e-6 at unit slope needs about 44M nodes; running it on the capped
+    # grid would return an under-resolved value with no sign of it
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran past the grid cap")
+
+    monkeypatch.setattr(trigpoly, "_regularized_level", no_quadrature)
+    with pytest.raises(ValueError, match=r"44000128-node grid, above the cap of 6000000"):
+        pv_inverse_square(COS, eps_sequence=(1e-6, 5e-7))
+
+
+LD_EPS = float(np.finfo(np.longdouble).eps)
+
+
+# every n here but 1 and 2 ends on a partial anchor row, and 65537 and 300007
+# also on a partial block of rows
+@pytest.mark.parametrize("n", [1, 2, 7, 128, 4099, 65537, 300007])
+def test_midpoint_values_match_per_node_evaluation(n):
+    # the angle-addition grid against t summed node by node in extended
+    # precision at phi_k = (k + 1/2) 2pi/n
+    rng = np.random.default_rng(n)
+    ph = (np.arange(n) + np.longdouble(0.5)) * (np.longdouble(TAU) / n)
+    for order in (1, 2, 3):
+        t = poly(rng.normal(size=order + 1), rng.normal(size=order + 1))
+        direct = np.full(n, np.longdouble(t.a[0]))
+        for m in range(1, order + 1):
+            direct += t.a[m] * np.cos(m * ph) + t.b[m] * np.sin(m * ph)
+        blocks = list(trigpoly._midpoint_values(t, n))
+        assert all(b.dtype == np.longdouble and 0 < b.size <= 1 << 16 for b in blocks)
+        grid = np.concatenate(blocks)
+        assert grid.shape == (n,)
+        bound = 32 * LD_EPS * sum(map(abs, t.a + t.b))
+        assert float(np.max(np.abs(grid - direct))) <= bound
+
+
 # --------------------------------------------------- residues of s / t
 
 def test_residue_poisson():
@@ -338,6 +373,12 @@ def test_nucleus_parabola_sampled_path():
     g = GeometryFamily("parabola")
     x, y = (0.5, 0.1), (-0.3, 0.4)
     assert abs(nucleus_check(g, x, y)) <= nucleus_tol(g, x, y)
+
+
+def test_nucleus_sampled_path_refuses_a_ladder_beyond_the_sample_cap():
+    g = GeometryFamily("parabola")
+    with pytest.raises(ValueError, match="above the cap of 4000000"):
+        nucleus_ladder(g, (0.5, 0.1), (-0.3, 0.4), eps_sequence=(1e-7, 5e-8))
 
 
 def test_nucleus_rejects_coincident_points():
