@@ -4,10 +4,16 @@ A Grid is a uniform nx-by-ny lattice of cell centers with spacing h; (x0, y0)
 is the center of cell (0, 0) and values are indexed [ix, iy]. Grids travel in
 the F64GRID text format (exact float round trip via repr) and can be dumped
 as a binary PGM preview for quick viewing.
+
+The numeric body of both text formats (F64GRID here, FKR1 sinograms in
+transform.py) is written by format_rows and read back by read_rows, which
+parse in bulk and refuse non-finite numbers, as header_floats does for the
+numbers of a header line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +41,8 @@ class Grid:
             raise ValueError("grid needs at least one cell per axis")
         if not (self.h > 0):
             raise ValueError("grid spacing must be positive")
+        if not all(map(math.isfinite, (self.x0, self.y0, self.h))):
+            raise ValueError(f"grid origin and spacing must be finite, got ({self.x0}, {self.y0}) and {self.h}")
 
     @classmethod
     def centered(cls, n: int, half_extent: float, center=(0.0, 0.0)) -> "Grid":
@@ -86,16 +94,75 @@ class ScalarField:
         return float(np.max(np.abs(self.values - other.values)))
 
 
+def format_rows(data) -> str:
+    """Lines of repr-formatted values, one per row of the 2-D array ``data``.
+
+    repr is the shortest text that parses back to the same double, so a
+    written body reads back bit for bit. Non-finite values are refused with
+    ValueError, as read_rows would refuse them.
+    """
+    data = np.asarray(data, dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("refusing to write non-finite values")
+    return "\n".join(" ".join(map(repr, row)) for row in data.tolist())
+
+
+def _refuse_non_finite(path, values: np.ndarray, place: str) -> None:
+    # values is 2-D; place names row j of it when formatted with j
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        j, i = bad[0]
+        raise ValueError(f"{path}: non-finite number {float(values[j, i])!r} in {place.format(j)}")
+
+
+def header_floats(path, tokens) -> list:
+    """The header numbers ``tokens`` as floats; malformed or non-finite ones
+    are refused with ValueError naming the file."""
+    try:
+        values = np.array([float(v) for v in tokens])
+    except ValueError:
+        raise ValueError(f"{path}: malformed number in header {' '.join(tokens)!r}") from None
+    _refuse_non_finite(path, values[None, :], "the header")
+    return values.tolist()
+
+
+def read_rows(path, lines, n_rows: int, n_cols: int) -> np.ndarray:
+    """The (n_rows, n_cols) body written by format_rows, from its text
+    ``lines`` (blank lines skipped), parsed in bulk.
+
+    A wrong row count or row length, a malformed number and a non-finite
+    number are each refused with ValueError naming the file and the row.
+    """
+    body = [ln for ln in lines if ln.strip()]
+    if len(body) != n_rows:
+        raise ValueError(f"{path}: expected {n_rows} data rows, found {len(body)}")
+    try:
+        values = np.loadtxt(body, dtype=float, comments=None, ndmin=2) if body else np.empty((0, n_cols))
+    except ValueError:
+        values = None
+    if values is None or values.shape != (n_rows, n_cols):
+        # find the first offending row for the message
+        for j, ln in enumerate(body):
+            row = ln.split()
+            if len(row) != n_cols:
+                raise ValueError(f"{path}: row {j} has {len(row)} values, expected {n_cols}")
+            try:
+                [float(v) for v in row]
+            except ValueError:
+                raise ValueError(f"{path}: row {j} holds a malformed number") from None
+        raise ValueError(f"{path}: unreadable data rows")
+    _refuse_non_finite(path, values, "row {}")
+    return values
+
+
 def write_f64grid(path, field: ScalarField) -> None:
     """Write the exact text form: header line, then ny rows of nx values.
 
     Values are serialized with repr so the round trip is bit-identical.
     """
     g = field.grid
-    lines = [f"F64GRID {g.nx} {g.ny} {float(g.x0)!r} {float(g.y0)!r} {float(g.h)!r}"]
-    for iy in range(g.ny):
-        lines.append(" ".join(repr(float(v)) for v in field.values[:, iy]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    head = f"F64GRID {g.nx} {g.ny} {float(g.x0)!r} {float(g.y0)!r} {float(g.h)!r}"
+    Path(path).write_text(head + "\n" + format_rows(field.values.T) + "\n")
 
 
 def read_f64grid(path) -> ScalarField:
@@ -107,16 +174,9 @@ def read_f64grid(path) -> ScalarField:
     if len(head) != 6:
         raise ValueError(f"{path}: malformed F64GRID header")
     nx, ny = int(head[1]), int(head[2])
-    grid = Grid(nx, ny, float(head[3]), float(head[4]), float(head[5]))
-    if len(lines) - 1 != ny:
-        raise ValueError(f"{path}: expected {ny} data rows, found {len(lines) - 1}")
-    values = np.empty((nx, ny))
-    for iy, ln in enumerate(lines[1:]):
-        row = ln.split()
-        if len(row) != nx:
-            raise ValueError(f"{path}: row {iy} has {len(row)} values, expected {nx}")
-        values[:, iy] = [float(v) for v in row]
-    return ScalarField(grid, values)
+    grid = Grid(nx, ny, *header_floats(path, head[3:]))
+    values = read_rows(path, lines[1:], ny, nx)
+    return ScalarField(grid, np.ascontiguousarray(values.T))
 
 
 def write_pgm(path, field: ScalarField) -> None:

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .trigpoly import TrigPoly, residue_integral
+from .trigpoly import RealZeroError, TrigPoly, residue_integral
 
 __all__ = [
     "GeometryFamily",
@@ -250,8 +250,10 @@ def dcoef_closed(geom: GeometryFamily, x):
 
     Every family admits one. For an ellipse with unequal half-axes the mean
     is evaluated exactly by the residue formula applied to the order-two
-    polynomial |x - e(phi)|^2, which never vanishes for points inside the
-    ellipse; the circular case reduces to 1/(4 (R^2 - |x|^2)).
+    polynomial |x - e(phi)|^2, which vanishes only where x lies on the
+    ellipse of centers e(phi); all points go to one stacked residue sum, and
+    a point on that ellipse raises GeometryDomainError. The circular case
+    reduces to 1/(4 (R^2 - |x|^2)).
     """
     x1, x2 = _domain_split(geom, x)
     out = geom.record.dcoef(geom, x1, x2, x1 * x1 + x2 * x2)
@@ -555,19 +557,23 @@ def _ellipse():
             if np.any(gap <= 0.0):
                 raise GeometryDomainError("normalizer needs |x| inside the circle of centers")
             return 0.25 / gap
-        one = TrigPoly((1.0,))
-        flat = np.broadcast_arrays(x1, x2)
-        out = np.empty(flat[0].shape)
-        it = np.nditer(flat[0], flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            u, v = float(flat[0][idx]), float(flat[1][idx])
-            t2 = TrigPoly(
-                (u * u + v * v + 0.5 * (g.e1**2 + g.e2**2), -2.0 * u * g.e1, 0.5 * (g.e1**2 - g.e2**2)),
-                (0.0, -2.0 * v * g.e2, 0.0),
-            )
-            out[idx] = residue_integral(one, t2) / (8.0 * np.pi)
-        return out
+        # |x - e(phi)|^2 of every point as one stack of order-two polynomials
+        u, v, r2u = (np.ravel(w) for w in np.broadcast_arrays(x1, x2, r2))
+        a = np.zeros((u.size, 3))
+        b = np.zeros((u.size, 3))
+        a[:, 0] = r2u + 0.5 * (g.e1**2 + g.e2**2)
+        a[:, 1] = -2.0 * u * g.e1
+        a[:, 2] = 0.5 * (g.e1**2 - g.e2**2)
+        b[:, 1] = -2.0 * v * g.e2
+        try:
+            out = residue_integral(TrigPoly((1.0,)), (a, b)) / (8.0 * np.pi)
+        except RealZeroError as err:
+            i = err.rows[0]
+            more = "" if err.rows.size == 1 else f" (and {err.rows.size - 1} more)"
+            raise GeometryDomainError(
+                f"normalizer is singular on the ellipse of centers, at ({u[i]:.6g}, {v[i]:.6g}){more}"
+            ) from None
+        return out.reshape(np.shape(r2))
 
     def arcs(g, lam, lam_eps, phi, R, kind):
         ctr = np.array([g.e1 * np.cos(phi), g.e2 * np.sin(phi)])

@@ -14,7 +14,10 @@ phi without changing any result.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry as geo
+from .fields import format_rows, header_floats, read_rows
 from .geometry import GeometryFamily
 from .phantom import Disc, Phantom
 
@@ -38,6 +42,37 @@ __all__ = [
 ]
 
 TAU = 2.0 * np.pi
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_work_arrays_on_the_heap() -> None:
+    """Serve blocks below 32 MB from glibc's reusable heap (Linux only).
+
+    The forward quadrature goes through bursts of numpy temporaries of 1 to
+    4 MB per column. glibc maps a block above its mmap threshold afresh, and
+    gives heap memory above its trim threshold back to the system when it is
+    freed, so each burst is page-faulted and zeroed anew. Both thresholds
+    start at 128 KB and rise only when a larger mapped block is freed (the
+    trim threshold to twice its size), up to 32 MB and 64 MB. This sets
+    them to that top from the start, so a forward runs at the same speed whether or not some large
+    array has come and gone before it: on 2 vCPUs, a 513 x 45 round trip of
+    the curved families ran its forward about 20 % faster than at the
+    starting thresholds. The setting holds for the whole process, so it is
+    made at the first forward transform rather than on import.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
 
 
 class TracingError(RuntimeError):
@@ -225,6 +260,7 @@ def _working_radius(geom: GeometryFamily, phantom: Phantom) -> float:
 
 
 def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, workers):
+    _keep_work_arrays_on_the_heap()
     lam = np.asarray(lambda_axis, dtype=float)
     phi = np.asarray(phi_axis, dtype=float)
     smooth, sharp = _split_phantom(phantom)
@@ -372,8 +408,7 @@ def write_fkr1(path, sino: Sinogram) -> None:
         f"{sino.kind} {lam.size} {sino.phi_axis.size} "
         f"{float(lam[0])!r} {float(lam[-1])!r} {sino.phi_full}\n"
     )
-    rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in sino.data)
-    Path(path).write_text(head + rows + "\n")
+    Path(path).write_text(head + format_rows(sino.data) + "\n")
 
 
 def read_fkr1(path) -> Sinogram:
@@ -387,19 +422,11 @@ def read_fkr1(path) -> Sinogram:
     if len(fields) != 6:
         raise ValueError(f"{path}: malformed FKR1 axis header")
     kind, n_lam, n_phi = fields[0], int(fields[1]), int(fields[2])
-    lam_min, lam_max = float(fields[3]), float(fields[4])
+    lam_min, lam_max = header_floats(path, fields[3:5])
     full = fields[5]
     if full not in ("full", "half"):
         raise ValueError(f"{path}: phi coverage must be 'full' or 'half', got {full!r}")
-    body = [ln for ln in lines[3:] if ln.strip()]
-    if len(body) != n_phi:
-        raise ValueError(f"{path}: expected {n_phi} data rows, found {len(body)}")
-    data = np.empty((n_phi, n_lam))
-    for j, ln in enumerate(body):
-        row = ln.split()
-        if len(row) != n_lam:
-            raise ValueError(f"{path}: row {j} has {len(row)} values, expected {n_lam}")
-        data[j] = [float(v) for v in row]
+    data = read_rows(path, lines[3:], n_phi, n_lam)
     lam = np.linspace(lam_min, lam_max, n_lam)
     span = np.pi if full == "half" else TAU
     phi = np.arange(n_phi) * (span / n_phi)

@@ -5,6 +5,11 @@ t(phi) = sum a_m cos(m phi) + b_m sin(m phi) on the complex cylinder, the
 regularized integral of 1/t^2 across real zeros (which vanishes exactly when
 all zeros are real and simple), and residue summation for integrals of s/t
 when t never vanishes on the real circle.
+
+Root finding and residue sums work on stacks: n polynomials of one order k
+given as (a, b) coefficient arrays of shape (n, k + 1). Their companion
+matrices go to a single batched eigenvalue call, so the root finder and the
+residue sum of a single TrigPoly are the one-row case of the stacked ones.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ __all__ = [
     "all_real_simple",
     "pv_inverse_square",
     "residue_integral",
+    "RealZeroError",
     "nucleus_check",
     "nucleus_ladder",
     "kernel_scale",
@@ -109,14 +115,7 @@ class TrigPoly:
         return TrigPoly(tuple(da), tuple(db))
 
     def _complex_coeffs(self):
-        # c[m + k] multiplies z^(m+k) in z^k * t(phi), z = exp(i phi)
-        k = self.order
-        c = np.zeros(2 * k + 1, dtype=complex)
-        c[k] = self.a[0]
-        for m in range(1, k + 1):
-            c[k + m] = 0.5 * (self.a[m] - 1j * self.b[m])
-            c[k - m] = 0.5 * (self.a[m] + 1j * self.b[m])
-        return c
+        return _exp_coeffs(*_coeff_stack(self))[0]
 
     def __add__(self, other):
         if not isinstance(other, TrigPoly):
@@ -158,22 +157,89 @@ class TrigPoly:
     __rmul__ = __mul__
 
 
-def roots(t: TrigPoly) -> np.ndarray:
-    """All 2k zeros of t on the cylinder, as phi in [0, 2pi) + i tau.
+class RealZeroError(ValueError):
+    """t vanishes on the real circle, where the residue sum does not apply.
+
+    ``rows`` lists the offending rows of a stack (row 0 for a single
+    polynomial).
+    """
+
+    def __init__(self, message, rows):
+        super().__init__(message)
+        self.rows = rows
+
+
+def _coeff_stack(p):
+    """(a, b) coefficient arrays of shape (n, k + 1) for a TrigPoly (n = 1)
+    or for a stack given as an (a, b) pair; b[:, 0] is taken as zero."""
+    if isinstance(p, TrigPoly):
+        return np.array([p.a]), np.array([p.b])
+    a, b = (np.asarray(c, dtype=float) for c in p)
+    if a.ndim != 2 or a.shape != b.shape or a.shape[1] == 0:
+        raise ValueError("a stack of trig polynomials is an (a, b) pair of equal (n, k + 1) arrays")
+    b = b.copy()
+    b[:, 0] = 0.0
+    return a, b
+
+
+def _exp_coeffs(a, b):
+    # c[:, m + k] multiplies z^(m+k) in z^k * t(phi), z = exp(i phi)
+    k = a.shape[1] - 1
+    c = np.zeros((a.shape[0], 2 * k + 1), dtype=complex)
+    c[:, k] = a[:, 0]
+    c[:, k + 1 :] = 0.5 * (a[:, 1:] - 1j * b[:, 1:])
+    c[:, :k][:, ::-1] = 0.5 * (a[:, 1:] + 1j * b[:, 1:])
+    return c
+
+
+def _eval_rows(a, b, phi):
+    """Row i of the stack at the points phi[i, :] (real or complex)."""
+    out = np.zeros(phi.shape, dtype=np.result_type(phi, float)) + a[:, :1]
+    for m in range(1, a.shape[1]):
+        mphi = m * phi
+        out = out + a[:, m : m + 1] * np.cos(mphi) + b[:, m : m + 1] * np.sin(mphi)
+    return out
+
+
+# Companion matrices per eigenvalue call: 2**12 quartics are 1 MB.
+_EIG_BLOCK = 1 << 12
+
+
+def _stacked_roots(a, b) -> np.ndarray:
+    """All 2k zeros of every row of a stack of order k >= 1, shape (n, 2k),
+    as phi in [0, 2pi) + i tau, each row sorted by real then imaginary part.
 
     Substituting z = exp(i phi) turns z^k t into an algebraic polynomial of
     degree 2k; its roots map back through phi = -i log z, so |z| < 1
-    corresponds to the upper half of the cylinder. Roots come sorted by real
-    part (then imaginary part) for reproducibility.
+    corresponds to the upper half of the cylinder. Each row's companion
+    matrix is the one numpy's polyroots builds, and all of them go to
+    one batched eigenvalue call per block of rows.
     """
-    k = t.order
-    if k == 0:
-        return np.zeros(0, dtype=complex)
-    c = t._complex_coeffs()
-    z = np.polynomial.polynomial.polyroots(c)
+    c = _exp_coeffs(a, b)
+    n, deg = c.shape[0], c.shape[1] - 1
+    lead = c[:, -1:]
+    if np.any(lead == 0):
+        raise ValueError("every row of a stack needs a nonzero leading harmonic")
+    z = np.empty((n, deg), dtype=complex)
+    for i0 in range(0, n, _EIG_BLOCK):
+        rows = slice(i0, i0 + _EIG_BLOCK)
+        comp = np.zeros((c[rows].shape[0], deg, deg), dtype=complex)
+        comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        comp[:, :, -1] -= c[rows, :-1] / lead[rows]
+        z[rows] = np.sort(np.linalg.eigvals(comp), axis=-1)
     phi = np.angle(z) - 1j * np.log(np.abs(z))
     phi = np.where(phi.real < 0, phi + 2 * np.pi, phi)
-    return phi[np.lexsort((phi.imag, phi.real))]
+    order = np.lexsort((phi.imag, phi.real), axis=-1)
+    return np.take_along_axis(phi, order, axis=-1)
+
+
+def roots(t: TrigPoly) -> np.ndarray:
+    """All 2k zeros of t on the cylinder, as phi in [0, 2pi) + i tau, sorted
+    by real part (then imaginary part) for reproducibility; the one-row case
+    of the stacked root finder."""
+    if t.order == 0:
+        return np.zeros(0, dtype=complex)
+    return _stacked_roots(*_coeff_stack(t))[0]
 
 
 def all_real_simple(t: TrigPoly, tol: float = 1e-8) -> bool:
@@ -192,16 +258,18 @@ def all_real_simple(t: TrigPoly, tol: float = 1e-8) -> bool:
     return bool(np.all(slopes > tol * scale))
 
 
-def _real_mask(t: TrigPoly, rts: np.ndarray) -> np.ndarray:
-    """Which of the zeros ``rts`` of t count as real, by the rule above."""
-    resid_tol = _REAL_ROOT_RESIDUAL_ULPS * _EPS * sum(map(abs, t.a + t.b))
-    return (np.abs(rts.imag) < _REAL_ROOT_IM_TOL) | (np.abs(t.eval(rts.real)) <= resid_tol)
+def _real_mask(a, b, rts: np.ndarray) -> np.ndarray:
+    """Which of the zeros ``rts`` (n, 2k) of the stack rows count as real,
+    by the rule above, each row against its own coefficient sum."""
+    resid_tol = _REAL_ROOT_RESIDUAL_ULPS * _EPS * (np.abs(a).sum(axis=1) + np.abs(b).sum(axis=1))
+    resid = np.abs(_eval_rows(a, b, rts.real))
+    return (np.abs(rts.imag) < _REAL_ROOT_IM_TOL) | (resid <= resid_tol[:, None])
 
 
 def _real_root_slopes(t: TrigPoly):
     """(real roots, |t'| there, complex roots) of t."""
     rts = roots(t)
-    real_mask = _real_mask(t, rts)
+    real_mask = _real_mask(*_coeff_stack(t), rts[None, :])[0]
     real = rts.real[real_mask]
     cplx = rts[~real_mask]
     slopes = np.abs(t.derivative().eval(real)) if real.size else np.zeros(0)
@@ -350,7 +418,7 @@ def _pv_levels(t: TrigPoly, eps_sequence):
     return eps, np.array([_regularized_level(t, n, e) for n, e in zip(sizes, eps)])
 
 
-def residue_integral(s: TrigPoly, t: TrigPoly) -> float:
+def residue_integral(s, t):
     """integral_0^{2pi} s/t dphi for t without real zeros, by residue sum.
 
     Closing a period rectangle upward picks up the zeros of t in the upper
@@ -358,26 +426,41 @@ def residue_integral(s: TrigPoly, t: TrigPoly) -> float:
     equal order the top edge of the rectangle no longer decays: s/t tends to
     the ratio of leading harmonic coefficients as Im phi grows, adding the
     constant 2 pi (a_k^s + i b_k^s)/(a_k^t + i b_k^t). An order of s above
-    that of t is rejected, as is any real zero of t; a zero counts as real by
-    the rule of pv_inverse_square, so a double zero split off the axis by
-    roundoff is refused too.
+    that of t is rejected, as is any real zero of t (RealZeroError, a
+    ValueError); a zero counts as real by the rule of pv_inverse_square, so a
+    double zero split off the axis by roundoff is refused too.
+
+    ``s`` and ``t`` are TrigPolys, giving a float, or stacks of n
+    polynomials as (a, b) coefficient arrays of shape (n, k + 1), giving n
+    integrals at once (a TrigPoly s applies to every row of t). The rows of
+    a stacked t share the order k and need a nonzero leading harmonic; all
+    their roots come from one batched eigenvalue call.
     """
-    k = t.order
-    if s.order > k:
+    sa, sb = _coeff_stack(s)
+    ta, tb = _coeff_stack(t)
+    n, k = ta.shape[0], ta.shape[1] - 1
+    if sa.shape[1] - 1 > k:
         raise ValueError("order of s must not exceed the order of t")
+    sa, sb = np.broadcast_to(sa, (n, sa.shape[1])), np.broadcast_to(sb, (n, sb.shape[1]))
     if k == 0:
-        if t.a[0] == 0.0:
+        if np.any(ta[:, 0] == 0.0):
             raise ValueError("t is identically zero")
-        return 2 * np.pi * s.a[0] / t.a[0]
-    rts = roots(t)
-    if _real_mask(t, rts).any():
-        raise ValueError("t has a real zero; the residue formula does not apply")
-    upper = rts[rts.imag > 0]
-    td = t.derivative()
-    total = 2j * np.pi * np.sum(s.eval(upper) / td.eval(upper))
-    if s.order == k:
-        total = total + 2 * np.pi * (s.a[k] + 1j * s.b[k]) / (t.a[k] + 1j * t.b[k])
-    return float(np.real(total))
+        total = 2 * np.pi * sa[:, 0] / ta[:, 0]
+    else:
+        rts = _stacked_roots(ta, tb)
+        bad = np.flatnonzero(_real_mask(ta, tb, rts).any(axis=1))
+        if bad.size:
+            raise RealZeroError("t has a real zero; the residue formula does not apply", bad)
+        row, col = np.nonzero(rts.imag > 0)
+        upper = rts[row, col][:, None]
+        da = np.arange(k + 1) * tb[row]
+        db = -np.arange(k + 1) * ta[row]
+        terms = (_eval_rows(sa[row], sb[row], upper) / _eval_rows(da, db, upper))[:, 0]
+        total = 2j * np.pi * (np.bincount(row, terms.real, n) + 1j * np.bincount(row, terms.imag, n))
+        if sa.shape[1] - 1 == k:
+            total = total + 2 * np.pi * (sa[:, k] + 1j * sb[:, k]) / (ta[:, k] + 1j * tb[:, k])
+        total = np.real(total)
+    return float(total[0]) if isinstance(t, TrigPoly) and isinstance(s, TrigPoly) else total
 
 
 def nucleus_ladder(geom, x, y, eps_sequence=None):

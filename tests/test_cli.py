@@ -282,6 +282,15 @@ def test_invert_rejects_a_malformed_center(capsys, tmp_path, radon_file):
     assert "--center" in err
 
 
+@pytest.mark.parametrize("flag", (("--center", "nan,0"), ("--extent", "inf")))
+def test_invert_refuses_a_non_finite_grid(capsys, tmp_path, radon_file, flag):
+    out = tmp_path / "x.f64"
+    code, _, err = run(capsys, "invert", "--in", radon_file, "--out", out, "--grid-n", 9, *flag)
+    assert code == 2
+    assert "finite" in err
+    assert not out.exists()
+
+
 def test_invert_missing_input_exits_2(capsys, tmp_path):
     code, _, err = run(
         capsys, "invert", "--in", tmp_path / "absent.fkr1", "--out", tmp_path / "x.f64",

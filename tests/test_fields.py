@@ -1,5 +1,7 @@
 """Grid bookkeeping and the two on-disk forms (F64GRID text, PGM preview)."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -87,6 +89,45 @@ def test_f64grid_rejects_malformed(tmp_path):
     p.write_text("F64GRID 2 2 0.0 0.0 1.0\n0 0\n0 0 0\n")
     with pytest.raises(ValueError, match="row 1"):
         read_f64grid(p)
+
+
+AWKWARD = (5e-324, -0.0, 1e308, 0.1 + 0.2, 2.2250738585072014e-308, -1.7976931348623157e308)
+
+
+def test_f64grid_bytes_match_the_per_value_repr_form(tmp_path):
+    g = Grid(3, 2, -0.0, 0.1 + 0.2, 1e-3)
+    vals = np.array(AWKWARD).reshape(3, 2)
+    p = tmp_path / "field.f64grid"
+    write_f64grid(p, ScalarField(g, vals))
+    rows = [" ".join(repr(float(v)) for v in vals[:, iy]) for iy in range(g.ny)]
+    want = "\n".join(["F64GRID 3 2 -0.0 0.30000000000000004 0.001"] + rows) + "\n"
+    assert p.read_bytes() == want.encode()
+    assert read_f64grid(p).values.tobytes() == vals.tobytes()
+
+
+def test_f64grid_refuses_non_finite_numbers(tmp_path):
+    p = tmp_path / "nan.f64grid"
+    p.write_text("F64GRID 2 1 nan 0.0 0.1\n0 0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: non-finite number nan in the header")):
+        read_f64grid(p)
+    p.write_text("F64GRID 2 2 0.0 0.0 0.1\n0 0\n1.0 -inf\n")
+    with pytest.raises(ValueError, match="non-finite number -inf in row 1"):
+        read_f64grid(p)
+    p.write_text("F64GRID 2 1 0.0 0.0 0.1\n0 zero\n")
+    with pytest.raises(ValueError, match="row 0 holds a malformed number"):
+        read_f64grid(p)
+    # nor does the writer leave a file that the reader would refuse
+    with pytest.raises(ValueError, match="non-finite"):
+        write_f64grid(tmp_path / "out.f64grid", ScalarField(Grid(2, 1, 0.0, 0.0, 0.1), [[np.nan], [0.0]]))
+    assert not (tmp_path / "out.f64grid").exists()
+
+
+def test_grid_refuses_non_finite_origin_and_spacing():
+    for bad in ((np.nan, 0.0, 0.1), (0.0, -np.inf, 0.1), (0.0, 0.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(3, 3, *bad)
+    with pytest.raises(ValueError, match="finite"):
+        Grid.centered(9, np.inf)
 
 
 def test_pgm_scaling_and_orientation(tmp_path):

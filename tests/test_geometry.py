@@ -32,7 +32,7 @@ from funkradon.geometry import (
     weight_mu,
 )
 from funkradon.inversion import dcoef_quadrature
-from funkradon.trigpoly import all_real_simple
+from funkradon.trigpoly import TrigPoly, all_real_simple, residue_integral
 
 RADON = GeometryFamily("radon")
 FUNK = GeometryFamily("funk", support_radius=0.8)
@@ -332,6 +332,45 @@ def test_dcoef_closed_matches_quadrature_everywhere():
 def test_dcoef_ellipse_rejects_point_outside_circle_of_centers():
     with pytest.raises(GeometryDomainError):
         dcoef_closed(CIRCLE, (1.5, 0.0))
+
+
+def residue_oracle(geom, x):
+    """D(x) of one point: its own TrigPoly |x - e(phi)|^2 and residue sum."""
+    u, v = x
+    e1, e2 = geom.e1, geom.e2
+    t = TrigPoly((u * u + v * v + 0.5 * (e1**2 + e2**2), -2.0 * u * e1, 0.5 * (e1**2 - e2**2)), (0.0, -2.0 * v * e2, 0.0))
+    return residue_integral(TrigPoly((1.0,)), t) / (8.0 * math.pi)
+
+
+@pytest.mark.parametrize("geom", (ELLIPSE, GeometryFamily("ellipse", e1=0.7, e2=1.3, support_radius=0.6)))
+def test_dcoef_ellipse_stack_matches_per_point_residues(geom):
+    rng = np.random.default_rng(21)
+    inside = sample_points(geom, rng, 40, rmin=0.0)
+    # points near the ellipse of centers, on both sides, where D(x) grows
+    th = rng.uniform(0, 2 * math.pi, size=12)
+    scale = 1.0 + np.repeat([-1e-2, 1e-4, -1e-6, 1e-2, -1e-4, 1e-6], 2)
+    near = np.stack([geom.e1 * np.cos(th) * scale, geom.e2 * np.sin(th) * scale], axis=-1)
+    pts = np.concatenate([inside, near])
+    want = np.array([residue_oracle(geom, x) for x in pts])
+    assert_allclose(dcoef_closed(geom, pts), want, rtol=1e-13, atol=0)
+    grid = pts[:36].reshape(6, 6, 2)
+    got = dcoef_closed(geom, grid)
+    assert got.shape == (6, 6)
+    assert_allclose(got, want[:36].reshape(6, 6), rtol=1e-13, atol=0)
+    one = dcoef_closed(geom, tuple(pts[-1]))
+    assert isinstance(one, float)
+    assert one == pytest.approx(want[-1], rel=1e-13)
+
+
+@pytest.mark.parametrize("geom", (ELLIPSE, GeometryFamily("ellipse", e1=0.7, e2=1.3)))
+def test_dcoef_ellipse_rejects_a_point_on_the_ellipse_of_centers(geom):
+    on = (geom.e1 * math.cos(0.3), geom.e2 * math.sin(0.3))
+    with pytest.raises(GeometryDomainError, match="ellipse of centers"):
+        dcoef_closed(geom, on)
+    # one such point refuses the whole stack, and the message names it
+    pts = np.array([(0.1, 0.2), on, (-0.3, 0.1)])
+    with pytest.raises(GeometryDomainError, match=f"{on[0]:.6g}, {on[1]:.6g}"):
+        dcoef_closed(geom, pts)
 
 
 # ---------------------------------------------------------------- weights

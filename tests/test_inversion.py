@@ -11,10 +11,13 @@ in c (the polynomial part integrates term by term). Reconstruction quality
 is then measured end to end on small grids.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from funkradon import geometry as geo
 from funkradon import (
     CoverageError,
     GeometryFamily,
@@ -27,7 +30,7 @@ from funkradon import (
     pv_filter,
 )
 from funkradon.fields import Grid
-from funkradon.inversion import dcoef_quadrature, reconstruct_riemann
+from funkradon.inversion import _fp_rows, dcoef_quadrature, reconstruct_riemann
 from funkradon.phantom import Gaussian
 from funkradon.transform import default_axes, forward_riemann
 
@@ -178,6 +181,56 @@ def test_pv_filter_parabola_needs_zero_start():
         pv_filter(sino)
 
 
+def dense_fp_rows(g, lam):
+    """The filter as an explicit m x m quadrature matrix A[k, i] = w_k /
+    (lambda_k - lambda_i), k != i: the direct form of the finite part."""
+    m = lam.size
+    h = lam[1] - lam[0]
+    gp = np.gradient(g, h, axis=1, edge_order=2)
+    gpp = np.gradient(gp, h, axis=1, edge_order=2)
+    w = np.full(m, h)
+    w[0] = w[-1] = 0.5 * h
+    with np.errstate(divide="ignore"):
+        A = w[:, None] / (lam[:, None] - lam[None, :])
+    np.fill_diagonal(A, 0.0)
+    G = gp @ A - gp * A.sum(axis=0) + gpp * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = np.log((lam[-1] - lam) / (lam - lam[0]))
+        bound = g[:, :1] / (lam[0] - lam) - g[:, -1:] / (lam[-1] - lam)
+    L[0] = L[-1] = 0.0
+    bound[:, 0] = bound[:, -1] = 0.0
+    return G + gp * L + bound
+
+
+@pytest.mark.parametrize("m", (5, 64, 513))
+@pytest.mark.parametrize("rows", (1, 65, 130))
+def test_fp_rows_matches_the_dense_quadrature(m, rows):
+    # row counts around the FFT block size, rough rows and windowed ones
+    rng = np.random.default_rng(m + rows)
+    lam = np.linspace(-0.4, 1.9, m)
+    bump = np.sin(np.linspace(0.0, np.pi, m)) ** 3
+    g = rng.normal(size=(rows, 1)) * bump + 0.05 * rng.normal(size=(rows, m))
+    want = dense_fp_rows(g, lam)
+    got = _fp_rows(g, lam)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_pv_filter_memory_stays_linear_in_m():
+    # a dense m x m quadrature matrix alone would be 34 MB at m = 2049
+    lam, phi = default_axes(RADON, 2049, 360)
+    ctr = 0.1 * np.cos(phi)[:, None]
+    data = np.exp(-0.5 * ((lam[None, :] - ctr) / 0.15) ** 2)
+    sino = Sinogram(RADON, lam, phi, data)
+    tracemalloc.start()
+    try:
+        pv_filter(sino)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
 # ---------------------------------------------------------------------------
 # backprojection
 
@@ -197,6 +250,21 @@ def test_backproject_coverage_error():
     )
     with pytest.raises(CoverageError, match="outside the filtered range"):
         backproject(pv_filter(sino), Grid.centered(9, 0.7))
+
+
+def test_backproject_counts_a_non_finite_lambda0_as_uncovered(monkeypatch):
+    sino = window_sinogram(lambda lam: np.zeros_like(lam), m=33, n_phi=8)
+    filtered = pv_filter(sino)
+    lambda_of = geo.lambda_of
+
+    def with_nan(geom, x, phi):
+        lam0 = np.array(lambda_of(geom, x, phi))
+        lam0[2, 3] = np.nan
+        return lam0
+
+    monkeypatch.setattr(geo, "lambda_of", with_nan)
+    with pytest.raises(CoverageError, match="1 grid points"):
+        backproject(filtered, Grid.centered(9, 0.5))
 
 
 def test_invert_is_homogeneous():

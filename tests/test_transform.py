@@ -8,6 +8,8 @@ than by comparing against any stored reference.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from funkradon import (
     trace_curve,
     write_fkr1,
 )
-from funkradon.geometry import lambda_of
+from funkradon.geometry import descriptor, lambda_of
 from funkradon.phantom import Disc, Gaussian, parse_phantom
 from funkradon.transform import default_axes, forward_riemann, riemann_to_mphi
 
@@ -554,3 +556,31 @@ def test_fkr1_rejects_malformed_files(tmp_path):
         read_fkr1(rewrite("f", lambda ls: ls[:4] + ["0.0 0.0"]))
     with pytest.raises(ValueError, match="unknown curve family tag"):
         read_fkr1(rewrite("g", lambda ls: [ls[0], "elipse:support=1.0"] + ls[2:]))
+
+
+def test_fkr1_refuses_non_finite_numbers_before_using_them(tmp_path):
+    lam, phi = default_axes(RADON, 3, 2)
+    good = tmp_path / "good.fkr"
+    write_fkr1(good, Sinogram(RADON, lam, phi, np.zeros((2, 3))))
+    lines = good.read_text().splitlines()
+    bad = tmp_path / "inf.fkr"
+    bad.write_text("\n".join(lines[:2] + ["mphi 3 2 -inf inf full"] + lines[3:]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: non-finite number -inf in the header")):
+            read_fkr1(bad)
+    bad.write_text("\n".join(lines[:4] + ["0.0 nan 0.0"]) + "\n")
+    with pytest.raises(ValueError, match="non-finite number nan in row 1"):
+        read_fkr1(bad)
+
+
+def test_fkr1_bytes_match_the_per_value_repr_form(tmp_path):
+    lam, phi = default_axes(RADON, 3, 2)
+    data = np.array([[5e-324, -0.0, 1e308], [0.1 + 0.2, 2.2250738585072014e-308, -1.7976931348623157e308]])
+    sino = Sinogram(RADON, lam, phi, data)
+    p = tmp_path / "awkward.fkr"
+    write_fkr1(p, sino)
+    head = f"FKR1\n{descriptor(RADON)}\nmphi 3 2 {float(lam[0])!r} {float(lam[-1])!r} full\n"
+    rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in data)
+    assert p.read_bytes() == (head + rows + "\n").encode()
+    assert read_fkr1(p).data.tobytes() == data.tobytes()

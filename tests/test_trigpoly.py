@@ -336,6 +336,55 @@ def test_residue_rejections():
         residue_integral(poly((1.0,)), poly((0.0,)))
 
 
+def random_stack(rng, n, k):
+    """n random order-k polynomials lifted clear of zero on the circle."""
+    a = rng.normal(size=(n, k + 1))
+    b = rng.normal(size=(n, k + 1))
+    b[:, 0] = 0.0
+    a[:, 0] = 1.2 * (np.abs(a[:, 1:]).sum(axis=1) + np.abs(b).sum(axis=1)) + 0.1
+    return a, b
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_residue_stack_matches_rows_one_by_one(k):
+    rng = np.random.default_rng(30 + k)
+    ta, tb = random_stack(rng, 25, k)
+    rows = [poly(a, b) for a, b in zip(ta, tb)]
+    s = poly((0.4, -1.1), (0.0, 0.7))
+    got = residue_integral(s, (ta, tb))
+    assert got.shape == (25,)
+    want = [residue_integral(s, t) for t in rows]
+    assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+    # a stacked numerator of the same order adds the top-edge constant per row
+    sa, sb = random_stack(rng, 25, k)
+    got = residue_integral((sa, sb), (ta, tb))
+    want = [residue_integral(poly(a, b), t) for a, b, t in zip(sa, sb, rows)]
+    assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+def test_residue_stack_names_the_rows_with_real_zeros():
+    rng = np.random.default_rng(40)
+    ta, tb = random_stack(rng, 6, 2)
+    ta[1] = (1.5, 2.0, 0.5)   # (1 + cos phi)^2, a repeated zero at pi
+    tb[1] = 0.0
+    ta[4] = (-1.0, 2.0, 0.3)  # two simple real zeros
+    tb[4] = 0.0
+    with pytest.raises(trigpoly.RealZeroError, match="real zero") as err:
+        residue_integral(poly((1.0,)), (ta, tb))
+    assert err.value.rows.tolist() == [1, 4]
+    with pytest.raises(ValueError, match="leading harmonic"):
+        residue_integral(poly((1.0,)), (np.array([[2.0, 1.0, 0.0]]), np.zeros((1, 3))))
+
+
+def test_roots_is_the_one_row_case_of_the_stack():
+    rng = np.random.default_rng(41)
+    ta, tb = random_stack(rng, 30, 3)
+    ta[:10, 0] = 0.0  # some rows with real zeros as well
+    stacked = trigpoly._stacked_roots(ta, tb)
+    for i, (a, b) in enumerate(zip(ta, tb)):
+        assert stacked[i].tobytes() == roots(poly(a, b)).tobytes()
+
+
 def test_residue_near_real_pair():
     # 1 + 1e-10 + cos phi never vanishes on the circle (t(pi) = 1e-10), so it
     # stays on the residue path. Its pair sits where a = cosh(Im phi), which
