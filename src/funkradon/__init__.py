@@ -16,7 +16,7 @@ from .geometry import (
 )
 from .inversion import CoverageError, WindowingError, backproject, invert, pv_filter
 from .phantom import Phantom, parse_phantom
-from .transform import Sinogram, TracingError, forward_mphi, read_fkr1, trace_curve, write_fkr1
+from .transform import DivergentRowError, Sinogram, TracingError, forward_mphi, read_fkr1, trace_curve, write_fkr1
 from .trigpoly import TrigPoly, nucleus_check, pv_inverse_square, residue_integral
 
 __version__ = "0.1.0"
@@ -34,6 +34,7 @@ __all__ = [
     "parse_phantom",
     "Sinogram",
     "TracingError",
+    "DivergentRowError",
     "forward_mphi",
     "trace_curve",
     "read_fkr1",

@@ -6,7 +6,8 @@ verify the two analytic identities the inversion rests on, and ``selftest``
 runs the whole verification battery.
 
 Exit codes: 0 success, 1 a verification reported FAIL, 2 usage or parse
-error, 3 numerical failure (coverage, windowing, tracing).
+error or a refused input (a divergent row, say), 3 numerical failure
+(coverage, windowing, tracing).
 """
 
 from __future__ import annotations

@@ -58,6 +58,7 @@ __all__ = [
     "trig_difference",
     "arc_element",
     "arcs",
+    "ray_start_gain",
     "domain_radius_cap",
 ]
 
@@ -304,12 +305,28 @@ def arc_element(geom: GeometryFamily, x, v):
     return geom.record.arc_element(x1, x2, v1, v2)
 
 
+def _lam_eps(lam):
+    return _LAM_TINY * (1.0 + float(np.max(np.abs(lam))))
+
+
 def arcs(geom: GeometryFamily, lam, phi: float, R: float, kind: str):
     """All arcs of the curves {lambda_of = lam[i]} inside the origin disc of
     radius R, for forward data of the given kind ("mphi" or "riemann")."""
     lam = np.asarray(lam, dtype=float)
-    lam_eps = _LAM_TINY * (1.0 + float(np.max(np.abs(lam))))
-    return geom.record.arcs(geom, lam, lam_eps, phi, R, kind)
+    return geom.record.arcs(geom, lam, _lam_eps(lam), phi, R, kind)
+
+
+def ray_start_gain(geom: GeometryFamily, lam, R: float):
+    """Per lambda row, the change of mphi data per unit f(0) when the rays
+    from the origin start ten times closer to it.
+
+    Zero except on the lambda = 0 rows of a family whose ray integral
+    diverges at the origin (cormack k >= 2, weight r^(1-k) / k): there a
+    phantom with f(0) != 0 has a row value set by where the rays start.
+    """
+    lam = np.asarray(lam, dtype=float)
+    gain = geom.record.ray_start_gain(geom, _RAY_START * R)
+    return np.where(np.abs(lam) <= _lam_eps(lam), gain, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +335,17 @@ def arcs(geom: GeometryFamily, lam, phi: float, R: float, kind: str):
 # A curve restricted to the working disc of radius R splits into arcs. Each
 # arc is described by a half-width array W (one entry per lambda node; zero
 # marks rows the arc misses), a map from arc parameter beta in [-W, W] to
-# points and metric speed ds/dbeta, and an optional constant multiplicity.
-# The map receives the active row indices so it can pick its per-row data.
+# points and integrand weights, and an optional constant multiplicity. The
+# weight is the family's closed form along its own arc: ds/dbeta / |grad psi|
+# for kind "mphi", the metric speed ds/dbeta for "riemann". The map receives
+# the active row indices so it can pick its per-row data.
 
 
 @dataclass
 class _Arc:
     W: np.ndarray
-    mapto: Callable  # (B, act) -> (P, speed) with P shape B.shape + (2,)
+    mapto: Callable  # (B, act) -> (P, weight), P of shape B.shape + (2,), weight broadcasting to B
     mult: float = 1.0
-    grad_done: bool = False  # speed already includes the 1/|grad psi| factor
     point: bool = False  # degenerate arc, skipped by the tracer
     stretch: bool = False  # cluster quadrature nodes toward the arc ends
 
@@ -343,9 +361,10 @@ def _circle_halfwidth(d, rc, R):
     return np.arccos(np.clip(cu, -1.0, 1.0))
 
 
-def _circle_arc(center, rc):
+def _circle_arc(center, rc, weight):
     """Map for circle arcs: beta is the angle measured from the point of the
-    circle nearest the origin, so the clipped arc is symmetric in beta."""
+    circle nearest the origin, so the clipped arc is symmetric in beta;
+    weight(px, py, act) gives the weights at the points of rows act."""
 
     def mapto(B, act):
         c = center[act]
@@ -356,19 +375,21 @@ def _circle_arc(center, rc):
         cb, sb = np.cos(B), np.sin(B)
         px = c[:, 0][:, None] + r * (cb * ux - sb * uy)
         py = c[:, 1][:, None] + r * (sb * ux + cb * uy)
-        P = np.stack([px, py], axis=-1)
-        return P, np.broadcast_to(r, B.shape)
+        return np.stack([px, py], axis=-1), weight(px, py, act)
 
     return mapto
 
 
-def _polar(r, ang):
-    return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+def _polar(r, c, s, ca, sa):
+    """Points at radius r and polar angle t + a, from c, s = cos t, sin t and
+    ca, sa = cos a, sin a, by angle addition."""
+    return np.stack([r * (c * ca - s * sa), r * (s * ca + c * sa)], axis=-1)
 
 
-def _rays(lam, lam_eps, thetas, R, mult=1.0):
+def _rays(lam, lam_eps, thetas, R, kind, weight, mult=1.0):
     """Rays from the origin at the polar angles thetas, r in (0, R], on the
-    rows where lambda vanishes; none when no row does."""
+    rows where lambda vanishes; none when no row does. weight(r) is the mphi
+    weight 1/|grad psi| at radius r; arc-length data weigh every node by 1."""
     rows = np.abs(lam) <= lam_eps
     if not np.any(rows):
         return []
@@ -376,9 +397,11 @@ def _rays(lam, lam_eps, thetas, R, mult=1.0):
     mid = _RAY_START * R + half
     out = []
     for theta in thetas:
+        e = np.array([np.cos(theta), np.sin(theta)])
 
-        def mapto(B, act, theta=theta):
-            return _polar(mid + B, theta), np.ones_like(B)
+        def mapto(B, act, e=e):
+            r = mid + B
+            return r[..., None] * e, weight(r) if kind == "mphi" else 1.0
 
         out.append(_Arc(np.where(rows, half, 0.0), mapto, mult=mult, stretch=True))
     return out
@@ -421,6 +444,7 @@ class _Family:
     kernel_condition_ok: Callable = lambda g: True
     dcoef_radius: Callable = lambda g: g.support_radius  # closed-form D(x) holds inside
     sharp_disc_data: Callable | None = None  # (g, disc, lam, phi, kind), indicator discs
+    ray_start_gain: Callable = lambda g, r0: 0.0  # (g, r0), see the public ray_start_gain
 
 
 def _symmetric(z):
@@ -432,9 +456,9 @@ def _harmonic(w, const=0.0):
     return TrigPoly((const, w[0]), (0.0, w[1]))
 
 
-def _line_arcs(sgn, speed):
-    """Arcs of the straight lines <x, e(phi)> = sgn * lambda; speed(g, P, V)
-    is the metric length of the chord direction V at the points P."""
+def _line_arcs(sgn, weight):
+    """Arcs of the straight lines <x, e(phi)> = sgn * lambda; weight(lam2, B,
+    kind) is the weight at chord parameter B on rows with lambda^2 = lam2."""
 
     def arcs(g, lam, lam_eps, phi, R, kind):
         e = np.array([np.cos(phi), np.sin(phi)])
@@ -444,7 +468,7 @@ def _line_arcs(sgn, speed):
 
         def mapto(B, act):
             P = base[act][:, None, :] + B[..., None] * eperp[None, None, :]
-            return P, speed(g, P, np.broadcast_to(eperp, P.shape))
+            return P, weight((lam[act] ** 2)[:, None], B, kind)
 
         return [_Arc(W, mapto)]
 
@@ -466,7 +490,7 @@ def _radon():
         lambda_range=lambda g, rho: _symmetric(rho),
         dcoef=lambda g, x1, x2, r2: np.ones_like(r2),
         trig_difference=lambda g, x, y: _harmonic(y - x),
-        arcs=_line_arcs(1.0, lambda g, P, V: np.ones(P.shape[:-1])),
+        arcs=_line_arcs(1.0, lambda lam2, B, kind: 1.0),
         weight_m=lambda g, r2: np.ones_like(r2),
         weight_mu=lambda g, lam: np.ones_like(lam),
         half_range=True,
@@ -482,13 +506,19 @@ def _funk():
         dot = x1 * v1 + x2 * v2
         return np.sqrt(x0sq * np.maximum(v1 * v1 + v2 * v2 - x0sq * dot * dot, 0.0))
 
+    def weight(lam2, B, kind):
+        # on the chord at distance |lambda|, ds = sqrt(1 + lambda^2) / q dbeta
+        # and |grad psi| = sqrt(q (1 + lambda^2)), with q = 1 + lambda^2 + beta^2
+        q = 1.0 + lam2 + B * B
+        return 1.0 / (q * np.sqrt(q)) if kind == "mphi" else np.sqrt(1.0 + lam2) / q
+
     return _Family(
         psi=lambda g, x1, x2, c, s: x1 * c + x2 * s,
         grad_norm=lambda g, x1, x2, c, s: np.sqrt((1.0 + x1 * x1 + x2 * x2) * (1.0 + (x1 * c + x2 * s) ** 2)),
         lambda_range=lambda g, rho: _symmetric(rho),
         dcoef=lambda g, x1, x2, r2: (1.0 + r2) ** -1.5,
         trig_difference=lambda g, x, y: _harmonic(x - y),
-        arcs=_line_arcs(-1.0, lambda g, P, V: arc_element(g, P, V)),
+        arcs=_line_arcs(-1.0, weight),
         weight_m=lambda g, r2: np.sqrt(1.0 + r2),
         weight_mu=lambda g, lam: np.sqrt(1.0 + lam * lam),
         arc_element=sphere_element,
@@ -509,6 +539,7 @@ def _poincare(den, sigma, z_max):
         return (2.0 / den(x1, x2)) * np.sqrt(np.maximum(1.0 - sigma * p * p, 0.0))
 
     def arcs(g, lam, lam_eps, phi, R, kind):
+        # on a curve psi = -lambda, so |grad psi| = 2 sqrt(1 - sigma lambda^2) / den
         c, s = np.cos(phi), np.sin(phi)
         line_rows = np.abs(lam) <= lam_eps
         circ_rows = ~line_rows
@@ -518,7 +549,7 @@ def _poincare(den, sigma, z_max):
 
             def mapto_line(B, act):
                 P = B[..., None] * eperp[None, None, :]
-                return P, np.ones_like(B)
+                return P, 0.5 * (1.0 + sigma * B * B) if kind == "mphi" else 1.0
 
             out.append(_Arc(np.where(line_rows, R, 0.0), mapto_line))
         if np.any(circ_rows):
@@ -526,8 +557,17 @@ def _poincare(den, sigma, z_max):
                 inv = 1.0 / lam
                 center = (sigma * inv)[:, None] * np.array([c, s])[None, :]
                 rc = np.sqrt(np.maximum(inv * inv - sigma, 0.0))
+                scale = rc / (2.0 * np.sqrt(np.maximum(1.0 - sigma * lam * lam, 0.0)))
             W = np.where(circ_rows, _circle_halfwidth(np.abs(inv), rc, R), 0.0)
-            out.append(_Arc(np.where(rc > 0, W, 0.0), _circle_arc(center, rc)))
+
+            def weight(px, py, act):
+                # |P|^2 from the points: d^2 + rc^2 - 2 d rc cos(beta) cancels
+                # on the large circles of small lambda
+                if kind == "mphi":
+                    return scale[act][:, None] * (1.0 + sigma * (px * px + py * py))
+                return rc[act][:, None]
+
+            out.append(_Arc(np.where(rc > 0, W, 0.0), _circle_arc(center, rc, weight)))
         return out
 
     return _Family(
@@ -580,16 +620,20 @@ def _ellipse():
         d0 = float(np.hypot(*ctr))
         rc = np.sqrt(np.maximum(lam, 0.0))
         W = np.where(lam > 0.0, _circle_halfwidth(d0, rc, R), 0.0)
-        out = [_Arc(W, _circle_arc(np.broadcast_to(ctr, (lam.size, 2)), rc))]
+
+        def weight(px, py, act):
+            # |grad psi| = 2 rc on the circle of radius rc, where ds = rc dbeta
+            return 0.5 if kind == "mphi" else rc[act][:, None]
+
+        out = [_Arc(W, _circle_arc(np.broadcast_to(ctr, (lam.size, 2)), rc, weight))]
         zero = (lam <= 0.0) & (d0 <= R)
         if np.any(zero) and kind == "mphi":
-            # shrinking circles: ds/(2 sqrt(lam)) tends to dbeta/2 at the
-            # center point, so the row keeps a finite value
+            # shrinking circles keep the weight 1/2 down to the center point,
+            # so the row keeps a finite value
             def mapto_pt(B, act):
-                P = np.broadcast_to(ctr, B.shape + (2,))
-                return P, np.full_like(B, 0.5)
+                return np.broadcast_to(ctr, B.shape + (2,)), 0.5
 
-            out.append(_Arc(np.where(zero, np.pi, 0.0), mapto_pt, grad_done=True, point=True))
+            out.append(_Arc(np.where(zero, np.pi, 0.0), mapto_pt, point=True))
         return out
 
     def sharp_disc_data(g, disc, lam, phi, kind):
@@ -636,8 +680,10 @@ def _hyperbola():
         return np.sqrt(1.0 + g.eps**2 - 2.0 * g.eps * (x1 * c + x2 * s) / r)
 
     def arcs(g, lam, lam_eps, phi, R, kind):
+        if kind != "mphi":
+            _no_factorization(g, lam)  # arc-length data would not convert to mphi
         epsc = g.eps
-        alpha0 = np.where(lam >= 0.0, 0.0, np.pi)
+        turn = np.where(lam >= 0.0, 1.0, -1.0)  # cos alpha0 for alpha0 = 0, pi
         with np.errstate(divide="ignore", invalid="ignore"):
             cpos = (1.0 + lam / R) / epsc
             cneg = (1.0 - np.abs(lam) / R) / epsc
@@ -645,15 +691,21 @@ def _hyperbola():
         Wneg = np.pi - np.arccos(np.clip(cneg, -1.0, 1.0))
         W = np.where(lam > lam_eps, Wpos, np.where(lam < -lam_eps, Wneg, 0.0))
 
+        c, s = np.cos(phi), np.sin(phi)
+
         def mapto_h(B, act):
-            al = alpha0[act][:, None] + B
-            den = epsc * np.cos(al) - 1.0
-            r = lam[act][:, None] / den
-            rp = r * epsc * np.sin(al) / den
-            return _polar(r, phi + al), np.sqrt(r * r + rp * rp)
+            # alpha = alpha0 + beta; ds and |grad psi| share the factor
+            # sqrt(1 + eps^2 - 2 eps cos alpha), leaving ds/|grad psi| = |r / den|
+            t = turn[act][:, None]
+            ca, sa = t * np.cos(B), t * np.sin(B)
+            den = epsc * ca - 1.0
+            lr = lam[act][:, None]
+            return _polar(lr / den, c, s, ca, sa), np.abs(lr) / (den * den)
 
         astar = np.arccos(1.0 / epsc)
-        return [_Arc(W, mapto_h, stretch=True)] + _rays(lam, lam_eps, (phi + astar, phi - astar), R)
+        ray = 1.0 / np.sqrt(epsc * epsc - 1.0)  # 1/|grad psi| along cos alpha = 1 / eps
+        rays = _rays(lam, lam_eps, (phi + astar, phi - astar), R, kind, lambda r: ray)
+        return [_Arc(W, mapto_h, stretch=True)] + rays
 
     return _Family(
         psi=lambda g, x1, x2, c, s: g.eps * (x1 * c + x2 * s) - np.hypot(x1, x2),
@@ -679,12 +731,20 @@ def _parabola():
         pos = lam > lam_eps
         A = np.where(pos, np.arccos(np.clip(lam * lam / R - 1.0, -1.0, 1.0)), 0.0)
 
+        c, s = np.cos(phi), np.sin(phi)
+
         def mapto_p(B, act):
-            r = lam[act][:, None] ** 2 / (1.0 + np.cos(B))
-            return _polar(r, phi + B), r / np.cos(0.5 * B)
+            # ds = r / cos(beta / 2) dbeta and |grad psi| = 1 / sqrt(2 r)
+            cb = np.cos(B)
+            q = 1.0 / (1.0 + cb)
+            lr = lam[act][:, None]
+            r = lr * lr * q
+            P = _polar(r, c, s, cb, np.sin(B))
+            return P, 2.0 * lr * r * q if kind == "mphi" else r * np.sqrt(2.0 * q)
 
         # at lambda = 0 the curve closes onto the backward ray, covered twice
-        return [_Arc(A, mapto_p, stretch=True)] + _rays(lam, lam_eps, (phi + np.pi,), R, mult=2.0)
+        rays = _rays(lam, lam_eps, (phi + np.pi,), R, kind, lambda r: np.sqrt(2.0 * r), mult=2.0)
+        return [_Arc(A, mapto_p, stretch=True)] + rays
 
     return _Family(
         psi=lambda g, x1, x2, c, s: -np.sqrt(np.maximum(np.hypot(x1, x2) + x1 * c + x2 * s, 0.0)),
@@ -717,6 +777,14 @@ def _cormack():
         w = (x[0] + 1j * x[1]) ** g.k - (y[0] + 1j * y[1]) ** g.k
         return _harmonic((-w.real, -w.imag))
 
+    def ray_start_gain(g, r0):
+        # 2k rays, each integrating f(0) r^(1-k) / k over [r0 / 10, r0]
+        if g.k == 2:
+            return 2.0 * np.log(10.0)
+        if g.k > 2:
+            return 2.0 * r0 ** (2 - g.k) * (10.0 ** (g.k - 2) - 1.0) / (g.k - 2)
+        return 0.0
+
     def arcs(g, lam, lam_eps, phi, R, kind):
         k = g.k
         Rk = R**k
@@ -726,14 +794,19 @@ def _cormack():
         off = np.where(lam >= 0.0, 0.0, np.pi)
         out = []
         for m in range(k):
+            th0 = (phi + off + TAU * m) / k  # polar angle of the sheet at beta = 0
 
-            def mapto_c(B, act, m=m):
-                r = (absl[act][:, None] / np.cos(B)) ** (1.0 / k)
-                th = (phi + off[act][:, None] + B + TAU * m) / k
-                return _polar(r, th), r / (k * np.cos(B))
+            def mapto_c(B, act, c0=np.cos(th0), s0=np.sin(th0)):
+                # theta = th0 + beta / k; ds = r / (k cos beta) dbeta and
+                # |grad psi| = k r^(k-1)
+                cb = np.cos(B)
+                r = (absl[act][:, None] / cb) ** (1.0 / k)
+                P = _polar(r, c0[act][:, None], s0[act][:, None], np.cos(B / k), np.sin(B / k))
+                return P, r ** (2 - k) / (k * k * cb) if kind == "mphi" else r / (k * cb)
 
             out.append(_Arc(B0.copy(), mapto_c, stretch=True))
-        return out + _rays(lam, lam_eps, [(phi + 0.5 * np.pi + np.pi * j) / k for j in range(2 * k)], R)
+        thetas = [(phi + 0.5 * np.pi + np.pi * j) / k for j in range(2 * k)]
+        return out + _rays(lam, lam_eps, thetas, R, kind, lambda r: r ** (1 - k) / k)
 
     return _Family(
         psi=psi,
@@ -747,6 +820,7 @@ def _cormack():
         params=(_Param("k", lambda v: float(v).is_integer() and v >= 1, "a positive integer order k", int),),
         punctured=True,
         sheets=lambda g: float(g.k),
+        ray_start_gain=ray_start_gain,
     )
 
 

@@ -5,11 +5,14 @@ circle, or a polar graph, so geometry.arcs parametrizes it exactly, clipped to
 a working disc about the origin; no implicit-surface marching is needed. The
 forward value at one sinogram node is the curve integral of the phantom
 weighted by 1/|grad psi| (kind "mphi") or by nothing (kind "riemann", plain
-metric arc length), computed by the trapezoid rule on nested nodes (each
+metric arc length). Each arc map returns that weight with its points, in the
+family's closed form along its own arcs, so no gradient is evaluated here.
+The integral is computed by the trapezoid rule on nested nodes (each
 doubling evaluates only the new midpoints) with Richardson extrapolation;
 each row refines until it has converged, independently of the other rows.
 Columns at different angles are independent, so the work parallelizes over
-phi without changing any result.
+phi without changing any result. A row whose integral diverges at a
+singular point of the family is refused (DivergentRowError).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .phantom import Disc, Phantom
 __all__ = [
     "Sinogram",
     "TracingError",
+    "DivergentRowError",
     "default_axes",
     "trace_curve",
     "forward_mphi",
@@ -58,11 +62,12 @@ def _keep_work_arrays_on_the_heap() -> None:
     freed, so each burst is page-faulted and zeroed anew. Both thresholds
     start at 128 KB and rise only when a larger mapped block is freed (the
     trim threshold to twice its size), up to 32 MB and 64 MB. This sets
-    them to that top from the start, so a forward runs at the same speed whether or not some large
-    array has come and gone before it: on 2 vCPUs, a 513 x 45 round trip of
-    the curved families ran its forward about 20 % faster than at the
-    starting thresholds. The setting holds for the whole process, so it is
-    made at the first forward transform rather than on import.
+    them to that top from the start, so a forward runs at the same speed
+    whether or not some large array has come and gone before it: on 2 vCPUs,
+    a 513 x 45 round trip of the curved families ran its forward about 20 %
+    faster than at the starting thresholds. The setting holds for the whole
+    process, so it is made at the first forward transform rather than on
+    import.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -74,9 +79,13 @@ def _keep_work_arrays_on_the_heap() -> None:
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
-
 class TracingError(RuntimeError):
     """Newton projection onto a level curve failed to converge."""
+
+
+class DivergentRowError(ValueError):
+    """A row's curve integral diverges at a singular point of the family, so
+    the value the quadrature returns is set by where its rays start."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +169,7 @@ def default_axes(geom: GeometryFamily, n_lambda: int, n_phi: int, half: bool = F
 def _stretch_map(u):
     """Odd C^2 map of [-1, 1] onto itself with (1 - u^2)^2 derivative.
 
-    Arcs whose metric speed spikes at the window edge (the curve leaving the
+    Arcs whose weight spikes at the window edge (the curve leaving the
     working disc almost tangentially) integrate poorly on uniform nodes: the
     spike width shrinks linearly with the row's lambda. Substituting
     beta = W s(u) multiplies the integrand by s'(u), whose quadratic zero at
@@ -205,13 +214,11 @@ def _column(geom, phantom, lam, phi, R, kind, rtol, n_start, n_max):
                 continue
             nodes = smap if arc.stretch else u
             B = arc.W[act][:, None] * nodes[None, :]
-            P, speed = arc.mapto(B, act)
+            P, weight = arc.mapto(B, act)
             vals = phantom.eval(P)
             if not np.all(np.isfinite(vals)):
                 raise ValueError("phantom evaluated to a non-finite value on a curve")
-            if kind == "mphi" and not arc.grad_done:
-                vals = vals / geo.grad_norm(geom, P, float(phi))
-            vals = vals * speed
+            vals = vals * weight
             if arc.stretch:
                 vals = vals * sder[None, :]
             tot[act] += arc.W[act] * np.sum(vals, axis=1) * arc.mult
@@ -282,9 +289,34 @@ def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, w
         else:
             cols = [_column(*job) for job in jobs]
         data += np.stack(cols, axis=0)
+        if kind == "mphi":
+            _refuse_divergent_rows(geom, smooth, lam, R, data, rtol, n_max)
     for disc in sharp:
         data += disc_data(geom, disc, lam, phi, kind)
     return Sinogram(geom, lam, phi, data, kind=kind)
+
+
+def _refuse_divergent_rows(geom, phantom, lam, R, data, rtol, n_max):
+    """Raise DivergentRowError where starting the rays from the origin ten
+    times closer would move a row by more than rtol * max|data|.
+
+    rtol = 0 is judged at n_max * eps, the round-off of a trapezoid sum over
+    n_max nodes, below which no quadrature depth tells the rows apart.
+    """
+    gain = geo.ray_start_gain(geom, lam, R)
+    if not np.any(gain > 0.0):
+        return
+    f0 = float(phantom.eval(np.zeros(2)))
+    tol = max(rtol, n_max * np.finfo(float).eps) * float(np.max(np.abs(data)))
+    bad = np.flatnonzero(gain * abs(f0) > tol)
+    if bad.size:
+        i = int(bad[0])
+        raise DivergentRowError(
+            f"{geo.descriptor(geom)}: the mphi row lambda = {lam[i]:.3g} (index {i}) diverges at the "
+            f"origin, where the phantom is f(0) = {f0:.3g}; starting its rays ten times closer moves it "
+            f"by {gain[i] * abs(f0):.3g}, more than {tol:.3g}. Use an even number of lambda samples "
+            "or a phantom that vanishes at the origin"
+        )
 
 
 def forward_mphi(

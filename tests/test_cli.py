@@ -81,6 +81,19 @@ def test_forward_rejects_a_non_integer_cormack_order(capsys, tmp_path):
     assert not (tmp_path / "x.fkr1").exists()
 
 
+def test_forward_refuses_a_cormack_row_that_diverges_at_the_origin(capsys, tmp_path):
+    # odd nlambda puts a row at lambda = 0, whose rays integrate f(0) / (2 r)
+    # from the origin: the value would be set by where the rays start
+    code, _, err = run(
+        capsys, "forward", "--geometry", "cormack:k=2",
+        "--phantom", "gauss:0,0,0.15,1", "--nlambda", 33, "--nphi", 8,
+        "--out", tmp_path / "x.fkr1",
+    )
+    assert code == 2
+    assert "k=2" in err and "f(0) = 1" in err and "lambda = 0 (index 16)" in err
+    assert not (tmp_path / "x.fkr1").exists()
+
+
 def test_forward_rejects_non_finite_geometry_parameters(capsys, tmp_path):
     for text, word in (("radon:support=inf", "support_radius"), ("ellipse:e1=inf,e2=1", "e1")):
         code, _, err = run(

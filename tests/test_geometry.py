@@ -18,6 +18,7 @@ from funkradon import FactorizationUnavailableError, GeometryDomainError, Geomet
 from funkradon.geometry import (
     TAGS,
     arc_element,
+    arcs,
     dcoef_closed,
     descriptor,
     domain_radius_cap,
@@ -460,6 +461,55 @@ def test_arc_element():
     # ones by 1/sqrt(1+r^2)
     assert arc_element(FUNK, (1.0, 0.0), (1.0, 0.0)) == pytest.approx(0.5)
     assert arc_element(FUNK, (1.0, 0.0), (0.0, 1.0)) == pytest.approx(1.0 / math.sqrt(2.0))
+
+
+# ------------------------------------------------------------ arc weights
+
+ARC_FAMILIES = (RADON, FUNK, HGEO, EQUI, CIRCLE, ELLIPSE, HYPER, PARAB, CORMACK2, CORMACK3)
+
+
+def arc_oracle(geom, arc, B, act, phi, kind, h=1e-5):
+    """Integrand weight from the definition: the metric length of dP/dbeta
+    (central differences), over |grad psi| for mphi data."""
+    P, _ = arc.mapto(B, act)
+    dP = (arc.mapto(B + h, act)[0] - arc.mapto(B - h, act)[0]) / (2.0 * h)
+    ds = arc_element(geom, P, dP)
+    return ds / grad_norm(geom, P, phi) if kind == "mphi" else ds
+
+
+@pytest.mark.parametrize("kind", ("mphi", "riemann"))
+@pytest.mark.parametrize("geom", ARC_FAMILIES, ids=descriptor)
+def test_arc_weights_match_speed_over_gradient(geom, kind):
+    # drawn rows and nodes, with lambda = 0 among the rows so that the rays
+    # of the punctured families and the lines of the Poincare families appear
+    rng = np.random.default_rng(sum(map(ord, descriptor(geom) + kind)))
+    lo, hi = lambda_range(geom)
+    lam = np.append(lo + (hi - lo) * rng.uniform(0.1, 0.9, 6), 0.0)
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    R = 1.05 * geom.support_radius
+    if geom.tag == "hyperbola" and kind == "riemann":
+        # arc-length data of a family without the m * mu split would never
+        # convert to mphi data, so the arcs refuse to weigh them
+        with pytest.raises(FactorizationUnavailableError):
+            arcs(geom, lam, phi, R, kind)
+        return
+    checked = points = 0
+    for arc in arcs(geom, lam, phi, R, kind):
+        act = np.flatnonzero(arc.W > 0.0)
+        B = arc.W[act][:, None] * rng.uniform(-0.9, 0.9, (act.size, 5))
+        got = np.broadcast_to(arc.mapto(B, act)[1], B.shape)
+        if arc.point:
+            # the ellipse's lambda = 0 row: the limit of shrinking circles
+            # about the centre point, weighed here on a small one
+            small = arcs(geom, np.full(lam.shape, 1e-6), phi, R, kind)[0]
+            want = arc_oracle(geom, small, B, act, phi, kind, h=1e-4)
+            points += 1
+        else:
+            want = arc_oracle(geom, arc, B, act, phi, kind)
+        assert_allclose(got, want, rtol=1e-7)
+        checked += act.size
+    assert checked >= lam.size - 1
+    assert points == (geom is CIRCLE and kind == "mphi")
 
 
 def test_domain_radius_cap():

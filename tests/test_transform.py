@@ -16,6 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from funkradon import (
+    DivergentRowError,
     FactorizationUnavailableError,
     GeometryFamily,
     Phantom,
@@ -26,6 +27,8 @@ from funkradon import (
     trace_curve,
     write_fkr1,
 )
+from funkradon import geometry
+from funkradon.acceptance import _round_trips
 from funkradon.geometry import descriptor, lambda_of
 from funkradon.phantom import Disc, Gaussian, parse_phantom
 from funkradon.transform import default_axes, forward_riemann, riemann_to_mphi
@@ -440,6 +443,54 @@ def test_forward_matches_a_fixed_depth_reference(geom, gaussians, lam):
     zero = np.flatnonzero(lam == 0.0)
     assert zero.size == 1 and np.max(ref[:, zero]) > 0.05 * np.max(ref)
     assert np.max(np.abs(got - ref)) <= 2.0 * rtol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("rt", _round_trips(), ids=lambda rt: rt.label)
+def test_forward_evaluates_no_gradient(monkeypatch, rt):
+    # every arc weighs its nodes in closed form, both kinds of data
+    def no_gradient(*args, **kwargs):
+        raise AssertionError("the forward transform evaluated grad_norm")
+
+    monkeypatch.setattr(geometry, "grad_norm", no_gradient)
+    lam, phi = default_axes(rt.geom, 33, 4)
+    assert np.max(forward_mphi(rt.phantom, rt.geom, lam, phi).data) > 0.0
+    if rt.geom.tag == "hyperbola":
+        with pytest.raises(FactorizationUnavailableError):
+            forward_riemann(rt.phantom, rt.geom, lam, phi)
+    else:
+        assert np.max(forward_riemann(rt.phantom, rt.geom, lam, phi).data) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# forward transform: rows that diverge at the origin
+
+ORIGIN_GAUSSIAN = Phantom((Gaussian((0.0, 0.0), 0.15),))
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_forward_refuses_the_cormack_zero_row_when_f_at_the_origin_is_not_zero(k):
+    # the rays of the lambda = 0 row integrate f(0) r^(1-k) / k from the
+    # origin, which diverges for k >= 2; odd n_lambda puts a node there
+    geom = GeometryFamily("cormack", k=k)
+    lam, phi = default_axes(geom, 33, 8)
+    with pytest.raises(DivergentRowError, match=rf"k={k}.*lambda = 0 \(index 16\).*f\(0\) = 1"):
+        forward_mphi(ORIGIN_GAUSSIAN, geom, lam, phi)
+    # arc-length data weigh the rays by dr alone, which converges
+    forward_riemann(ORIGIN_GAUSSIAN, geom, lam, phi)
+    lam, phi = default_axes(geom, 32, 8)
+    assert np.all(np.isfinite(forward_mphi(ORIGIN_GAUSSIAN, geom, lam, phi).data))
+
+
+def test_forward_keeps_the_cormack_zero_row_where_it_converges():
+    # k = 1 weighs its rays by 1, so the row converges whatever f(0) is
+    cormack1 = GeometryFamily("cormack", k=1)
+    lam, phi = default_axes(cormack1, 33, 8)
+    forward_mphi(ORIGIN_GAUSSIAN, cormack1, lam, phi)
+    # the acceptance phantom: f(0) ~ 8e-15 moves the row far below rtol
+    lam, phi = default_axes(CORMACK2, 33, 8)
+    ph = Phantom((Gaussian((0.55, 0.0), 0.0675), Gaussian((-0.55, 0.0), 0.0675)))
+    sino = forward_mphi(ph, CORMACK2, lam, phi)
+    assert np.max(sino.data[:, 16]) > 0.05 * np.max(sino.data)
 
 
 # ---------------------------------------------------------------------------
