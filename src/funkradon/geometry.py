@@ -181,12 +181,16 @@ def _split(x):
 
 
 def _domain_split(geom: GeometryFamily, x):
+    """Coordinates of x, refused outside the family's domain; |x|^2 is
+    formed only for the families whose domain is restricted."""
     x1, x2 = _split(x)
-    r2 = x1 * x1 + x2 * x2
-    if geom.record.open_disc and np.any(r2 >= 1.0):
-        raise GeometryDomainError(f"{geom.tag} requires |x| < 1")
-    if geom.record.punctured and np.any(r2 == 0.0):
-        raise GeometryDomainError(f"{geom.tag} is undefined at the origin")
+    rec = geom.record
+    if rec.open_disc or rec.punctured:
+        r2 = x1 * x1 + x2 * x2
+        if rec.open_disc and np.any(r2 >= 1.0):
+            raise GeometryDomainError(f"{geom.tag} requires |x| < 1")
+        if rec.punctured and np.any(r2 == 0.0):
+            raise GeometryDomainError(f"{geom.tag} is undefined at the origin")
     return x1, x2
 
 

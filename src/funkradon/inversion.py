@@ -9,7 +9,10 @@ with g the forward data, lambda0(x, phi) the curve parameter of the family
 member through x, and D(x) the angular mean of 1/|grad psi|^2. The inner
 finite-part integral is tabulated once per phi row on the data's own lambda
 grid (pv_filter); backprojection then samples that table at lambda0 by cubic
-interpolation and averages over phi.
+interpolation and averages over phi. Each row is interpolated from a
+power-form table: the four coefficients of the 4-point Lagrange cubic on
+every stencil, built in O(m) per row, so a pixel costs four gathers and
+Horner's rule.
 
 The second-order singularity is never attacked head-on: integrating by parts
 turns it into a first-order principal value of dg/dlambda, which is computed
@@ -43,6 +46,10 @@ __all__ = [
 ]
 
 TAU = 2.0 * np.pi
+
+# Nodes of the cubic interpolation stencil: the fewest a filtered lambda axis
+# may have.
+_MIN_NODES = 4
 
 
 class WindowingError(ValueError):
@@ -158,6 +165,13 @@ def pv_filter(sino: Sinogram, boundary_rtol: float = 1e-6) -> FilteredSinogram:
     lam = sino.lambda_axis
     phi = sino.phi_axis
     g = sino.data
+    # the parabola's even extension filters 2m - 1 nodes
+    m = 2 * lam.size - 1 if geom.record.even_in_lambda else lam.size
+    if m < _MIN_NODES:
+        raise ValueError(
+            f"the filtered lambda axis has {m} nodes; cubic interpolation "
+            f"needs at least {_MIN_NODES}"
+        )
 
     if geom.record.half_range and sino.phi_full == "half":
         # g(-lambda, phi + pi) = g(lambda, phi): mirror the lambda axis to
@@ -192,52 +206,87 @@ def pv_filter(sino: Sinogram, boundary_rtol: float = 1e-6) -> FilteredSinogram:
     return FilteredSinogram(geom, lam, phi, _fp_rows(g, lam))
 
 
-def _cubic_rows(values: np.ndarray, lam: np.ndarray, lam0: np.ndarray, j: int):
-    """4-point Lagrange interpolation of one filtered row at lambda0."""
-    m = lam.size
-    h = lam[1] - lam[0]
-    t = (lam0 - lam[0]) / h
-    i0 = np.clip(np.floor(t).astype(int) - 1, 0, m - 4)
-    u = t - i0
-    row = values[j]
-    w0 = -(u - 1.0) * (u - 2.0) * (u - 3.0) / 6.0
-    w1 = u * (u - 2.0) * (u - 3.0) / 2.0
-    w2 = -u * (u - 1.0) * (u - 3.0) / 2.0
-    w3 = u * (u - 1.0) * (u - 2.0) / 6.0
-    return w0 * row[i0] + w1 * row[i0 + 1] + w2 * row[i0 + 2] + w3 * row[i0 + 3]
+def _cubic_table(row: np.ndarray) -> np.ndarray:
+    """Power-form coefficients of the 4-point Lagrange cubic on every stencil
+    of one filtered row: c[:, i] holds (c0, c1, c2, c3) of the cubic through
+    row[i : i + 4], in the offset s from node i + 1 (s in [-1, 2])."""
+    v0, v1, v2, v3 = row[:-3], row[1:-2], row[2:-1], row[3:]
+    c = np.empty((4, row.size - 3))
+    c[0] = v1
+    c[1] = v2 - v0 / 3.0 - v1 / 2.0 - v3 / 6.0
+    c[2] = (v0 + v2) / 2.0 - v1
+    c[3] = (v3 - v0) / 6.0 + (v1 - v2) / 2.0
+    return c
 
 
 def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     """Average the filtered tables over phi at each pixel's lambda0 and apply
     the -1/(4 pi^2 D(x)) normalization (with the sheet count for the cormack
-    family, whose curves pass through each point on k parameter sheets)."""
+    family, whose curves pass through each point on k parameter sheets).
+
+    Each phi row is sampled by 4-point Lagrange interpolation on the stencil
+    starting at clip(floor(t) - 1, 0, m - 4), t = (lambda0 - lambda_first)/h,
+    so the first and last intervals extrapolate inside the end stencils. The
+    row is first turned into a power-form table (_cubic_table, O(m)); a pixel
+    then costs four gathers and Horner's rule in s = t - (stencil start + 1).
+    """
     geom = filtered.geom
     lam = filtered.lambda_axis
     phi = filtered.phi_axis
+    m = lam.size
+    if m < _MIN_NODES:
+        raise ValueError(f"backprojection needs at least {_MIN_NODES} lambda nodes, got {m}")
+    h = lam[1] - lam[0]
     pts = grid.points()
     D = np.asarray(geo.dcoef_closed(geom, pts))
     sheet = geom.record.sheets(geom)
     tol = 1e-9 * (1.0 + lam[-1] - lam[0])
+    lo, hi = lam[0] - tol, lam[-1] + tol
     acc = np.zeros((grid.nx, grid.ny))
+    val = np.empty_like(acc)
+    coef = np.empty_like(acc)
     for j, p in enumerate(phi):
         lam0 = np.asarray(geo.lambda_of(geom, pts, float(p)))
-        # a NaN lambda0 fails both comparisons, so it counts as uncovered too
-        bad = ~((lam0 >= lam[0] - tol) & (lam0 <= lam[-1] + tol))
-        if np.any(bad):
-            where = np.argwhere(bad)
-            shown = "; ".join(
-                f"({pts[ix, iy, 0]:.6g}, {pts[ix, iy, 1]:.6g}) needs lambda0={lam0[ix, iy]:.6g}"
-                for ix, iy in where[:4]
-            )
-            more = "" if len(where) <= 4 else f" (and {len(where) - 4} more)"
-            raise CoverageError(
-                f"{len(where)} grid points at phi={float(p):.6g} fall outside the filtered "
-                f"range [{lam[0]:.6g}, {lam[-1]:.6g}]: {shown}{more}"
-            )
-        acc += _cubic_rows(filtered.values, lam, lam0, j)
+        # min and max carry a NaN lambda0, which fails both comparisons, so
+        # it counts as uncovered too
+        if not (lam0.min() >= lo and lam0.max() <= hi):
+            _refuse_uncovered(pts, lam0, lo, hi, lam, float(p))
+        # s = t - 1 - k on the stencil k = clip(floor(t) - 1, 0, m - 4), with
+        # t = (lambda0 - lambda_first) / h; clipping floor(t - 1) picks the
+        # same k, since t - 1 is exact for t >= 1/2 and below that both clip to 0
+        s = lam0 - lam[0]
+        s /= h
+        s -= 1.0
+        k = np.floor(s)
+        np.clip(k, 0, m - 4, out=k)
+        s -= k
+        k = k.astype(np.intp)
+        c = _cubic_table(filtered.values[j])
+        # k is in range, so mode="clip" only skips numpy's bounds check
+        np.take(c[3], k, out=val, mode="clip")
+        for ci in c[2::-1]:
+            val *= s
+            val += np.take(ci, k, out=coef, mode="clip")
+        acc += val
     dphi = phi[1] - phi[0]
     rec = -acc * dphi / (4.0 * np.pi**2 * D * sheet)
     return ScalarField(grid, rec)
+
+
+def _refuse_uncovered(pts, lam0, lo, hi, lam, p):
+    """Raise CoverageError naming the first grid points of the row at phi = p
+    whose lambda0 lies outside [lo, hi] or is not finite."""
+    bad = ~((lam0 >= lo) & (lam0 <= hi))
+    where = np.argwhere(bad)
+    shown = "; ".join(
+        f"({pts[ix, iy, 0]:.6g}, {pts[ix, iy, 1]:.6g}) needs lambda0={lam0[ix, iy]:.6g}"
+        for ix, iy in where[:4]
+    )
+    more = "" if len(where) <= 4 else f" (and {len(where) - 4} more)"
+    raise CoverageError(
+        f"{len(where)} grid points at phi={p:.6g} fall outside the filtered "
+        f"range [{lam[0]:.6g}, {lam[-1]:.6g}]: {shown}{more}"
+    )
 
 
 def invert(sino: Sinogram, grid: Grid) -> ScalarField:

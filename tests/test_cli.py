@@ -8,9 +8,10 @@ the acceptance battery through a real subprocess, not here.
 import numpy as np
 import pytest
 
+from funkradon import GeometryFamily, Sinogram
 from funkradon.cli import main
 from funkradon.fields import read_f64grid
-from funkradon.transform import read_fkr1
+from funkradon.transform import read_fkr1, write_fkr1
 
 
 def run(capsys, *argv):
@@ -260,6 +261,19 @@ def test_invert_windowing_failure_exits_3(capsys, tmp_path):
     )
     assert code == 3
     assert "does not cover the phantom" in err
+
+
+def test_invert_refuses_a_three_sample_lambda_axis(capsys, tmp_path):
+    short = tmp_path / "short.fkr1"
+    lam = np.linspace(-1.0, 1.0, 3)
+    phi = np.arange(8) * (np.pi / 4)
+    data = np.zeros((8, 3))
+    data[:, 1] = 1.0
+    write_fkr1(short, Sinogram(GeometryFamily("radon"), lam, phi, data))
+    code, _, err = run(capsys, "invert", "--in", short, "--out", tmp_path / "x.f64", "--grid-n", 9)
+    assert code == 2
+    assert "cubic interpolation needs at least 4" in err
+    assert not (tmp_path / "x.f64").exists()
 
 
 def test_invert_routes_riemann_files_through_conversion(capsys, tmp_path):

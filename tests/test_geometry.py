@@ -204,6 +204,27 @@ def test_psi_domain_errors():
         psi(CORMACK2, (0.0, 0.0), 0.0)
 
 
+@pytest.mark.parametrize("fn", (lambda_of, psi, grad_norm, dcoef_closed), ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "geom, bad, match",
+    [
+        (HGEO, (1.0, 0.0), r"requires \|x\| < 1"),
+        (HGEO, (0.6, -0.9), r"requires \|x\| < 1"),
+        (EQUI, (0.0, -1.0), r"requires \|x\| < 1"),
+        (EQUI, (1.5, 0.0), r"requires \|x\| < 1"),
+        (PARAB, (0.0, 0.0), "undefined at the origin"),
+        (CORMACK2, (0.0, 0.0), "undefined at the origin"),
+        (CORMACK3, (0.0, 0.0), "undefined at the origin"),
+    ],
+)
+def test_restricted_domains_refuse_a_point_in_a_batch(fn, geom, bad, match):
+    # one point outside the domain among good ones, as a grid would hold it
+    pts = np.array([(0.3, 0.2), bad, (-0.1, 0.4)])
+    args = (geom, pts) if fn is dcoef_closed else (geom, pts, 0.7)
+    with pytest.raises(GeometryDomainError, match=match):
+        fn(*args)
+
+
 def test_parabola_branch_is_signed_square_root():
     x = (0.5, 0.0)
     assert psi_branch(PARAB, x, 0.0) == pytest.approx(-1.0)   # -sqrt(2 * 0.5)

@@ -30,7 +30,7 @@ from funkradon import (
     pv_filter,
 )
 from funkradon.fields import Grid
-from funkradon.inversion import _fp_rows, dcoef_quadrature, reconstruct_riemann
+from funkradon.inversion import FilteredSinogram, _fp_rows, dcoef_quadrature, reconstruct_riemann
 from funkradon.phantom import Gaussian
 from funkradon.transform import default_axes, forward_riemann
 
@@ -181,6 +181,27 @@ def test_pv_filter_parabola_needs_zero_start():
         pv_filter(sino)
 
 
+@pytest.mark.parametrize("m", (2, 3))
+def test_pv_filter_refuses_fewer_than_four_lambda_nodes(m):
+    # the cubic stencil needs 4 nodes; at m = 3 it used to wrap to the last
+    # node and reconstruct 0.6366 at every pixel of this sinogram
+    data = np.zeros((8, m))
+    if m == 3:
+        data[:, 1] = 1.0
+    sino = Sinogram(RADON, np.linspace(-1.0, 1.0, m), uniform_phi(8), data)
+    with pytest.raises(ValueError, match=f"has {m} nodes; cubic interpolation needs at least 4"):
+        pv_filter(sino)
+    table = FilteredSinogram(RADON, sino.lambda_axis, sino.phi_axis, data)
+    with pytest.raises(ValueError, match=f"at least 4 lambda nodes, got {m}"):
+        backproject(table, Grid.centered(3, 0.5))
+
+
+def test_pv_filter_refuses_a_parabola_axis_that_extends_to_three_nodes():
+    sino = Sinogram(PARAB, np.array([0.0, 1.0]), uniform_phi(4), np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="has 3 nodes"):
+        pv_filter(sino)
+
+
 def dense_fp_rows(g, lam):
     """The filter as an explicit m x m quadrature matrix A[k, i] = w_k /
     (lambda_k - lambda_i), k != i: the direct form of the finite part."""
@@ -252,6 +273,33 @@ def test_backproject_coverage_error():
         backproject(pv_filter(sino), Grid.centered(9, 0.7))
 
 
+@pytest.mark.parametrize(
+    "lam_lo, lam_hi, message",
+    [
+        (
+            -0.5,
+            0.5,
+            "6 grid points at phi=0 fall outside the filtered range [-0.5, 0.5]: "
+            "(-0.7, -0.7) needs lambda0=-0.7; (-0.7, 0) needs lambda0=-0.7; "
+            "(-0.7, 0.7) needs lambda0=-0.7; (0.7, -0.7) needs lambda0=0.7 (and 2 more)",
+        ),
+        (
+            -0.75,
+            0.5,
+            "3 grid points at phi=0 fall outside the filtered range [-0.75, 0.5]: "
+            "(0.7, -0.7) needs lambda0=0.7; (0.7, 0) needs lambda0=0.7; "
+            "(0.7, 0.7) needs lambda0=0.7",
+        ),
+    ],
+)
+def test_backproject_coverage_error_names_the_first_points(lam_lo, lam_hi, message):
+    # radon lambda0 at phi = 0 is x1; the 3 x 3 grid has x1 in {-0.7, 0, 0.7}
+    sino = Sinogram(RADON, np.linspace(lam_lo, lam_hi, 33), uniform_phi(8), np.zeros((8, 33)))
+    with pytest.raises(CoverageError) as info:
+        backproject(pv_filter(sino), Grid.centered(3, 0.7))
+    assert str(info.value) == message
+
+
 def test_backproject_counts_a_non_finite_lambda0_as_uncovered(monkeypatch):
     sino = window_sinogram(lambda lam: np.zeros_like(lam), m=33, n_phi=8)
     filtered = pv_filter(sino)
@@ -265,6 +313,51 @@ def test_backproject_counts_a_non_finite_lambda0_as_uncovered(monkeypatch):
     monkeypatch.setattr(geo, "lambda_of", with_nan)
     with pytest.raises(CoverageError, match="1 grid points"):
         backproject(filtered, Grid.centered(9, 0.5))
+
+
+def lagrange_cubic(row, lam, lam0):
+    """4-point Lagrange interpolation of one filtered row at lambda0 on the
+    stencil clip(floor(t) - 1, 0, m - 4), in weight-polynomial form."""
+    m = lam.size
+    t = (lam0 - lam[0]) / (lam[1] - lam[0])
+    i0 = np.clip(np.floor(t).astype(int) - 1, 0, m - 4)
+    u = t - i0
+    w0 = -(u - 1.0) * (u - 2.0) * (u - 3.0) / 6.0
+    w1 = u * (u - 2.0) * (u - 3.0) / 2.0
+    w2 = -u * (u - 1.0) * (u - 3.0) / 2.0
+    w3 = u * (u - 1.0) * (u - 2.0) / 6.0
+    return w0 * row[i0] + w1 * row[i0 + 1] + w2 * row[i0 + 2] + w3 * row[i0 + 3]
+
+
+@pytest.mark.parametrize("m", (4, 5, 64, 2049))
+def test_backproject_matches_the_lagrange_oracle(m, monkeypatch):
+    # rough rows, with lambda0 on nodes, at midpoints, in the first and last
+    # intervals (the clipped stencils) and up to the tolerance outside the axis
+    rng = np.random.default_rng(m)
+    lam = np.linspace(-0.7, 1.3, m)
+    h = lam[1] - lam[0]
+    tol = 1e-9 * (1.0 + lam[-1] - lam[0])
+    probes = np.concatenate([
+        lam,
+        0.5 * (lam[:-1] + lam[1:]),
+        lam[0] + h * rng.uniform(size=16),
+        lam[-1] - h * rng.uniform(size=16),
+        lam[0] - tol * rng.uniform(size=8),
+        lam[-1] + tol * rng.uniform(size=8),
+        [lam[0] - tol, lam[-1] + tol],
+    ])
+    n = int(np.ceil(np.sqrt(probes.size)))
+    probes = np.concatenate([probes, rng.uniform(lam[0], lam[-1], n * n - probes.size)])
+    phi = uniform_phi(3)
+    values = rng.normal(size=(phi.size, m))
+    lam0_at = {float(p): rng.permutation(probes).reshape(n, n) for p in phi}
+    monkeypatch.setattr(geo, "lambda_of", lambda geom, x, p: lam0_at[p].copy())
+    grid = Grid.centered(n, 0.5)
+
+    got = backproject(FilteredSinogram(RADON, lam, phi, values), grid).values
+    acc = sum(lagrange_cubic(row, lam, lam0_at[float(p)]) for row, p in zip(values, phi))
+    want = -acc * (phi[1] - phi[0]) / (4.0 * np.pi**2 * geo.dcoef_closed(RADON, grid.points()))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_invert_is_homogeneous():
