@@ -74,6 +74,25 @@ class FilteredSinogram:
     phi_axis: np.ndarray
     values: np.ndarray
 
+    def __post_init__(self):
+        lam = np.asarray(self.lambda_axis, dtype=float)
+        phi = np.asarray(self.phi_axis, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "lambda_axis", lam)
+        object.__setattr__(self, "phi_axis", phi)
+        object.__setattr__(self, "values", values)
+        if lam.ndim != 1 or lam.size < 2:
+            raise ValueError("filtered lambda axis needs at least two nodes")
+        dl = np.diff(lam)
+        if dl[0] <= 0 or not np.allclose(dl, dl[0], rtol=1e-9, atol=0):
+            raise ValueError("filtered lambda axis must be uniform and ascending")
+        if phi.ndim != 1 or phi.size < 2:
+            raise ValueError(f"filtered table needs at least two phi rows, got {phi.size}")
+        if values.shape != (phi.size, lam.size):
+            raise ValueError(
+                f"filtered values of shape {values.shape} do not match the axes ({phi.size}, {lam.size})"
+            )
+
 
 def dcoef_quadrature(geom: geo.GeometryFamily, x, n_phi: int = 256):
     """Normalizer D(x) as the mean of 1/|grad psi|^2 over a uniform phi grid

@@ -39,6 +39,10 @@ class Gaussian:
         # effectively zero past six sigmas
         return float(np.hypot(*self.center) + 6.0 * self.sigma)
 
+    @property
+    def feature_scale(self) -> float:
+        return float(self.sigma)
+
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         d2 = (x[..., 0] - self.center[0]) ** 2 + (x[..., 1] - self.center[1]) ** 2
@@ -70,6 +74,12 @@ class Disc:
     def support_radius(self) -> float:
         return float(np.hypot(*self.center) + self.radius)
 
+    @property
+    def feature_scale(self) -> float:
+        # the rim band; 0 for a sharp disc, which the forward transform
+        # integrates analytically rather than by quadrature
+        return float(self.width)
+
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         d = np.hypot(x[..., 0] - self.center[0], x[..., 1] - self.center[1])
@@ -92,11 +102,18 @@ class Phantom:
             return 0.0
         return max(c.support_radius for c in self.components)
 
+    @property
+    def feature_scale(self) -> float:
+        """Length below which the phantom may vary by O(1): the smallest
+        component scale. A component that declares none counts as 0, which
+        makes the forward quadrature refine its rows to n_max."""
+        return min((getattr(c, "feature_scale", 0.0) for c in self.components), default=np.inf)
+
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1])
         for c in self.components:
-            out = out + c.eval(x)
+            out += c.eval(x)
         return out if out.shape else float(out)
 
     def rasterize(self, grid: Grid) -> ScalarField:

@@ -8,8 +8,11 @@ weighted by 1/|grad psi| (kind "mphi") or by nothing (kind "riemann", plain
 metric arc length). Each arc map returns that weight with its points, in the
 family's closed form along its own arcs, so no gradient is evaluated here.
 The integral is computed by the trapezoid rule on nested nodes (each
-doubling evaluates only the new midpoints) with Richardson extrapolation;
-each row refines until it has converged, independently of the other rows.
+doubling evaluates only the new midpoints) with Richardson extrapolation,
+from a coarse first level of 16 intervals per arc. Each row refines,
+independently of the other rows, until it has converged and its nodes are no
+farther apart than the phantom's feature_scale, so that two coarse levels
+cannot agree on a narrow feature that both of them miss.
 Columns at different angles are independent, so the work parallelizes over
 phi without changing any result. A row whose integral diverges at a
 singular point of the family is refused (DivergentRowError).
@@ -191,21 +194,29 @@ def _column(geom, phantom, lam, phi, R, kind, rtol, n_start, n_max):
     """One sinogram column: integrals over all lambda rows at a fixed phi.
 
     Every arc is integrated by the trapezoid rule on the nodes u_k = 2k/n - 1
-    of [-1, 1]. The nodes are nested: doubling n adds only the n midpoints,
-    T_2n = (T_n + M_n) / 2, so no evaluated node is thrown away. Refinement is
-    per row: a row stops once |T_2n - T_n| < rtol * scale (scale: the largest
-    row value of the column) and keeps the Richardson estimate
-    (4 T_2n - T_n) / 3 of that level; later levels evaluate only the rows
-    still refining. rtol = 0 refines every row up to n_max.
+    of [-1, 1], starting at n = n_start. The nodes are nested: doubling n
+    adds only the n midpoints, T_2n = (T_n + M_n) / 2, so no evaluated node
+    is thrown away. Refinement is per row: a row stops once
+    |T_2n - T_n| < rtol * scale (scale: the largest row value of the column)
+    and its nodes are no farther apart than the phantom's feature_scale, and
+    keeps the Richardson estimate (4 T_2n - T_n) / 3 of that level; later
+    levels evaluate only the rows still refining. The node spacing of a
+    level is taken as half the largest chord between consecutive new
+    midpoints on any of the row's arcs. Without that guard a coarse start
+    can agree with itself on a feature narrower than the node spacing and
+    stop with it missed. rtol = 0 refines every row up to n_max.
     """
     arcs = geo.arcs(geom, lam, float(phi), R, kind)
+    feature = phantom.feature_scale
 
     def node_sum(u, rows, ends=False):
         """Per row, the sum over arcs of mult * W * sum_k f(u_k), where f is
-        the integrand in u; zero off rows. ends=True takes u = (-1, 1), where
-        stretched arcs have weight zero and are skipped."""
+        the integrand in u, and the largest chord between consecutive nodes
+        on any of the row's arcs; both zero off rows. ends=True takes
+        u = (-1, 1), where stretched arcs have weight zero and are skipped."""
         smap, sder = _stretch_map(u)
         tot = np.zeros(lam.shape)
+        chord2 = np.zeros(lam.shape)
         for arc in arcs:
             if ends and arc.stretch:
                 continue
@@ -215,6 +226,10 @@ def _column(geom, phantom, lam, phi, R, kind, rtol, n_start, n_max):
             nodes = smap if arc.stretch else u
             B = arc.W[act][:, None] * nodes[None, :]
             P, weight = arc.mapto(B, act)
+            if u.size > 1:
+                d = np.diff(P, axis=1)
+                d *= d
+                chord2[act] = np.maximum(chord2[act], np.max(d[..., 0] + d[..., 1], axis=1))
             vals = phantom.eval(P)
             if not np.all(np.isfinite(vals)):
                 raise ValueError("phantom evaluated to a non-finite value on a curve")
@@ -222,21 +237,22 @@ def _column(geom, phantom, lam, phi, R, kind, rtol, n_start, n_max):
             if arc.stretch:
                 vals = vals * sder[None, :]
             tot[act] += arc.W[act] * np.sum(vals, axis=1) * arc.mult
-        return tot
+        return tot, np.sqrt(chord2)
 
     todo = np.ones(lam.shape, dtype=bool)
     n = n_start
-    acc = node_sum(np.arange(1, n) * (2.0 / n) - 1.0, todo)
-    acc += 0.5 * node_sum(np.array([-1.0, 1.0]), todo, ends=True)
+    acc, _ = node_sum(np.arange(1, n) * (2.0 / n) - 1.0, todo)
+    acc += 0.5 * node_sum(np.array([-1.0, 1.0]), todo, ends=True)[0]
     prev = (2.0 / n) * acc
     best = prev
     while 2 * n <= n_max and np.any(todo):
-        acc += node_sum((np.arange(n) + 0.5) * (2.0 / n) - 1.0, todo)
+        mid, chord = node_sum((np.arange(n) + 0.5) * (2.0 / n) - 1.0, todo)
+        acc += mid
         n *= 2
         cur = np.where(todo, (2.0 / n) * acc, prev)
         best = np.where(todo, (4.0 * cur - prev) / 3.0, best)
         scale = max(float(np.max(np.abs(cur))), 1e-300)
-        todo &= ~(np.abs(cur - prev) < rtol * scale)
+        todo &= ~((np.abs(cur - prev) < rtol * scale) & (0.5 * chord <= feature))
         prev = cur
     return best
 
@@ -325,7 +341,7 @@ def forward_mphi(
     lambda_axis,
     phi_axis,
     rtol: float = 1e-8,
-    n_start: int = 128,
+    n_start: int = 16,
     n_max: int = 8192,
     workers: int | None = None,
 ) -> Sinogram:
@@ -340,7 +356,7 @@ def forward_riemann(
     lambda_axis,
     phi_axis,
     rtol: float = 1e-8,
-    n_start: int = 128,
+    n_start: int = 16,
     n_max: int = 8192,
     workers: int | None = None,
 ) -> Sinogram:

@@ -196,6 +196,32 @@ def test_pv_filter_refuses_fewer_than_four_lambda_nodes(m):
         backproject(table, Grid.centered(3, 0.5))
 
 
+@pytest.mark.parametrize("shape", [(8, 40), (5, 33)], ids=["wider-than-lambda", "fewer-rows-than-phi"])
+def test_filtered_sinogram_refuses_values_that_do_not_match_the_axes(shape):
+    # backprojection used to read only the first 33 of 40 columns without a
+    # word, and to fail with a bare IndexError on 5 rows for 8 phi nodes
+    lam = np.linspace(-1.0, 1.0, 33)
+    with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\) do not match the axes \(8, 33\)"):
+        FilteredSinogram(RADON, lam, uniform_phi(8), np.zeros(shape))
+
+
+def test_filtered_sinogram_refuses_a_single_phi_row():
+    # the phi step of backprojection needs a second row
+    lam = np.linspace(-1.0, 1.0, 33)
+    with pytest.raises(ValueError, match="at least two phi rows, got 1"):
+        FilteredSinogram(RADON, lam, np.zeros(1), np.zeros((1, 33)))
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [[0.0], [-1.0, 0.0, 0.5, 1.0], [1.0, 0.5, 0.0, -0.5], [-1.0, np.nan, 0.0, 0.5]],
+    ids=["one-node", "non-uniform", "descending", "nan"],
+)
+def test_filtered_sinogram_refuses_a_bad_lambda_axis(lam):
+    with pytest.raises(ValueError, match="filtered lambda axis"):
+        FilteredSinogram(RADON, np.array(lam), uniform_phi(4), np.zeros((4, len(lam))))
+
+
 def test_pv_filter_refuses_a_parabola_axis_that_extends_to_three_nodes():
     sino = Sinogram(PARAB, np.array([0.0, 1.0]), uniform_phi(4), np.zeros((4, 2)))
     with pytest.raises(ValueError, match="has 3 nodes"):

@@ -51,6 +51,24 @@ def test_phantom_sums_components():
     assert Phantom(()).eval((1.0, 2.0)) == 0.0
 
 
+def test_feature_scale_is_the_smallest_component_scale():
+    # sigma for a Gaussian, the rim band for a disc
+    g = Gaussian((0.0, 0.0), 0.1)
+    d = Disc((0.5, 0.0), 0.2, 1.5, width=0.03)
+    assert g.feature_scale == 0.1 and d.feature_scale == 0.03
+    assert Phantom((g, d)).feature_scale == 0.03
+    assert Phantom(()).feature_scale == math.inf
+
+    class Unscaled:
+        support_radius = 0.3
+
+        def eval(self, x):
+            return np.zeros(np.shape(x)[:-1])
+
+    # a component that names no scale makes the quadrature refine fully
+    assert Phantom((g, Unscaled())).feature_scale == 0.0
+
+
 def test_rasterize_matches_eval():
     p = Phantom((Gaussian((0.06, 0.04), 0.15),))
     g = Grid.centered(17, 0.64)

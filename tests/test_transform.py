@@ -424,6 +424,28 @@ def test_forward_with_zero_rtol_runs_every_row_to_n_max(monkeypatch):
     assert counted[0] == 4 * lam.size * 513
 
 
+def test_forward_stops_coarse_on_the_radon_acceptance_phantom(monkeypatch):
+    # sigma 0.15 is resolved at the second level, 33 nodes per line
+    rt = next(rt for rt in _round_trips() if rt.label == "radon")
+    lam, phi = default_axes(RADON, 513, 45)
+    counted = count_points(monkeypatch)
+    forward_mphi(rt.phantom, RADON, lam, phi)
+    assert counted[0] <= 33 * lam.size * phi.size
+
+
+def test_forward_resolves_a_spike_narrower_than_the_first_level():
+    # at 16 or 32 nodes a line misses a sigma = 0.002 spike or hits it by
+    # chance, and the two levels can agree to rtol on the wide Gaussian
+    # alone; the rows must refine until the nodes are no farther apart than
+    # the spike's sigma
+    ph = Phantom((Gaussian((0.0, 0.0), 0.3), Gaussian((0.41, 0.27), 0.002, amplitude=5.0)))
+    lam, phi = default_axes(RADON, 41, 16)
+    rtol = 1e-8
+    got = forward_mphi(ph, RADON, lam, phi, rtol=rtol).data
+    ref = forward_mphi(ph, RADON, lam, phi, rtol=0.0, n_max=1 << 15).data
+    assert np.max(np.abs(got - ref)) <= 2.0 * rtol * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize(
     "geom, gaussians, lam",
     [
