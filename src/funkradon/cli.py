@@ -114,7 +114,8 @@ def cmd_kernel_check(args) -> int:
         ok = ok and good
         worst = max(worst, abs(est))
         worst_ratio = max(worst_ratio, abs(est) / tol)
-        ladder = " ".join(f"{v:+.3e}" for v in levels)
+        # with a complex pair the limit comes without a ladder
+        ladder = " ".join(f"{v:+.3e}" for v in levels) if len(levels) else "none: residue limit"
         print(
             f"pair {i:3d} x=({x[0]:+.4f},{x[1]:+.4f}) y=({y[0]:+.4f},{y[1]:+.4f})  "
             f"levels [{ladder}]  N = {est:+.3e}{'' if good else '  (over tolerance)'}"

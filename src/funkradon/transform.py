@@ -20,10 +20,7 @@ singular point of the family is refused (DivergentRowError).
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry as geo
+from ._heap import keep_work_arrays_on_the_heap
 from .fields import format_rows, header_floats, read_rows
 from .geometry import GeometryFamily
 from .phantom import Disc, Phantom
@@ -49,37 +47,6 @@ __all__ = [
 ]
 
 TAU = 2.0 * np.pi
-
-# glibc mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-@functools.cache
-def _keep_work_arrays_on_the_heap() -> None:
-    """Serve blocks below 32 MB from glibc's reusable heap (Linux only).
-
-    The forward quadrature goes through bursts of numpy temporaries of 1 to
-    4 MB per column. glibc maps a block above its mmap threshold afresh, and
-    gives heap memory above its trim threshold back to the system when it is
-    freed, so each burst is page-faulted and zeroed anew. Both thresholds
-    start at 128 KB and rise only when a larger mapped block is freed (the
-    trim threshold to twice its size), up to 32 MB and 64 MB. This sets
-    them to that top from the start, so a forward runs at the same speed
-    whether or not some large array has come and gone before it: on 2 vCPUs,
-    a 513 x 45 round trip of the curved families ran its forward about 20 %
-    faster than at the starting thresholds. The setting holds for the whole
-    process, so it is made at the first forward transform rather than on
-    import.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 class TracingError(RuntimeError):
@@ -283,7 +250,7 @@ def _working_radius(geom: GeometryFamily, phantom: Phantom) -> float:
 
 
 def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, workers):
-    _keep_work_arrays_on_the_heap()
+    keep_work_arrays_on_the_heap()
     lam = np.asarray(lambda_axis, dtype=float)
     phi = np.asarray(phi_axis, dtype=float)
     smooth, sharp = _split_phantom(phantom)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._heap import keep_work_arrays_on_the_heap
+
 __all__ = [
     "TrigPoly",
     "roots",
@@ -48,8 +50,9 @@ _REAL_ROOT_IM_TOL = 1e-8
 _REAL_ROOT_RESIDUAL_ULPS = 64
 _EPS = float(np.finfo(float).eps)
 
-# Largest regularized-ladder grids: midpoint nodes per level for a trig
-# polynomial t, samples per level for a sampled difference (parabola).
+# Largest grids of the nucleus integrals: midpoint nodes per level, per
+# shared ladder table or per line off the axis for a trig polynomial t,
+# samples per level for a sampled difference (parabola).
 _PV_GRID_CAP = 6_000_000
 _SAMPLED_GRID_CAP = 4_000_000
 
@@ -278,9 +281,12 @@ def _real_root_slopes(t: TrigPoly):
 
 def _regularized_terms(t2, e2):
     # Re 1/(t + i eps)^2 written out from t^2 and eps^2; even in t, bounded
-    # by 1/eps^2.
+    # by 1/eps^2. Two work arrays, updated in place.
     denom = t2 + e2
-    return (t2 - e2) / (denom * denom)
+    terms = t2 - e2
+    denom *= denom
+    terms /= denom
+    return terms
 
 
 def _regularized_mean(tvals: np.ndarray, eps: float) -> float:
@@ -316,16 +322,35 @@ def _midpoint_values(t: TrigPoly, n: int):
         yield tv.ravel()[: n - i0 * width]
 
 
-def _regularized_level(t: TrigPoly, n: int, eps: float) -> float:
-    # Same mean on an n-point midpoint grid. Everything runs in extended
-    # precision, including t itself: near a peak the term sensitivity to t
-    # grows like 1/eps^3, so double-precision node values alone would put a
-    # noise floor well above the extrapolated limit.
-    e2 = np.longdouble(eps) ** 2
-    total = np.longdouble(0.0)
-    for tv in _midpoint_values(t, n):
-        total += np.sum(_regularized_terms(np.square(tv), e2))
-    return float(total / n * 2 * np.pi)
+def _regularized_levels(t: TrigPoly, sizes, eps) -> np.ndarray:
+    # The same mean at every level of a ladder, from one table of t^2 on an
+    # N-node midpoint grid. Level i sums every s_i-th node, s_i the power of
+    # two nearest to max(sizes) / sizes[i], and N the smallest multiple of
+    # the largest s_i with N / s_i >= sizes[i] for every i: level i runs on a
+    # uniform grid of N / s_i nodes, shifted off the midpoints, which is as
+    # accurate for a periodic integrand. A ladder whose eps halve nests
+    # exactly, so t is evaluated on about max(sizes) nodes instead of
+    # sum(sizes), and the terms on about sum(sizes). Everything runs in
+    # extended precision, including t itself: near a peak the term
+    # sensitivity to t grows like 1/eps^3, so double-precision node values
+    # alone would put a noise floor well above the extrapolated limit.
+    # Returns the levels in extended precision.
+    top = max(sizes)
+    strides = np.array([1 << round(math.log2(top / n)) for n in sizes])
+    s_max = int(strides.max())
+    n_grid = -(-int(np.max(strides * np.asarray(sizes))) // s_max) * s_max
+    if n_grid > _PV_GRID_CAP:
+        raise ValueError(f"the ladder's shared grid needs {n_grid} nodes, above the cap of {_PV_GRID_CAP} nodes")
+    keep_work_arrays_on_the_heap()
+    e2 = [np.longdouble(e) ** 2 for e in eps]
+    totals = np.zeros(len(sizes), dtype=np.longdouble)
+    start = 0
+    for tv in _midpoint_values(t, n_grid):
+        t2 = np.square(tv, out=tv)  # in place: one block fewer alive at a time
+        for i, s in enumerate(strides):
+            totals[i] += np.sum(_regularized_terms(t2[-start % s :: s], e2[i]))
+        start += tv.size
+    return totals / (n_grid // strides) * (2 * np.pi)
 
 
 def _extrapolate_to_zero(eps: np.ndarray, vals: np.ndarray) -> float:
@@ -358,64 +383,96 @@ def _check_eps_sequence(eps_sequence):
 def pv_inverse_square(t: TrigPoly, eps_sequence=None) -> float:
     """Limit of Re integral_0^{2pi} dphi / (t(phi) + i eps)^2 as eps -> 0.
 
-    Each level uses a uniform periodic rule sized from the distance of the
-    integrand's complex poles to the real axis, then the levels are
-    extrapolated polynomially to eps = 0. When every zero of t is real and
-    simple the limit is zero; repeated real zeros are rejected with
-    ValueError, before any quadrature, because the limit does not exist
-    there. A zero counts as real when |Im phi| < 1e-8 or when t vanishes at
-    Re phi to roundoff (64 ulps of sum |a_m| + |b_m|), so a repeated zero is
-    refused however the root finder splits it.
+    Repeated real zeros are rejected with ValueError, before any quadrature,
+    because the limit does not exist there. A zero counts as real when
+    |Im phi| < 1e-8 or when t vanishes at Re phi to roundoff (64 ulps of
+    sum |a_m| + |b_m|), so a repeated zero is refused however the root finder
+    splits it. Once every real zero is simple, the limit is the residue sum
+    Re 2 pi i sum -t''/t'^3 over the zeros in the upper half cylinder; simple
+    real zeros add nothing to it. When t has a complex pair (or is a nonzero
+    constant) that limit is returned, taken as the integral of 1/t^2 along a
+    line Im phi = h between the real zeros and the complex ones (see
+    _inverse_square_off_axis), which keeps it accurate when complex zeros
+    are close to one another or repeated.
+
+    When every zero is real and simple the limit is zero, and the regularized
+    integral is checked numerically instead: on a ladder of eps levels, each
+    on a uniform periodic rule sized from the distance of its poles to the
+    real axis, extrapolated polynomially to eps = 0. All levels sum strided
+    subsets of one extended-precision table of t^2.
 
     ``eps_sequence`` entries are absolute; when omitted, a default geometric
     ladder scaled by the coefficient size of t is used, capped by the local
-    slopes at real zeros or, without real zeros, by min |t| on the circle.
-    A level that would need more than 6 000 000 grid nodes is refused with
-    ValueError, before any level runs.
+    slopes at the real zeros. A given ``eps_sequence`` is validated but not
+    used when t has a complex pair. A grid of more than 6 000 000 nodes is
+    refused with ValueError, before any value of t on it is made.
     """
-    eps, vals = _pv_levels(t, eps_sequence)
-    return _extrapolate_to_zero(eps, vals)
+    return _pv_levels(t, eps_sequence)[2]
+
+
+def _inverse_square_off_axis(t: TrigPoly, real: np.ndarray, cplx: np.ndarray) -> float:
+    # The residue limit, as Re of the integral of 1/t^2 along Im phi = h with
+    # h = d / 2, d = min |Im| over the complex zeros (h = 0 without real
+    # zeros). Moving the real line up to h crosses only poles at simple real
+    # zeros, whose residues -t''/t'^3 are real and add nothing to Re 2 pi i
+    # sum. The residue sum itself cancels between close complex zeros: it
+    # loses every digit on (2 + cos)^2 and 15 % on (2 + cos)(2.001 + cos).
+    # Along the line t(phi + ih) = u(phi) + i v(phi), u and v real trig
+    # polynomials, so Re 1/t^2 = (u^2 - v^2) / (u^2 + v^2)^2 is the
+    # regularized term with eps^2 = v^2. Its nearest poles sit d / 2 (or d)
+    # off the line, so the midpoint rule is sized like a ladder level.
+    d = float(np.min(np.abs(cplx.imag))) if cplx.size else 1.0
+    h = d / 2 if real.size else 0.0
+    n = int(44.0 / min(max(d - h, 1e-9), 1.0)) + 128
+    if n > _PV_GRID_CAP:
+        raise ValueError(f"the limit off the real axis needs a {n}-node grid, above the cap of {_PV_GRID_CAP} nodes")
+    m = np.arange(t.order + 1)
+    ch, sh = np.cosh(m * h), np.sinh(m * h)
+    u = TrigPoly(tuple(np.multiply(t.a, ch)), tuple(np.multiply(t.b, ch)))
+    v = TrigPoly(tuple(np.multiply(t.b, sh)), tuple(-np.multiply(t.a, sh)))
+    keep_work_arrays_on_the_heap()
+    total = np.longdouble(0.0)
+    for uv, vv in zip(_midpoint_values(u, n), _midpoint_values(v, n)):
+        total += np.sum(_regularized_terms(np.square(uv, out=uv), np.square(vv, out=vv)))
+    return float(total / n * (2 * np.pi))
 
 
 def _pv_levels(t: TrigPoly, eps_sequence):
+    """(eps, level values, limit) of the regularized integral of 1/t^2.
+
+    Refuses repeated real zeros. With a complex pair (or a constant t) the
+    limit is the residue limit (see _inverse_square_off_axis) and no ladder
+    runs: eps and the level values come back empty, and a given
+    eps_sequence is validated but not used. Otherwise every zero is real
+    and simple, and the levels of the eps ladder, extrapolated to eps = 0,
+    check that the limit vanishes. Level i runs on at least 44 / d_i + 128 nodes, d_i the
+    distance of its closest pole to the real axis; all levels share one
+    t^2 table (see _regularized_levels).
+    """
     scale = t.coeff_scale()
     if scale == 0.0:
         raise ValueError("t is identically zero")
     real, slopes, cplx = _real_root_slopes(t)
     if real.size and np.any(slopes <= 1e-6 * scale):
         raise ValueError("t has a repeated (or nearly repeated) real zero")
-    if eps_sequence is None:
-        base = scale
-        if real.size:
-            # The extrapolation expands in eps * |t''| / t'^2 around each real
-            # zero; keep the largest level well inside that regime so nearly
-            # repeated zeros (small local slope) still extrapolate cleanly.
-            curv = np.abs(t.derivative().derivative().eval(real))
-            local = slopes * slopes / np.maximum(curv, 1e-30)
-            base = min(base, 0.2 * float(np.min(local)))
-            base = max(base, 1e-7 * scale)
-        elif cplx.size:
-            # Without real zeros the levels expand in (eps / t)^2, so keep the
-            # largest level well below min |t| on the circle. A small minimum
-            # needs a complex pair close to the axis there, and |t| at that
-            # pair's real part estimates it; being a value of |t| on the
-            # circle, the estimate never falls below the true minimum.
-            base = min(base, 0.2 * float(np.min(np.abs(t.eval(cplx.real)))))
-        eps = np.asarray(DEFAULT_EPS_STEPS) * base
-    else:
+    if eps_sequence is not None:
         eps = _check_eps_sequence(eps_sequence)
+    if cplx.size or t.order == 0:
+        return np.zeros(0), np.zeros(0), _inverse_square_off_axis(t, real, cplx)
+    if eps_sequence is None:
+        # The extrapolation expands in eps * |t''| / t'^2 around each real
+        # zero; keep the largest level well inside that regime so nearly
+        # repeated zeros (small local slope) still extrapolate cleanly.
+        curv = np.abs(t.derivative().derivative().eval(real))
+        local = slopes * slopes / np.maximum(curv, 1e-30)
+        base = max(min(scale, 0.2 * float(np.min(local))), 1e-7 * scale)
+        eps = np.asarray(DEFAULT_EPS_STEPS) * base
 
-    sizes = []
-    for e in eps:
-        dists = [1.0]
-        if real.size:
-            dists.append(float(np.min(e / slopes)))
-        if cplx.size:
-            dists.append(float(np.min(np.abs(cplx.imag))) * 0.5)
-        dmin = max(min(dists), 1e-9)
-        sizes.append(int(44.0 / dmin) + 128)
+    # a level's closest poles sit eps / |t'| off the axis, at the steepest zero
+    sizes = [int(44.0 / d) + 128 for d in np.clip(eps / np.max(slopes), 1e-9, 1.0)]
     _check_grid_sizes(eps, sizes, _PV_GRID_CAP)
-    return eps, np.array([_regularized_level(t, n, e) for n, e in zip(sizes, eps)])
+    vals = _regularized_levels(t, sizes, eps).astype(float)
+    return eps, vals, _extrapolate_to_zero(eps, vals)
 
 
 def residue_integral(s, t):
@@ -469,6 +526,9 @@ def nucleus_ladder(geom, x, y, eps_sequence=None):
 
     Returns (eps, level_values, extrapolated). Reports want the raw levels;
     everything else goes through nucleus_check, which keeps only the limit.
+    A closed-form difference with a complex pair gets the residue limit (see
+    pv_inverse_square); no ladder runs, eps and level_values are empty, and
+    a given eps_sequence is validated but not used.
     Ladders whose grids exceed the caps (6 000 000 nodes for the closed-form
     difference, 4 000 000 samples otherwise) raise ValueError.
     """
@@ -480,8 +540,7 @@ def nucleus_ladder(geom, x, y, eps_sequence=None):
         raise ValueError("nucleus is only defined for distinct points")
     tp = trig_difference(geom, x, y)
     if tp is not None:
-        eps, vals = _pv_levels(tp, eps_sequence)
-        return eps, vals, _extrapolate_to_zero(eps, vals)
+        return _pv_levels(tp, eps_sequence)
 
     def sampler(n):
         ph = (np.arange(n) + 0.5) * (2 * np.pi / n)
@@ -499,6 +558,7 @@ def nucleus_ladder(geom, x, y, eps_sequence=None):
     slope = float(np.max(np.abs(np.diff(probe)))) / (2 * np.pi / 4096)
     sizes = [int(44.0 * max(slope, 1e-12) / e) + 256 for e in eps]
     _check_grid_sizes(eps, sizes, _SAMPLED_GRID_CAP)
+    keep_work_arrays_on_the_heap()
     vals = np.array([_regularized_mean(sampler(n), e) for n, e in zip(sizes, eps)])
     return eps, vals, _extrapolate_to_zero(eps, vals)
 

@@ -357,6 +357,17 @@ def test_kernel_check_violating_ellipse_names_the_condition(capsys):
     assert "‖y+x‖*ₑ<2" in text
 
 
+def test_kernel_check_reports_a_residue_limit_without_a_ladder(capsys):
+    # far outside the admissible region some differences have a complex pair;
+    # their limit comes without eps levels, and the line says so
+    code, text, _ = run(
+        capsys, "kernel-check", "--geometry", "ellipse:e1=1.0,e2=0.3,support=0.9",
+        "--pairs", 12,
+    )
+    assert code == 1
+    assert "levels [none: residue limit]" in text
+
+
 def test_dcoef_prints_a_table(capsys):
     code, text, _ = run(capsys, "dcoef", "--geometry", "hgeodesic:support=0.7", "--points", 3)
     assert code == 0

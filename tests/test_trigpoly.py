@@ -7,6 +7,10 @@ under test.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,28 +181,37 @@ def test_pv_near_real_complex_pair_closed_form(gap):
     assert pv_inverse_square(poly((a, 1.0))) == pytest.approx(want, rel=1e-8)
 
 
-def test_pv_vanishing_property_random_products():
-    # products of order-1 factors with prescribed, well-separated real zeros;
+def random_real_zero_poly(rng, order):
+    """A product of ``order`` factors amp (cos(phi - u) - cos(delta)), each
+    with the simple real zeros u +- delta, so every zero is real."""
+    t = poly((rng.uniform(0.7, 1.5),))
+    for _ in range(order):
+        u = rng.uniform(0, TAU)
+        delta = rng.uniform(0.4, math.pi - 0.4)
+        amp = rng.uniform(0.7, 1.5)
+        t = t * poly((-amp * math.cos(delta), amp * math.cos(u)), (0.0, amp * math.sin(u)))
+    return t
+
+
+def zeros_apart(t, gap=0.5):
     # separation keeps the local slopes honest so the eps ladder extrapolates
+    r = roots(t).real
+    gaps = np.abs(np.subtract.outer(r, r))
+    gaps = np.minimum(gaps, TAU - gaps)
+    return bool(np.min(gaps + np.eye(len(r)) * 10) >= gap)
+
+
+def test_pv_vanishing_property_random_products():
+    # products of order-1 factors with prescribed, well-separated real zeros
     rng = np.random.default_rng(2024)
     built = 0
     while built < 10:
-        nfac = int(rng.integers(1, 4))
-        t = poly((rng.uniform(0.7, 1.5),))
-        for _ in range(nfac):
-            u = rng.uniform(0, TAU)
-            delta = rng.uniform(0.4, math.pi - 0.4)
-            amp = rng.uniform(0.7, 1.5)
-            # amp * (cos(phi - u) - cos(delta)) has zeros at u +- delta
-            t = t * poly((-amp * math.cos(delta), amp * math.cos(u)), (0.0, amp * math.sin(u)))
-        r = roots(t)
-        gaps = np.abs(np.subtract.outer(r.real, r.real))
-        gaps = np.minimum(gaps, TAU - gaps)
-        if np.min(gaps + np.eye(len(r)) * 10) < 0.5:
+        t = random_real_zero_poly(rng, int(rng.integers(1, 4)))
+        if not zeros_apart(t):
             continue
         built += 1
         assert all_real_simple(t)
-        scale = np.max(np.abs(t.derivative().eval(r.real)))
+        scale = np.max(np.abs(t.derivative().eval(roots(t).real)))
         assert abs(pv_inverse_square(t)) <= 1e-5 * scale**2
 
 
@@ -234,11 +247,11 @@ def test_pv_rejections():
 def test_pv_rejects_repeated_real_zeros(t, monkeypatch):
     # the root finder splits a zero of multiplicity m by about eps**(1/m) in a
     # direction roundoff picks; each split zero must still be refused, and
-    # before any quadrature level is evaluated
+    # before any grid value of t is made
     def no_quadrature(*args):
         raise AssertionError("quadrature ran on a repeated zero")
 
-    monkeypatch.setattr(trigpoly, "_regularized_level", no_quadrature)
+    monkeypatch.setattr(trigpoly, "_midpoint_values", no_quadrature)
     with pytest.raises(ValueError, match="repeated"):
         pv_inverse_square(t)
 
@@ -249,9 +262,69 @@ def test_pv_refuses_a_ladder_beyond_the_grid_cap(monkeypatch):
     def no_quadrature(*args):
         raise AssertionError("quadrature ran past the grid cap")
 
-    monkeypatch.setattr(trigpoly, "_regularized_level", no_quadrature)
+    monkeypatch.setattr(trigpoly, "_midpoint_values", no_quadrature)
     with pytest.raises(ValueError, match=r"44000128-node grid, above the cap of 6000000"):
         pv_inverse_square(COS, eps_sequence=(1e-6, 5e-7))
+
+
+def test_shared_grid_is_held_to_the_grid_cap(monkeypatch):
+    # both levels fit under the cap, but the shared grid rounds the finest
+    # level up to a multiple of the coarse level's stride 2**15
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran past the grid cap")
+
+    monkeypatch.setattr(trigpoly, "_midpoint_values", no_quadrature)
+    with pytest.raises(ValueError, match=r"6553600 nodes, above the cap of 6000000"):
+        trigpoly._regularized_levels(COS, [200, 5_999_999], (1e-2, 1e-6))
+
+
+def no_ladder(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the eps ladder ran on a polynomial with a complex pair")
+
+    monkeypatch.setattr(trigpoly, "_regularized_levels", refuse)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+def test_pv_mixed_zeros_closed_form(delta, monkeypatch):
+    # cos phi (c + cos phi): simple real zeros at pi/2 and 3pi/2 and a complex
+    # pair at Im ~ sqrt(2 delta) over pi. The limit is the residue sum over
+    # the pair, which partial fractions in cos phi turn into Poisson
+    # integrals; no eps ladder runs.
+    no_ladder(monkeypatch)
+    c = 1.0 + delta
+    want = 2 * TAU / (c**3 * math.sqrt(c * c - 1.0)) + TAU / (c * (c * c - 1.0) ** 1.5)
+    assert pv_inverse_square(COS * poly((c, 1.0))) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-9, 1e-3])
+def test_pv_repeated_complex_zeros(gap, monkeypatch):
+    # (2 + cos)(2 + gap + cos) has a double (gap 0) or nearly double complex
+    # pair, where the residues of 1/t^2 at the two upper zeros grow like
+    # 1/gap^3 and cancel. Without real zeros the integrand is positive:
+    # at gap 0, int (2 + cos)^-4 = pi (2 a^3 + 3 a) / (a^2 - 1)^(7/2), a = 2,
+    # and a plain midpoint sum checks the others. With a real zero factor,
+    # the limit is Re int 1/t^2 along any line 0 < Im phi < min Im of the
+    # complex zeros; one at Im 0.3, evaluated in complex doubles.
+    no_ladder(monkeypatch)
+    t = poly((2.0, 1.0)) * poly((2.0 + gap, 1.0))
+    ph = (np.arange(4096) + 0.5) * (TAU / 4096)
+    want = math.pi * 22.0 / 3.0**3.5 if gap == 0.0 else TAU * np.mean(1.0 / t.eval(ph) ** 2)
+    assert pv_inverse_square(t) == pytest.approx(want, rel=1e-12)
+    mixed = COS * t
+    want = TAU * np.mean(np.real(1.0 / mixed.eval(ph + 0.3j) ** 2))
+    assert pv_inverse_square(mixed) == pytest.approx(want, rel=1e-12)
+
+
+def test_pv_limit_off_the_axis_is_held_to_the_grid_cap(monkeypatch):
+    # cos phi (c + cos phi), c = 1 + 1e-12: the complex pair sits ~1.4e-6 off
+    # the axis, so the line between it and the real zeros needs ~6e7 nodes
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran past the grid cap")
+
+    monkeypatch.setattr(trigpoly, "_midpoint_values", no_quadrature)
+    with pytest.raises(ValueError, match=r"limit off the real axis needs a \d+-node grid, above the cap"):
+        pv_inverse_square(COS * poly((1.0 + 1e-12, 1.0)))
 
 
 LD_EPS = float(np.finfo(np.longdouble).eps)
@@ -276,6 +349,107 @@ def test_midpoint_values_match_per_node_evaluation(n):
         assert grid.shape == (n,)
         bound = 32 * LD_EPS * sum(map(abs, t.a + t.b))
         assert float(np.max(np.abs(grid - direct))) <= bound
+
+
+def default_ladder(t, monkeypatch):
+    """(sizes, eps, levels) of the default ladder that pv_inverse_square runs."""
+    seen = []
+
+    def record(t, sizes, eps):
+        levels = real_levels(t, sizes, eps)
+        seen.append((list(sizes), list(eps), levels))
+        return levels
+
+    real_levels = trigpoly._regularized_levels
+    monkeypatch.setattr(trigpoly, "_regularized_levels", record)
+    pv_inverse_square(t)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen[0]
+
+
+def shared_grid(sizes):
+    # s_i: the power of two nearest to max(sizes) / sizes[i]; the grid is the
+    # smallest multiple of the largest stride with N / s_i >= sizes[i]
+    strides = [2 ** round(math.log2(max(sizes) / n)) for n in sizes]
+    return -(-max(s * n for s, n in zip(strides, sizes)) // max(strides)) * max(strides), strides
+
+
+def separated_real_zero_poly(rng, order):
+    t = random_real_zero_poly(rng, order)
+    while not zeros_apart(t):
+        t = random_real_zero_poly(rng, order)
+    return t
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_shared_table_levels_match_sums_on_their_own_grids(order, monkeypatch):
+    # level i is the regularized mean on the N / s_i nodes phi_j = (j s_i +
+    # 1/2) 2pi / N. Summed in one piece from every s_i-th value of the N-node
+    # grid, it must agree to summation roundoff. Summed from t evaluated node
+    # by node, t's own rounding (32 ulps of sum |a_m| + |b_m| in either
+    # evaluation) enters through |d term / dt| <= 2 / |t + i eps|^3.
+    rng = np.random.default_rng(90 + order)
+    t = separated_real_zero_poly(rng, order)
+    sizes, eps, levels = default_ladder(t, monkeypatch)
+    assert levels.dtype == np.longdouble
+    n_grid, strides = shared_grid(sizes)
+    grid = np.concatenate(list(trigpoly._midpoint_values(t, n_grid)))
+    t_err = 64 * LD_EPS * sum(map(abs, t.a + t.b))
+    for n, s, e, level in zip(sizes, strides, eps, levels):
+        m = n_grid // s
+        assert m >= n
+        ph = (np.arange(m) * s + np.longdouble(0.5)) * (np.longdouble(TAU) / n_grid)
+        direct = np.full(m, np.longdouble(t.a[0]))
+        for k in range(1, t.order + 1):
+            direct += t.a[k] * np.cos(k * ph) + t.b[k] * np.sin(k * ph)
+        e2, w = np.longdouble(e) ** 2, np.longdouble(TAU) / m
+        for tv, slack in ((grid[::s], 0.0), (direct, t_err * np.sum(2 * w / (direct * direct + e2) ** 1.5))):
+            terms = (tv * tv - e2) / (tv * tv + e2) ** 2 * w
+            bound = 64 * LD_EPS * np.sum(np.abs(terms)) + slack
+            assert abs(level - np.sum(terms)) <= bound
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_ladder_evaluates_t_once_per_shared_grid_node(order, monkeypatch):
+    # the default eps halve, so the levels nest: t is evaluated on the finest
+    # level's grid, rounded up by at most 7 of the coarsest level's 128-node
+    # floor, and the terms on barely more nodes than the levels ask for
+    rng = np.random.default_rng(80 + order)
+    t = separated_real_zero_poly(rng, order)
+    sizes, _, _ = default_ladder(t, monkeypatch)
+    nodes, terms = [], []
+
+    def counted(t, n):
+        nodes.append(n)
+        return real_values(t, n)
+
+    def counted_terms(t2, e2):
+        terms.append(t2.size)
+        return real_terms(t2, e2)
+
+    real_values, real_terms = trigpoly._midpoint_values, trigpoly._regularized_terms
+    monkeypatch.setattr(trigpoly, "_midpoint_values", counted)
+    monkeypatch.setattr(trigpoly, "_regularized_terms", counted_terms)
+    pv_inverse_square(t)
+    assert max(sizes) <= sum(nodes) <= max(sizes) + 7 * 128 < sum(sizes)
+    assert sum(sizes) <= sum(terms) <= sum(sizes) + 12 * 128
+
+
+def test_heap_thresholds_are_set_at_the_first_ladder_not_on_import():
+    # a fresh interpreter: importing the package must leave the allocator
+    # alone, and the first nucleus check sets it
+    script = (
+        "import funkradon\n"
+        "from funkradon._heap import keep_work_arrays_on_the_heap as keep\n"
+        "print(keep.cache_info().currsize)\n"
+        "funkradon.nucleus_check(funkradon.GeometryFamily('radon'), (0.0, 0.0), (1.0, 0.0))\n"
+        "print(keep.cache_info().currsize)\n"
+    )
+    src = str(Path(trigpoly.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "1"]
 
 
 # --------------------------------------------------- residues of s / t
