@@ -74,7 +74,7 @@ class GeometryConfig:
 
 
 def check_nucleus(fast: bool = False) -> CheckResult:
-    """Extrapolated pair kernel magnitudes over random point pairs."""
+    """Nucleus magnitudes |N(x, y)| over random point pairs, parabola included."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
     n_pairs = 20 if fast else 100

@@ -36,7 +36,7 @@ from .transform import (
     read_fkr1,
     write_fkr1,
 )
-from .trigpoly import kernel_scale, nucleus_ladder
+from .trigpoly import kernel_scale, nucleus_check, nucleus_zeros
 
 
 def _parse_pair(text, flag):
@@ -104,7 +104,7 @@ def cmd_kernel_check(args) -> int:
         while np.allclose(x, y):
             y = acceptance._sample_disc(rng, 1, 0.05 * rmax, rmax)[0]
         try:
-            eps, levels, est = nucleus_ladder(geom, x, y)
+            est = nucleus_check(geom, x, y)
         except ValueError as exc:
             print(f"pair {i:3d} x=({x[0]:+.4f},{x[1]:+.4f}) y=({y[0]:+.4f},{y[1]:+.4f})  error: {exc}")
             ok = False
@@ -114,11 +114,9 @@ def cmd_kernel_check(args) -> int:
         ok = ok and good
         worst = max(worst, abs(est))
         worst_ratio = max(worst_ratio, abs(est) / tol)
-        # with a complex pair the limit comes without a ladder
-        ladder = " ".join(f"{v:+.3e}" for v in levels) if len(levels) else "none: residue limit"
         print(
             f"pair {i:3d} x=({x[0]:+.4f},{x[1]:+.4f}) y=({y[0]:+.4f},{y[1]:+.4f})  "
-            f"levels [{ladder}]  N = {est:+.3e}{'' if good else '  (over tolerance)'}"
+            f"zeros [{nucleus_zeros(geom, x, y)}]  N = {est:+.3e}{'' if good else '  (over tolerance)'}"
         )
     print(f"max |N| = {worst:.3e} over {args.pairs} pairs (worst {worst_ratio:.2e} of tolerance)")
     if not geom.kernel_condition_ok:

@@ -56,6 +56,7 @@ __all__ = [
     "weight_m",
     "weight_mu",
     "trig_difference",
+    "half_angle_difference",
     "arc_element",
     "arcs",
     "ray_start_gain",
@@ -207,13 +208,14 @@ def psi(geom: GeometryFamily, x, phi):
 
 
 def psi_branch(geom: GeometryFamily, x, phi):
-    """Smooth representative of psi used for sampled kernel checks.
+    """Smooth representative of psi, whose differences enter the pair kernel.
 
     Identical to psi everywhere except the parabola family, where the signed
     half-angle branch -sqrt(2 r) cos((phi - theta)/2) is returned instead of
     its absolute-value folding. The two differ only by sign on half the
     circle, and the squared difference that enters the kernel is what must be
-    2pi-periodic, which it is.
+    2pi-periodic, which it is. half_angle_difference gives the difference of
+    two such branches in closed form.
     """
     branch = geom.record.psi_branch
     if branch is None:
@@ -286,15 +288,32 @@ def trig_difference(geom: GeometryFamily, x, y):
     constant term for ellipse and hyperbola. The parabola difference involves
     half-angle square roots and is not a trigonometric polynomial.
     """
+    return geom.record.trig_difference(geom, *_distinct_pair(geom, x, y))
+
+
+def half_angle_difference(geom: GeometryFamily, x, y):
+    """T with psi_branch(x, phi) - psi_branch(y, phi) = T(phi / 2), an exact
+    TrigPoly of order one, for the parabola; None for every other family.
+
+    The branch -sqrt(2 r) cos(phi / 2 - theta / 2) is the harmonic
+    a cos u + b sin u at u = phi / 2 with a + i b = -sqrt(2 r) exp(i theta / 2),
+    theta = atan2(x2, x1) as psi_branch takes it; T is the difference of the
+    two points' harmonics.
+    """
+    half = geom.record.half_angle_difference
+    return None if half is None else half(geom, *_distinct_pair(geom, x, y))
+
+
+def _distinct_pair(geom: GeometryFamily, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (2,) or y.shape != (2,):
-        raise ValueError("trig_difference expects single points")
+        raise ValueError("a psi difference expects single points")
     _domain_split(geom, x)
     _domain_split(geom, y)
     if np.all(x == y):
         raise ValueError("points must be distinct")
-    return geom.record.trig_difference(geom, x, y)
+    return x, y
 
 
 def arc_element(geom: GeometryFamily, x, v):
@@ -437,6 +456,7 @@ class _Family:
     weight_m: Callable = _no_factorization  # (g, r2)
     weight_mu: Callable = _no_factorization  # (g, lam)
     psi_branch: Callable | None = None  # (g, x1, x2, phi); None means psi
+    half_angle_difference: Callable | None = None  # (g, x, y); see half_angle_difference
     arc_element: Callable = lambda x1, x2, v1, v2: np.hypot(v1, v2)
     params: tuple = ()
     lambda_sign: float = -1.0
@@ -731,6 +751,10 @@ def _parabola():
         theta = np.arctan2(x2, x1)
         return -np.sqrt(2.0 * r) * np.cos(0.5 * (phi - theta))
 
+    def half_harmonic(x):
+        w = -np.sqrt(2.0 * np.hypot(x[0], x[1])) * np.exp(0.5j * np.arctan2(x[1], x[0]))
+        return np.array([w.real, w.imag])
+
     def arcs(g, lam, lam_eps, phi, R, kind):
         pos = lam > lam_eps
         A = np.where(pos, np.arccos(np.clip(lam * lam / R - 1.0, -1.0, 1.0)), 0.0)
@@ -760,6 +784,7 @@ def _parabola():
         weight_m=lambda g, r2: (2.0 * np.sqrt(r2)) ** -0.5,
         weight_mu=lambda g, lam: np.ones_like(lam),
         psi_branch=psi_branch,
+        half_angle_difference=lambda g, x, y: _harmonic(half_harmonic(x) - half_harmonic(y)),
         punctured=True,
         even_in_lambda=True,
     )

@@ -297,8 +297,7 @@ def _refuse_divergent_rows(geom, phantom, lam, R, data, rtol, n_max):
         raise DivergentRowError(
             f"{geo.descriptor(geom)}: the mphi row lambda = {lam[i]:.3g} (index {i}) diverges at the "
             f"origin, where the phantom is f(0) = {f0:.3g}; starting its rays ten times closer moves it "
-            f"by {gain[i] * abs(f0):.3g}, more than {tol:.3g}. Use an even number of lambda samples "
-            "or a phantom that vanishes at the origin"
+            f"by {gain[i] * abs(f0):.3g}, more than {tol:.3g}. Use a phantom that vanishes at the origin"
         )
 
 

@@ -2,9 +2,9 @@
 
 Three ingredients of the reconstruction kernel live here: root location for
 t(phi) = sum a_m cos(m phi) + b_m sin(m phi) on the complex cylinder, the
-regularized integral of 1/t^2 across real zeros (which vanishes exactly when
-all zeros are real and simple), and residue summation for integrals of s/t
-when t never vanishes on the real circle.
+finite part of the integral of 1/t^2 across real zeros (which vanishes
+exactly when all zeros are real and simple), and residue summation for
+integrals of s/t when t never vanishes on the real circle.
 
 Root finding and residue sums work on stacks: n polynomials of one order k
 given as (a, b) coefficient arrays of shape (n, k + 1). Their companion
@@ -29,14 +29,9 @@ __all__ = [
     "residue_integral",
     "RealZeroError",
     "nucleus_check",
-    "nucleus_ladder",
+    "nucleus_zeros",
     "kernel_scale",
-    "DEFAULT_EPS_STEPS",
 ]
-
-# Relative regularization levels; multiplied by the coefficient scale of t
-# before use so that small and large polynomials extrapolate equally well.
-DEFAULT_EPS_STEPS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 # A zero counts as real when it lies within _REAL_ROOT_IM_TOL of the real
 # axis, or when t vanishes at its real part to roundoff: |t(Re phi)| at most
@@ -50,11 +45,8 @@ _REAL_ROOT_IM_TOL = 1e-8
 _REAL_ROOT_RESIDUAL_ULPS = 64
 _EPS = float(np.finfo(float).eps)
 
-# Largest grids of the nucleus integrals: midpoint nodes per level, per
-# shared ladder table or per line off the axis for a trig polynomial t,
-# samples per level for a sampled difference (parabola).
+# Largest midpoint grid of the line integral behind pv_inverse_square.
 _PV_GRID_CAP = 6_000_000
-_SAMPLED_GRID_CAP = 4_000_000
 
 
 def _as_coeff_tuple(c):
@@ -279,23 +271,14 @@ def _real_root_slopes(t: TrigPoly):
     return real, slopes, cplx
 
 
-def _regularized_terms(t2, e2):
-    # Re 1/(t + i eps)^2 written out from t^2 and eps^2; even in t, bounded
-    # by 1/eps^2. Two work arrays, updated in place.
-    denom = t2 + e2
-    terms = t2 - e2
+def _regularized_terms(u2, v2):
+    # Re 1/(u + i v)^2 written out from u^2 and v^2; even in u, bounded by
+    # 1/v^2. Two work arrays, updated in place.
+    denom = u2 + v2
+    terms = u2 - v2
     denom *= denom
     terms /= denom
     return terms
-
-
-def _regularized_mean(tvals: np.ndarray, eps: float) -> float:
-    # Mean of the terms over sampled t. Accumulated in extended precision:
-    # the peaks reach 1/eps^2 while the mean is smaller by orders of the
-    # relative level, and the digits lost to that cancellation would cap how
-    # well the ladder extrapolates.
-    t2 = np.square(tvals.astype(np.longdouble))
-    return float(np.mean(_regularized_terms(t2, np.longdouble(eps) ** 2)) * 2 * np.pi)
 
 
 def _midpoint_values(t: TrigPoly, n: int):
@@ -305,7 +288,7 @@ def _midpoint_values(t: TrigPoly, n: int):
     # O_j = (j + 1/2) step, and each harmonic follows from the addition formula
     #   a cos m(A+O) + b sin m(A+O) = p_i cos mO_j + q_i sin mO_j,
     #   p_i = a cos mA_i + b sin mA_i,  q_i = b cos mA_i - a sin mA_i,
-    # so a level costs about 2 sqrt(n) extended-precision cos/sin per
+    # so a grid costs about 2 sqrt(n) extended-precision cos/sin per
     # harmonic instead of n of each.
     step = np.longdouble(2 * np.pi) / n
     width = max(1, math.isqrt(n))
@@ -322,105 +305,52 @@ def _midpoint_values(t: TrigPoly, n: int):
         yield tv.ravel()[: n - i0 * width]
 
 
-def _regularized_levels(t: TrigPoly, sizes, eps) -> np.ndarray:
-    # The same mean at every level of a ladder, from one table of t^2 on an
-    # N-node midpoint grid. Level i sums every s_i-th node, s_i the power of
-    # two nearest to max(sizes) / sizes[i], and N the smallest multiple of
-    # the largest s_i with N / s_i >= sizes[i] for every i: level i runs on a
-    # uniform grid of N / s_i nodes, shifted off the midpoints, which is as
-    # accurate for a periodic integrand. A ladder whose eps halve nests
-    # exactly, so t is evaluated on about max(sizes) nodes instead of
-    # sum(sizes), and the terms on about sum(sizes). Everything runs in
-    # extended precision, including t itself: near a peak the term
-    # sensitivity to t grows like 1/eps^3, so double-precision node values
-    # alone would put a noise floor well above the extrapolated limit.
-    # Returns the levels in extended precision.
-    top = max(sizes)
-    strides = np.array([1 << round(math.log2(top / n)) for n in sizes])
-    s_max = int(strides.max())
-    n_grid = -(-int(np.max(strides * np.asarray(sizes))) // s_max) * s_max
-    if n_grid > _PV_GRID_CAP:
-        raise ValueError(f"the ladder's shared grid needs {n_grid} nodes, above the cap of {_PV_GRID_CAP} nodes")
-    keep_work_arrays_on_the_heap()
-    e2 = [np.longdouble(e) ** 2 for e in eps]
-    totals = np.zeros(len(sizes), dtype=np.longdouble)
-    start = 0
-    for tv in _midpoint_values(t, n_grid):
-        t2 = np.square(tv, out=tv)  # in place: one block fewer alive at a time
-        for i, s in enumerate(strides):
-            totals[i] += np.sum(_regularized_terms(t2[-start % s :: s], e2[i]))
-        start += tv.size
-    return totals / (n_grid // strides) * (2 * np.pi)
-
-
-def _extrapolate_to_zero(eps: np.ndarray, vals: np.ndarray) -> float:
-    deg = min(3, len(eps) - 1)
-    # Fit against eps/eps[0]: the constant term is unchanged and the
-    # Vandermonde stays conditioned even when a tiny difference amplitude
-    # puts the whole ladder at 1e-5 scales.
-    V = np.vander(eps / eps[0], deg + 1, increasing=True)
-    coef, *_ = np.linalg.lstsq(V, vals, rcond=None)
-    return float(coef[0])
-
-
-def _check_grid_sizes(eps, sizes, cap):
-    # A level on a grid coarser than its peaks need would be under-resolved
-    # with no sign of it, so refuse the ladder before any level runs.
-    for e, n in zip(eps, sizes):
-        if n > cap:
-            raise ValueError(f"level eps = {e:.3g} needs a {n}-node grid, above the cap of {cap} nodes")
-
-
-def _check_eps_sequence(eps_sequence):
-    eps = np.asarray(tuple(eps_sequence), dtype=float)
-    if eps.size < 2:
-        raise ValueError("need at least two regularization levels")
-    if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-        raise ValueError("eps_sequence must be positive and strictly decreasing")
-    return eps
-
-
-def pv_inverse_square(t: TrigPoly, eps_sequence=None) -> float:
-    """Limit of Re integral_0^{2pi} dphi / (t(phi) + i eps)^2 as eps -> 0.
+def pv_inverse_square(t: TrigPoly) -> float:
+    """Finite part of integral_0^{2pi} dphi / t(phi)^2, the limit of
+    Re integral_0^{2pi} dphi / (t(phi) + i eps)^2 as eps -> 0.
 
     Repeated real zeros are rejected with ValueError, before any quadrature,
-    because the limit does not exist there. A zero counts as real when
-    |Im phi| < 1e-8 or when t vanishes at Re phi to roundoff (64 ulps of
-    sum |a_m| + |b_m|), so a repeated zero is refused however the root finder
-    splits it. Once every real zero is simple, the limit is the residue sum
+    because the limit does not exist there (the line integral below would
+    return 0 for (1 + cos phi)^2). A zero counts as real when |Im phi| < 1e-8
+    or when t vanishes at Re phi to roundoff (64 ulps of sum |a_m| + |b_m|),
+    so a repeated zero is refused however the root finder splits it. Once
+    every real zero is simple, the limit is the residue sum
     Re 2 pi i sum -t''/t'^3 over the zeros in the upper half cylinder; simple
-    real zeros add nothing to it. When t has a complex pair (or is a nonzero
-    constant) that limit is returned, taken as the integral of 1/t^2 along a
-    line Im phi = h between the real zeros and the complex ones (see
-    _inverse_square_off_axis), which keeps it accurate when complex zeros
-    are close to one another or repeated.
-
-    When every zero is real and simple the limit is zero, and the regularized
-    integral is checked numerically instead: on a ladder of eps levels, each
-    on a uniform periodic rule sized from the distance of its poles to the
-    real axis, extrapolated polynomially to eps = 0. All levels sum strided
-    subsets of one extended-precision table of t^2.
-
-    ``eps_sequence`` entries are absolute; when omitted, a default geometric
-    ladder scaled by the coefficient size of t is used, capped by the local
-    slopes at the real zeros. A given ``eps_sequence`` is validated but not
-    used when t has a complex pair. A grid of more than 6 000 000 nodes is
-    refused with ValueError, before any value of t on it is made.
+    real zeros add nothing to it, so it vanishes when every zero is real.
+    It is returned as Re of the integral of 1/t^2 along a line Im phi = h
+    above the real zeros and below the complex ones (see
+    _inverse_square_off_axis), which stays accurate when complex zeros are
+    close to one another or repeated. A line that needs a grid of more than
+    6 000 000 nodes is refused with ValueError, before any value of t on it
+    is made.
     """
-    return _pv_levels(t, eps_sequence)[2]
+    return _inverse_square_off_axis(t, *_simple_zeros(t))
+
+
+def _simple_zeros(t: TrigPoly):
+    """(real zeros, complex zeros) of t, refusing t = 0 and repeated real
+    zeros (|t'| at most 1e-6 of the coefficient scale)."""
+    scale = t.coeff_scale()
+    if scale == 0.0:
+        raise ValueError("t is identically zero")
+    real, slopes, cplx = _real_root_slopes(t)
+    if real.size and np.any(slopes <= 1e-6 * scale):
+        raise ValueError("t has a repeated (or nearly repeated) real zero")
+    return real, cplx
 
 
 def _inverse_square_off_axis(t: TrigPoly, real: np.ndarray, cplx: np.ndarray) -> float:
     # The residue limit, as Re of the integral of 1/t^2 along Im phi = h with
-    # h = d / 2, d = min |Im| over the complex zeros (h = 0 without real
-    # zeros). Moving the real line up to h crosses only poles at simple real
-    # zeros, whose residues -t''/t'^3 are real and add nothing to Re 2 pi i
-    # sum. The residue sum itself cancels between close complex zeros: it
-    # loses every digit on (2 + cos)^2 and 15 % on (2 + cos)(2.001 + cos).
-    # Along the line t(phi + ih) = u(phi) + i v(phi), u and v real trig
-    # polynomials, so Re 1/t^2 = (u^2 - v^2) / (u^2 + v^2)^2 is the
-    # regularized term with eps^2 = v^2. Its nearest poles sit d / 2 (or d)
-    # off the line, so the midpoint rule is sized like a ladder level.
+    # h = d / 2, d = min |Im| over the complex zeros, or d = 1 when there are
+    # none (h = 0 without real zeros). Moving the real line up to h crosses
+    # only poles at simple real zeros, whose residues -t''/t'^3 are real and
+    # add nothing to Re 2 pi i sum. The residue sum itself cancels between
+    # close complex zeros: it loses every digit on (2 + cos)^2 and 15 % on
+    # (2 + cos)(2.001 + cos). Along the line t(phi + ih) = u(phi) + i v(phi),
+    # u and v real trig polynomials, so Re 1/t^2 = (u^2 - v^2) / (u^2 + v^2)^2.
+    # Its nearest poles sit d - h off the line, and the periodic midpoint
+    # rule's error falls like exp(-n (d - h)): 44 / (d - h) + 128 nodes, 216
+    # when every zero is real.
     d = float(np.min(np.abs(cplx.imag))) if cplx.size else 1.0
     h = d / 2 if real.size else 0.0
     n = int(44.0 / min(max(d - h, 1e-9), 1.0)) + 128
@@ -435,44 +365,6 @@ def _inverse_square_off_axis(t: TrigPoly, real: np.ndarray, cplx: np.ndarray) ->
     for uv, vv in zip(_midpoint_values(u, n), _midpoint_values(v, n)):
         total += np.sum(_regularized_terms(np.square(uv, out=uv), np.square(vv, out=vv)))
     return float(total / n * (2 * np.pi))
-
-
-def _pv_levels(t: TrigPoly, eps_sequence):
-    """(eps, level values, limit) of the regularized integral of 1/t^2.
-
-    Refuses repeated real zeros. With a complex pair (or a constant t) the
-    limit is the residue limit (see _inverse_square_off_axis) and no ladder
-    runs: eps and the level values come back empty, and a given
-    eps_sequence is validated but not used. Otherwise every zero is real
-    and simple, and the levels of the eps ladder, extrapolated to eps = 0,
-    check that the limit vanishes. Level i runs on at least 44 / d_i + 128 nodes, d_i the
-    distance of its closest pole to the real axis; all levels share one
-    t^2 table (see _regularized_levels).
-    """
-    scale = t.coeff_scale()
-    if scale == 0.0:
-        raise ValueError("t is identically zero")
-    real, slopes, cplx = _real_root_slopes(t)
-    if real.size and np.any(slopes <= 1e-6 * scale):
-        raise ValueError("t has a repeated (or nearly repeated) real zero")
-    if eps_sequence is not None:
-        eps = _check_eps_sequence(eps_sequence)
-    if cplx.size or t.order == 0:
-        return np.zeros(0), np.zeros(0), _inverse_square_off_axis(t, real, cplx)
-    if eps_sequence is None:
-        # The extrapolation expands in eps * |t''| / t'^2 around each real
-        # zero; keep the largest level well inside that regime so nearly
-        # repeated zeros (small local slope) still extrapolate cleanly.
-        curv = np.abs(t.derivative().derivative().eval(real))
-        local = slopes * slopes / np.maximum(curv, 1e-30)
-        base = max(min(scale, 0.2 * float(np.min(local))), 1e-7 * scale)
-        eps = np.asarray(DEFAULT_EPS_STEPS) * base
-
-    # a level's closest poles sit eps / |t'| off the axis, at the steepest zero
-    sizes = [int(44.0 / d) + 128 for d in np.clip(eps / np.max(slopes), 1e-9, 1.0)]
-    _check_grid_sizes(eps, sizes, _PV_GRID_CAP)
-    vals = _regularized_levels(t, sizes, eps).astype(float)
-    return eps, vals, _extrapolate_to_zero(eps, vals)
 
 
 def residue_integral(s, t):
@@ -520,19 +412,12 @@ def residue_integral(s, t):
     return float(total[0]) if isinstance(t, TrigPoly) and isinstance(s, TrigPoly) else total
 
 
-def nucleus_ladder(geom, x, y, eps_sequence=None):
-    """Regularized angular integrals of 1/(psi(x,.) - psi(y,.))^2 across a
-    ladder of eps levels, plus their extrapolation to eps = 0.
-
-    Returns (eps, level_values, extrapolated). Reports want the raw levels;
-    everything else goes through nucleus_check, which keeps only the limit.
-    A closed-form difference with a complex pair gets the residue limit (see
-    pv_inverse_square); no ladder runs, eps and level_values are empty, and
-    a given eps_sequence is validated but not used.
-    Ladders whose grids exceed the caps (6 000 000 nodes for the closed-form
-    difference, 4 000 000 samples otherwise) raise ValueError.
-    """
-    from .geometry import psi_branch, trig_difference
+def _psi_difference(geom, x, y):
+    """(t, c) with psi_branch(x, phi) - psi_branch(y, phi) = t(c phi) for
+    every phi: the family's closed-form difference (c = 1), or for the
+    parabola the difference of its half-angle branches (c = 1/2, see
+    geometry.half_angle_difference)."""
+    from .geometry import half_angle_difference, trig_difference
 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -540,61 +425,46 @@ def nucleus_ladder(geom, x, y, eps_sequence=None):
         raise ValueError("nucleus is only defined for distinct points")
     tp = trig_difference(geom, x, y)
     if tp is not None:
-        return _pv_levels(tp, eps_sequence)
-
-    def sampler(n):
-        ph = (np.arange(n) + 0.5) * (2 * np.pi / n)
-        return psi_branch(geom, x, ph) - psi_branch(geom, y, ph)
-
-    # one coarse probe sets both the eps scale and the grid sizes
-    probe = sampler(4096)
-    scale = float(np.max(np.abs(probe)))
-    if scale == 0.0:
-        raise ValueError("sampled difference is identically zero")
-    if eps_sequence is None:
-        eps = np.asarray(DEFAULT_EPS_STEPS) * scale
-    else:
-        eps = _check_eps_sequence(eps_sequence)
-    slope = float(np.max(np.abs(np.diff(probe)))) / (2 * np.pi / 4096)
-    sizes = [int(44.0 * max(slope, 1e-12) / e) + 256 for e in eps]
-    _check_grid_sizes(eps, sizes, _SAMPLED_GRID_CAP)
-    keep_work_arrays_on_the_heap()
-    vals = np.array([_regularized_mean(sampler(n), e) for n, e in zip(sizes, eps)])
-    return eps, vals, _extrapolate_to_zero(eps, vals)
+        return tp, 1.0
+    return half_angle_difference(geom, x, y), 0.5
 
 
-def nucleus_check(geom, x, y, eps_sequence=None) -> float:
-    """Regularized angular integral of 1/(psi(x,.) - psi(y,.))^2, extrapolated.
+def nucleus_check(geom, x, y) -> float:
+    """The nucleus N(x, y) = f.p. integral_0^{2pi} dphi / (psi(x,phi) - psi(y,phi))^2.
 
-    Dispatches to the exact trig-polynomial path when the family provides the
-    difference in closed form; otherwise (parabola) integrates the sampled
-    difference of the smooth branch directly. The result should vanish for
-    every valid pair x != y; that is the exactness condition of the
-    reconstruction formula, and the test suites assert it rather than
-    assuming it.
+    It vanishes for every valid pair x != y; that is the exactness condition
+    of the reconstruction formula, and the test suites assert it rather than
+    assuming it. The difference is an exact trig polynomial t, or T(phi / 2)
+    for the parabola; T^2 has period pi, so the integral of 1/T(phi / 2)^2
+    over a period is that of 1/T(u)^2. Either way pv_inverse_square takes
+    the limit, refusing repeated real zeros.
     """
-    return nucleus_ladder(geom, x, y, eps_sequence)[2]
+    return pv_inverse_square(_psi_difference(geom, x, y)[0])
+
+
+def nucleus_zeros(geom, x, y) -> str:
+    """How the zeros of psi(x, .) - psi(y, .) are classed, as nucleus_check
+    classes them: '2 real simple', 'complex pair', '2 real simple, complex
+    pair', ... Refuses what nucleus_check refuses."""
+    real, cplx = _simple_zeros(_psi_difference(geom, x, y)[0])
+    pairs = cplx.size // 2
+    parts = [f"{real.size} real simple"] if real.size else []
+    if pairs:
+        parts.append("complex pair" if pairs == 1 else f"{pairs} complex pairs")
+    return ", ".join(parts) or "no zeros"
 
 
 def kernel_scale(geom, x, y) -> float:
-    """Slope scale |t'| at the real zeros of the psi difference.
+    """Slope scale |t'| at the real zeros of the psi difference t.
 
     Used to set tolerances for nucleus values: the natural size of the
-    regularized integral's fluctuations is the squared slope. Falls back to
-    the maximum slope over the circle when roots are unavailable.
+    regularized integral's fluctuations is the squared slope. For the
+    parabola t(phi) = T(phi / 2), so t'(phi) = T'(phi / 2) / 2. Falls back to
+    the maximum slope over the circle when t has no real zero.
     """
-    from .geometry import psi_branch, trig_difference
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tp = trig_difference(geom, x, y)
-    if tp is not None:
-        real, slopes, _ = _real_root_slopes(tp)
-        if real.size:
-            return float(np.max(slopes))
-        ph = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
-        return float(np.max(np.abs(tp.derivative().eval(ph))))
-    n = 8192
-    ph = (np.arange(n) + 0.5) * (2 * np.pi / n)
-    d = psi_branch(geom, x, ph) - psi_branch(geom, y, ph)
-    return float(np.max(np.abs(np.diff(d)))) / (2 * np.pi / n)
+    t, c = _psi_difference(geom, x, y)
+    real, slopes, _ = _real_root_slopes(t)
+    if real.size:
+        return c * float(np.max(slopes))
+    ph = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
+    return c * float(np.max(np.abs(t.derivative().eval(ph))))

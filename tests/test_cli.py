@@ -327,14 +327,27 @@ def test_invert_missing_input_exits_2(capsys, tmp_path):
 
 # ----------------------------------------------- kernel-check and dcoef
 
-def test_kernel_check_reports_the_ladder_and_passes(capsys):
+def test_kernel_check_reports_the_limit_and_the_zeros_and_passes(capsys):
     code, text, _ = run(capsys, "kernel-check", "--geometry", "radon", "--pairs", 5)
     assert code == 0
     lines = text.splitlines()
-    assert sum(ln.startswith("pair") for ln in lines) == 5
-    assert all("levels [" in ln for ln in lines if ln.startswith("pair"))
+    pairs = [ln for ln in lines if ln.startswith("pair")]
+    assert len(pairs) == 5
+    # a line difference <y - x, e(phi)> has two simple real zeros
+    assert all("zeros [2 real simple]  N = " in ln for ln in pairs)
+    assert not any("levels" in ln for ln in lines)
     assert "max |N|" in text
     assert lines[-1] == "PASS"
+
+
+@pytest.mark.parametrize("geometry", ["parabola", "cormack:k=3"])
+def test_kernel_check_passes_on_the_parabola_and_cormack3(geometry, capsys):
+    # the parabola's difference is the half-angle polynomial T(phi / 2)
+    code, text, _ = run(capsys, "kernel-check", "--geometry", geometry, "--pairs", 40)
+    assert code == 0
+    pairs = [ln for ln in text.splitlines() if ln.startswith("pair")]
+    assert len(pairs) == 40 and all("zeros [2 real simple]" in ln for ln in pairs)
+    assert text.splitlines()[-1] == "PASS"
 
 
 def test_kernel_check_compliant_ellipse_stays_quiet_about_the_condition(capsys):
@@ -357,15 +370,17 @@ def test_kernel_check_violating_ellipse_names_the_condition(capsys):
     assert "‖y+x‖*ₑ<2" in text
 
 
-def test_kernel_check_reports_a_residue_limit_without_a_ladder(capsys):
-    # far outside the admissible region some differences have a complex pair;
-    # their limit comes without eps levels, and the line says so
+def test_kernel_check_names_a_complex_pair(capsys):
+    # far outside the admissible region some differences have a complex pair,
+    # which gives the nucleus a nonzero limit, and the line says so
     code, text, _ = run(
         capsys, "kernel-check", "--geometry", "ellipse:e1=1.0,e2=0.3,support=0.9",
         "--pairs", 12,
     )
     assert code == 1
-    assert "levels [none: residue limit]" in text
+    assert "zeros [complex pair]" in text
+    flagged = [ln for ln in text.splitlines() if "(over tolerance)" in ln]
+    assert flagged and all("zeros [complex pair]" in ln for ln in flagged)
 
 
 def test_dcoef_prints_a_table(capsys):

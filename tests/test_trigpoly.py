@@ -2,8 +2,9 @@
 
 Every expected value below is computed inline from a closed form (explicit
 root locations, Poisson-type integrals) or from a quadrature oracle that does
-not share code with the implementation. Nothing is a snapshot of the module
-under test.
+not share code with the implementation; the finite part of 1/t^2 is checked
+against its regularized definition, an eps ladder extrapolated to eps = 0.
+Nothing is a snapshot of the module under test.
 """
 
 import math
@@ -19,7 +20,8 @@ from scipy.integrate import quad
 
 from funkradon import GeometryFamily, TrigPoly, nucleus_check, pv_inverse_square, residue_integral
 from funkradon import trigpoly
-from funkradon.trigpoly import all_real_simple, kernel_scale, nucleus_ladder, roots
+from funkradon.geometry import half_angle_difference, psi_branch
+from funkradon.trigpoly import all_real_simple, kernel_scale, roots
 
 TAU = 2 * math.pi
 
@@ -194,7 +196,7 @@ def random_real_zero_poly(rng, order):
 
 
 def zeros_apart(t, gap=0.5):
-    # separation keeps the local slopes honest so the eps ladder extrapolates
+    # separation keeps the local slopes honest so an eps ladder extrapolates
     r = roots(t).real
     gaps = np.abs(np.subtract.outer(r, r))
     gaps = np.minimum(gaps, TAU - gaps)
@@ -215,22 +217,11 @@ def test_pv_vanishing_property_random_products():
         assert abs(pv_inverse_square(t)) <= 1e-5 * scale**2
 
 
-def test_pv_explicit_eps_sequence():
-    got = pv_inverse_square(COS, eps_sequence=(1e-2, 5e-3, 2.5e-3, 1.25e-3))
-    assert abs(got) <= 1e-6
-
-
 def test_pv_rejections():
     with pytest.raises(ValueError, match="repeated"):
         pv_inverse_square(poly((1.0, 1.0)))
     with pytest.raises(ValueError, match="zero"):
         pv_inverse_square(poly((0.0,)))
-    with pytest.raises(ValueError, match="two"):
-        pv_inverse_square(COS, eps_sequence=(1e-3,))
-    with pytest.raises(ValueError, match="decreasing"):
-        pv_inverse_square(COS, eps_sequence=(1e-3, 2e-3))
-    with pytest.raises(ValueError, match="decreasing"):
-        pv_inverse_square(COS, eps_sequence=(1e-2, -1e-3))
 
 
 @pytest.mark.parametrize(
@@ -247,7 +238,8 @@ def test_pv_rejections():
 def test_pv_rejects_repeated_real_zeros(t, monkeypatch):
     # the root finder splits a zero of multiplicity m by about eps**(1/m) in a
     # direction roundoff picks; each split zero must still be refused, and
-    # before any grid value of t is made
+    # before any grid value of t is made: the line integral would return a
+    # finite number (0 for (1 + cos)^2) where the limit does not exist
     def no_quadrature(*args):
         raise AssertionError("quadrature ran on a repeated zero")
 
@@ -256,49 +248,19 @@ def test_pv_rejects_repeated_real_zeros(t, monkeypatch):
         pv_inverse_square(t)
 
 
-def test_pv_refuses_a_ladder_beyond_the_grid_cap(monkeypatch):
-    # eps = 1e-6 at unit slope needs about 44M nodes; running it on the capped
-    # grid would return an under-resolved value with no sign of it
-    def no_quadrature(*args):
-        raise AssertionError("quadrature ran past the grid cap")
-
-    monkeypatch.setattr(trigpoly, "_midpoint_values", no_quadrature)
-    with pytest.raises(ValueError, match=r"44000128-node grid, above the cap of 6000000"):
-        pv_inverse_square(COS, eps_sequence=(1e-6, 5e-7))
-
-
-def test_shared_grid_is_held_to_the_grid_cap(monkeypatch):
-    # both levels fit under the cap, but the shared grid rounds the finest
-    # level up to a multiple of the coarse level's stride 2**15
-    def no_quadrature(*args):
-        raise AssertionError("quadrature ran past the grid cap")
-
-    monkeypatch.setattr(trigpoly, "_midpoint_values", no_quadrature)
-    with pytest.raises(ValueError, match=r"6553600 nodes, above the cap of 6000000"):
-        trigpoly._regularized_levels(COS, [200, 5_999_999], (1e-2, 1e-6))
-
-
-def no_ladder(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the eps ladder ran on a polynomial with a complex pair")
-
-    monkeypatch.setattr(trigpoly, "_regularized_levels", refuse)
-
-
 @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
-def test_pv_mixed_zeros_closed_form(delta, monkeypatch):
+def test_pv_mixed_zeros_closed_form(delta):
     # cos phi (c + cos phi): simple real zeros at pi/2 and 3pi/2 and a complex
     # pair at Im ~ sqrt(2 delta) over pi. The limit is the residue sum over
     # the pair, which partial fractions in cos phi turn into Poisson
-    # integrals; no eps ladder runs.
-    no_ladder(monkeypatch)
+    # integrals.
     c = 1.0 + delta
     want = 2 * TAU / (c**3 * math.sqrt(c * c - 1.0)) + TAU / (c * (c * c - 1.0) ** 1.5)
     assert pv_inverse_square(COS * poly((c, 1.0))) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-9, 1e-3])
-def test_pv_repeated_complex_zeros(gap, monkeypatch):
+def test_pv_repeated_complex_zeros(gap):
     # (2 + cos)(2 + gap + cos) has a double (gap 0) or nearly double complex
     # pair, where the residues of 1/t^2 at the two upper zeros grow like
     # 1/gap^3 and cancel. Without real zeros the integrand is positive:
@@ -306,7 +268,6 @@ def test_pv_repeated_complex_zeros(gap, monkeypatch):
     # and a plain midpoint sum checks the others. With a real zero factor,
     # the limit is Re int 1/t^2 along any line 0 < Im phi < min Im of the
     # complex zeros; one at Im 0.3, evaluated in complex doubles.
-    no_ladder(monkeypatch)
     t = poly((2.0, 1.0)) * poly((2.0 + gap, 1.0))
     ph = (np.arange(4096) + 0.5) * (TAU / 4096)
     want = math.pi * 22.0 / 3.0**3.5 if gap == 0.0 else TAU * np.mean(1.0 / t.eval(ph) ** 2)
@@ -351,30 +312,6 @@ def test_midpoint_values_match_per_node_evaluation(n):
         assert float(np.max(np.abs(grid - direct))) <= bound
 
 
-def default_ladder(t, monkeypatch):
-    """(sizes, eps, levels) of the default ladder that pv_inverse_square runs."""
-    seen = []
-
-    def record(t, sizes, eps):
-        levels = real_levels(t, sizes, eps)
-        seen.append((list(sizes), list(eps), levels))
-        return levels
-
-    real_levels = trigpoly._regularized_levels
-    monkeypatch.setattr(trigpoly, "_regularized_levels", record)
-    pv_inverse_square(t)
-    monkeypatch.undo()
-    assert len(seen) == 1
-    return seen[0]
-
-
-def shared_grid(sizes):
-    # s_i: the power of two nearest to max(sizes) / sizes[i]; the grid is the
-    # smallest multiple of the largest stride with N / s_i >= sizes[i]
-    strides = [2 ** round(math.log2(max(sizes) / n)) for n in sizes]
-    return -(-max(s * n for s, n in zip(strides, sizes)) // max(strides)) * max(strides), strides
-
-
 def separated_real_zero_poly(rng, order):
     t = random_real_zero_poly(rng, order)
     while not zeros_apart(t):
@@ -382,61 +319,90 @@ def separated_real_zero_poly(rng, order):
     return t
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_shared_table_levels_match_sums_on_their_own_grids(order, monkeypatch):
-    # level i is the regularized mean on the N / s_i nodes phi_j = (j s_i +
-    # 1/2) 2pi / N. Summed in one piece from every s_i-th value of the N-node
-    # grid, it must agree to summation roundoff. Summed from t evaluated node
-    # by node, t's own rounding (32 ulps of sum |a_m| + |b_m| in either
-    # evaluation) enters through |d term / dt| <= 2 / |t + i eps|^3.
-    rng = np.random.default_rng(90 + order)
-    t = separated_real_zero_poly(rng, order)
-    sizes, eps, levels = default_ladder(t, monkeypatch)
-    assert levels.dtype == np.longdouble
-    n_grid, strides = shared_grid(sizes)
-    grid = np.concatenate(list(trigpoly._midpoint_values(t, n_grid)))
-    t_err = 64 * LD_EPS * sum(map(abs, t.a + t.b))
-    for n, s, e, level in zip(sizes, strides, eps, levels):
-        m = n_grid // s
-        assert m >= n
-        ph = (np.arange(m) * s + np.longdouble(0.5)) * (np.longdouble(TAU) / n_grid)
-        direct = np.full(m, np.longdouble(t.a[0]))
-        for k in range(1, t.order + 1):
-            direct += t.a[k] * np.cos(k * ph) + t.b[k] * np.sin(k * ph)
-        e2, w = np.longdouble(e) ** 2, np.longdouble(TAU) / m
-        for tv, slack in ((grid[::s], 0.0), (direct, t_err * np.sum(2 * w / (direct * direct + e2) ** 1.5))):
-            terms = (tv * tv - e2) / (tv * tv + e2) ** 2 * w
-            bound = 64 * LD_EPS * np.sum(np.abs(terms)) + slack
-            assert abs(level - np.sum(terms)) <= bound
+def ld_eval(t, ph):
+    """t summed node by node in extended precision."""
+    out = np.full(ph.shape, np.longdouble(t.a[0]))
+    for m in range(1, t.order + 1):
+        out += t.a[m] * np.cos(m * ph) + t.b[m] * np.sin(m * ph)
+    return out
+
+
+def ladder_limit(t, real, max_nodes=1_000_000, steps=(4e-2, 2e-2, 1e-2, 5e-3)):
+    """The finite part of int 1/t^2 by its definition: Re int dphi /
+    (t + i eps)^2 at four eps levels, each a midpoint sum in extended
+    precision, extrapolated to eps = 0 by the cubic through the levels.
+
+    The levels expand in eps |t''| / t'^2 around each real zero, so eps is
+    scaled by the smallest t'^2 / |t''| there. The poles of a level sit about
+    eps / |t'| off the axis, and its grid resolves them at the steepest zero.
+    None when the finest level would need more than ``max_nodes`` nodes.
+    """
+    slopes = np.abs(t.derivative().eval(real))
+    curv = np.abs(t.derivative().derivative().eval(real))
+    eps = np.asarray(steps) * min(t.coeff_scale(), 0.2 * float(np.min(slopes**2 / curv)))
+    sizes = [int(32 * np.max(slopes) / e) + 128 for e in eps]
+    if sizes[-1] > max_nodes:
+        return None
+    levels = []
+    for e, n in zip(eps, sizes):
+        ph = (np.arange(n) + np.longdouble(0.5)) * (np.longdouble(TAU) / n)
+        t2, e2 = ld_eval(t, ph) ** 2, np.longdouble(e) ** 2
+        levels.append(float(np.sum((t2 - e2) / (t2 + e2) ** 2) * (np.longdouble(TAU) / n)))
+    return float(np.linalg.solve(np.vander(eps / eps[0], len(eps), increasing=True), levels)[0])
+
+
+@pytest.mark.parametrize(
+    "order, pair",
+    [(1, False), (2, False), (3, False), (1, True), (2, True)],
+    ids=["real1", "real2", "real3", "mixed2", "mixed3"],
+)
+def test_pv_matches_the_eps_ladder_on_random_t(order, pair):
+    # t: a product of ``order`` factors with separated simple real zeros,
+    # times, for ``pair``, amp (c + cos(phi - u)) with c in [1.2, 2], whose
+    # complex pair sits acosh(c) >= 0.62 off the axis. All-real t have limit
+    # 0; the pair gives t a nonzero one. The ladder's extrapolation error is
+    # below 3e-7 t'^2 on these. A draw whose ladder would need more than a
+    # million nodes (a real zero with small t'^2 / |t''|) is drawn again, to
+    # bound the oracle's cost.
+    rng = np.random.default_rng(60 + 10 * order + pair)
+    checked = 0
+    while checked < 2:
+        t = separated_real_zero_poly(rng, order)
+        if pair:
+            c, u, amp = rng.uniform(1.2, 2.0), rng.uniform(0, TAU), rng.uniform(0.7, 1.5)
+            t = t * poly((amp * c, amp * math.cos(u)), (0.0, amp * math.sin(u)))
+        rts = roots(t)
+        real = rts.real[np.abs(rts.imag) < 1e-8]
+        assert real.size == 2 * order
+        want = ladder_limit(t, real)
+        if want is None:
+            continue
+        checked += 1
+        got = pv_inverse_square(t)
+        slope2 = float(np.max(np.abs(t.derivative().eval(real)))) ** 2
+        assert abs(got - want) <= 1e-6 * max(slope2, abs(want))
+        if not pair:
+            assert abs(got) <= 1e-12 * slope2
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_ladder_evaluates_t_once_per_shared_grid_node(order, monkeypatch):
-    # the default eps halve, so the levels nest: t is evaluated on the finest
-    # level's grid, rounded up by at most 7 of the coarsest level's 128-node
-    # floor, and the terms on barely more nodes than the levels ask for
-    rng = np.random.default_rng(80 + order)
-    t = separated_real_zero_poly(rng, order)
-    sizes, _, _ = default_ladder(t, monkeypatch)
-    nodes, terms = [], []
+def test_pv_runs_one_short_line_when_every_zero_is_real(order, monkeypatch):
+    # with no complex zero the line sits at Im phi = 1/2, half a unit above
+    # the real poles, and 44 / (1/2) + 128 = 216 midpoint nodes resolve it
+    sizes = []
 
     def counted(t, n):
-        nodes.append(n)
+        sizes.append(n)
         return real_values(t, n)
 
-    def counted_terms(t2, e2):
-        terms.append(t2.size)
-        return real_terms(t2, e2)
-
-    real_values, real_terms = trigpoly._midpoint_values, trigpoly._regularized_terms
+    real_values = trigpoly._midpoint_values
     monkeypatch.setattr(trigpoly, "_midpoint_values", counted)
-    monkeypatch.setattr(trigpoly, "_regularized_terms", counted_terms)
+    t = separated_real_zero_poly(np.random.default_rng(70 + order), order)
     pv_inverse_square(t)
-    assert max(sizes) <= sum(nodes) <= max(sizes) + 7 * 128 < sum(sizes)
-    assert sum(sizes) <= sum(terms) <= sum(sizes) + 12 * 128
+    assert sizes == [216, 216]  # u and v, the real and imaginary parts of t on the line
 
 
-def test_heap_thresholds_are_set_at_the_first_ladder_not_on_import():
+def test_heap_thresholds_are_set_at_the_first_nucleus_integral_not_on_import():
     # a fresh interpreter: importing the package must leave the allocator
     # alone, and the first nucleus check sets it
     script = (
@@ -592,16 +558,58 @@ def test_nucleus_ellipse_pair():
     assert abs(nucleus_check(g, x, y)) <= nucleus_tol(g, x, y)
 
 
-def test_nucleus_parabola_sampled_path():
+def test_nucleus_parabola_pair():
     g = GeometryFamily("parabola")
     x, y = (0.5, 0.1), (-0.3, 0.4)
     assert abs(nucleus_check(g, x, y)) <= nucleus_tol(g, x, y)
 
 
-def test_nucleus_sampled_path_refuses_a_ladder_beyond_the_sample_cap():
-    g = GeometryFamily("parabola")
-    with pytest.raises(ValueError, match="above the cap of 4000000"):
-        nucleus_ladder(g, (0.5, 0.1), (-0.3, 0.4), eps_sequence=(1e-7, 5e-8))
+PARAB = GeometryFamily("parabola")
+
+
+def parabola_pairs(rng, n):
+    """n random pairs in the punctured disc of radius 0.95, and n pairs on
+    either side of the negative x-axis, where atan2 jumps from pi to -pi."""
+    r = np.sqrt(rng.uniform(0.05**2, 0.95**2, (n, 2)))
+    th = rng.uniform(-math.pi, math.pi, (n, 2))
+    r_cut = rng.uniform(0.05, 0.95, (n, 2))
+    th_cut = np.stack([math.pi - rng.uniform(0, 0.1, n), -math.pi + rng.uniform(0, 0.1, n)], axis=1)
+    r, th = np.concatenate([r, r_cut]), np.concatenate([th, th_cut])
+    pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+    return pts[:, 0], pts[:, 1]
+
+
+def test_parabola_difference_is_a_half_angle_polynomial():
+    # psi_branch(x, phi) - psi_branch(y, phi) = T(phi / 2), T of order one
+    rng = np.random.default_rng(12)
+    ph = np.linspace(-TAU, 2 * TAU, 301)
+    xs, ys = parabola_pairs(rng, 20)
+    assert np.any(xs[:, 1] * ys[:, 1] < 0)
+    for x, y in zip(xs, ys):
+        t = half_angle_difference(PARAB, x, y)
+        assert t.order == 1 and t.a[0] == 0.0
+        want = psi_branch(PARAB, x, ph) - psi_branch(PARAB, y, ph)
+        assert_allclose(t.eval(ph / 2), want, rtol=0, atol=1e-14)
+    assert half_angle_difference(GeometryFamily("radon"), (0.5, 0.0), (0.0, 0.5)) is None
+
+
+def test_parabola_nucleus_at_the_close_pair_that_sampling_barely_passed():
+    # the sampled eps ladder gave |N| / tol = 0.954 here
+    x, y = (-0.51034003, 0.44736446), (-0.52268866, 0.43917458)
+    assert abs(nucleus_check(PARAB, x, y)) / nucleus_tol(PARAB, x, y) < 1e-6
+
+
+def test_parabola_kernel_scale_matches_the_sampled_max_slope():
+    # t(phi) = T(phi / 2) peaks in slope at its zeros (T^2 + T'^2 is constant
+    # for T = a cos + b sin), where t' = T'(phi / 2) / 2; an 8192-sample finite
+    # difference of the branches sees the same slope to O(h^2)
+    rng = np.random.default_rng(13)
+    n = 8192
+    ph = (np.arange(n) + 0.5) * (TAU / n)
+    for x, y in zip(*parabola_pairs(rng, 10)):
+        d = psi_branch(PARAB, x, ph) - psi_branch(PARAB, y, ph)
+        sampled = float(np.max(np.abs(np.diff(d)))) / (TAU / n)
+        assert kernel_scale(PARAB, x, y) == pytest.approx(sampled, rel=1e-6)
 
 
 def test_nucleus_rejects_coincident_points():
