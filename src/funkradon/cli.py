@@ -7,7 +7,7 @@ runs the whole verification battery.
 
 Exit codes: 0 success, 1 a verification reported FAIL, 2 usage or parse
 error or a refused input (a divergent row, say), 3 numerical failure
-(coverage, windowing, tracing).
+(coverage, windowing).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .inversion import (
 )
 from .phantom import parse_phantom
 from .transform import (
-    TracingError,
     default_axes,
     forward_mphi,
     forward_riemann,
@@ -214,7 +213,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CoverageError, WindowingError, TracingError) as exc:
+    except (CoverageError, WindowingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -332,11 +332,11 @@ def _lam_eps(lam):
     return _LAM_TINY * (1.0 + float(np.max(np.abs(lam))))
 
 
-def arcs(geom: GeometryFamily, lam, phi: float, R: float, kind: str):
+def arcs(geom: GeometryFamily, lam, phi: float, R: float):
     """All arcs of the curves {lambda_of = lam[i]} inside the origin disc of
-    radius R, for forward data of the given kind ("mphi" or "riemann")."""
+    radius R, each weighted by ds / |grad psi| (see _Arc)."""
     lam = np.asarray(lam, dtype=float)
-    return geom.record.arcs(geom, lam, _lam_eps(lam), phi, R, kind)
+    return geom.record.arcs(geom, lam, _lam_eps(lam), phi, R)
 
 
 def ray_start_gain(geom: GeometryFamily, lam, R: float):
@@ -358,18 +358,16 @@ def ray_start_gain(geom: GeometryFamily, lam, R: float):
 # A curve restricted to the working disc of radius R splits into arcs. Each
 # arc is described by a half-width array W (one entry per lambda node; zero
 # marks rows the arc misses), a map from arc parameter beta in [-W, W] to
-# points and integrand weights, and an optional constant multiplicity. The
-# weight is the family's closed form along its own arc: ds/dbeta / |grad psi|
-# for kind "mphi", the metric speed ds/dbeta for "riemann". The map receives
-# the active row indices so it can pick its per-row data.
+# points and integrand weights. The weight is the family's closed form of
+# ds/dbeta / |grad psi| along its own arc, with any multiple covering of the
+# arc folded in. The map receives the active row indices so it can pick its
+# per-row data.
 
 
 @dataclass
 class _Arc:
     W: np.ndarray
     mapto: Callable  # (B, act) -> (P, weight), P of shape B.shape + (2,), weight broadcasting to B
-    mult: float = 1.0
-    point: bool = False  # degenerate arc, skipped by the tracer
     stretch: bool = False  # cluster quadrature nodes toward the arc ends
 
 
@@ -409,10 +407,10 @@ def _polar(r, c, s, ca, sa):
     return np.stack([r * (c * ca - s * sa), r * (s * ca + c * sa)], axis=-1)
 
 
-def _rays(lam, lam_eps, thetas, R, kind, weight, mult=1.0):
+def _rays(lam, lam_eps, thetas, R, weight):
     """Rays from the origin at the polar angles thetas, r in (0, R], on the
-    rows where lambda vanishes; none when no row does. weight(r) is the mphi
-    weight 1/|grad psi| at radius r; arc-length data weigh every node by 1."""
+    rows where lambda vanishes; none when no row does. weight(r) is the
+    weight 1/|grad psi| at radius r, since ds = dr."""
     rows = np.abs(lam) <= lam_eps
     if not np.any(rows):
         return []
@@ -424,9 +422,9 @@ def _rays(lam, lam_eps, thetas, R, kind, weight, mult=1.0):
 
         def mapto(B, act, e=e):
             r = mid + B
-            return r[..., None] * e, weight(r) if kind == "mphi" else 1.0
+            return r[..., None] * e, weight(r)
 
-        out.append(_Arc(np.where(rows, half, 0.0), mapto, mult=mult, stretch=True))
+        out.append(_Arc(np.where(rows, half, 0.0), mapto, stretch=True))
     return out
 
 
@@ -452,7 +450,7 @@ class _Family:
     lambda_range: Callable  # (g, rho)
     dcoef: Callable  # (g, x1, x2, r2)
     trig_difference: Callable  # (g, x, y), None where no polynomial exists
-    arcs: Callable  # (g, lam, lam_eps, phi, R, kind) -> list of _Arc
+    arcs: Callable  # (g, lam, lam_eps, phi, R) -> list of _Arc
     weight_m: Callable = _no_factorization  # (g, r2)
     weight_mu: Callable = _no_factorization  # (g, lam)
     psi_branch: Callable | None = None  # (g, x1, x2, phi); None means psi
@@ -467,7 +465,7 @@ class _Family:
     sheets: Callable = lambda g: 1.0  # parameter sheets through each point
     kernel_condition_ok: Callable = lambda g: True
     dcoef_radius: Callable = lambda g: g.support_radius  # closed-form D(x) holds inside
-    sharp_disc_data: Callable | None = None  # (g, disc, lam, phi, kind), indicator discs
+    sharp_disc_data: Callable | None = None  # (g, disc, lam, phi), mphi data of indicator discs
     ray_start_gain: Callable = lambda g, r0: 0.0  # (g, r0), see the public ray_start_gain
 
 
@@ -481,10 +479,10 @@ def _harmonic(w, const=0.0):
 
 
 def _line_arcs(sgn, weight):
-    """Arcs of the straight lines <x, e(phi)> = sgn * lambda; weight(lam2, B,
-    kind) is the weight at chord parameter B on rows with lambda^2 = lam2."""
+    """Arcs of the straight lines <x, e(phi)> = sgn * lambda; weight(lam2, B)
+    is the weight at chord parameter B on rows with lambda^2 = lam2."""
 
-    def arcs(g, lam, lam_eps, phi, R, kind):
+    def arcs(g, lam, lam_eps, phi, R):
         e = np.array([np.cos(phi), np.sin(phi)])
         eperp = np.array([-e[1], e[0]])
         W = np.sqrt(np.maximum(R * R - lam * lam, 0.0))
@@ -492,7 +490,7 @@ def _line_arcs(sgn, weight):
 
         def mapto(B, act):
             P = base[act][:, None, :] + B[..., None] * eperp[None, None, :]
-            return P, weight((lam[act] ** 2)[:, None], B, kind)
+            return P, weight((lam[act] ** 2)[:, None], B)
 
         return [_Arc(W, mapto)]
 
@@ -502,7 +500,7 @@ def _line_arcs(sgn, weight):
 def _radon():
     """Straight lines <x, e(phi)> = lambda."""
 
-    def sharp_disc_data(g, disc, lam, phi, kind):
+    def sharp_disc_data(g, disc, lam, phi):
         # exact chords of an indicator disc over the (phi, lambda) lattice
         dist = np.cos(phi)[:, None] * disc.center[0] + np.sin(phi)[:, None] * disc.center[1] - lam[None, :]
         chord = 2.0 * np.sqrt(np.maximum(disc.radius**2 - dist * dist, 0.0))
@@ -514,7 +512,7 @@ def _radon():
         lambda_range=lambda g, rho: _symmetric(rho),
         dcoef=lambda g, x1, x2, r2: np.ones_like(r2),
         trig_difference=lambda g, x, y: _harmonic(y - x),
-        arcs=_line_arcs(1.0, lambda lam2, B, kind: 1.0),
+        arcs=_line_arcs(1.0, lambda lam2, B: 1.0),
         weight_m=lambda g, r2: np.ones_like(r2),
         weight_mu=lambda g, lam: np.ones_like(lam),
         half_range=True,
@@ -530,11 +528,11 @@ def _funk():
         dot = x1 * v1 + x2 * v2
         return np.sqrt(x0sq * np.maximum(v1 * v1 + v2 * v2 - x0sq * dot * dot, 0.0))
 
-    def weight(lam2, B, kind):
+    def weight(lam2, B):
         # on the chord at distance |lambda|, ds = sqrt(1 + lambda^2) / q dbeta
         # and |grad psi| = sqrt(q (1 + lambda^2)), with q = 1 + lambda^2 + beta^2
         q = 1.0 + lam2 + B * B
-        return 1.0 / (q * np.sqrt(q)) if kind == "mphi" else np.sqrt(1.0 + lam2) / q
+        return 1.0 / (q * np.sqrt(q))
 
     return _Family(
         psi=lambda g, x1, x2, c, s: x1 * c + x2 * s,
@@ -562,7 +560,7 @@ def _poincare(den, sigma, z_max):
         p = psi(g, x1, x2, c, s)
         return (2.0 / den(x1, x2)) * np.sqrt(np.maximum(1.0 - sigma * p * p, 0.0))
 
-    def arcs(g, lam, lam_eps, phi, R, kind):
+    def arcs(g, lam, lam_eps, phi, R):
         # on a curve psi = -lambda, so |grad psi| = 2 sqrt(1 - sigma lambda^2) / den
         c, s = np.cos(phi), np.sin(phi)
         line_rows = np.abs(lam) <= lam_eps
@@ -573,7 +571,7 @@ def _poincare(den, sigma, z_max):
 
             def mapto_line(B, act):
                 P = B[..., None] * eperp[None, None, :]
-                return P, 0.5 * (1.0 + sigma * B * B) if kind == "mphi" else 1.0
+                return P, 0.5 * (1.0 + sigma * B * B)
 
             out.append(_Arc(np.where(line_rows, R, 0.0), mapto_line))
         if np.any(circ_rows):
@@ -587,9 +585,7 @@ def _poincare(den, sigma, z_max):
             def weight(px, py, act):
                 # |P|^2 from the points: d^2 + rc^2 - 2 d rc cos(beta) cancels
                 # on the large circles of small lambda
-                if kind == "mphi":
-                    return scale[act][:, None] * (1.0 + sigma * (px * px + py * py))
-                return rc[act][:, None]
+                return scale[act][:, None] * (1.0 + sigma * (px * px + py * py))
 
             out.append(_Arc(np.where(rc > 0, W, 0.0), _circle_arc(center, rc, weight)))
         return out
@@ -639,31 +635,27 @@ def _ellipse():
             ) from None
         return out.reshape(np.shape(r2))
 
-    def arcs(g, lam, lam_eps, phi, R, kind):
+    def arcs(g, lam, lam_eps, phi, R):
         ctr = np.array([g.e1 * np.cos(phi), g.e2 * np.sin(phi)])
         d0 = float(np.hypot(*ctr))
         rc = np.sqrt(np.maximum(lam, 0.0))
         W = np.where(lam > 0.0, _circle_halfwidth(d0, rc, R), 0.0)
 
-        def weight(px, py, act):
-            # |grad psi| = 2 rc on the circle of radius rc, where ds = rc dbeta
-            return 0.5 if kind == "mphi" else rc[act][:, None]
-
-        out = [_Arc(W, _circle_arc(np.broadcast_to(ctr, (lam.size, 2)), rc, weight))]
+        # |grad psi| = 2 rc on the circle of radius rc, where ds = rc dbeta
+        out = [_Arc(W, _circle_arc(np.broadcast_to(ctr, (lam.size, 2)), rc, lambda px, py, act: 0.5))]
         zero = (lam <= 0.0) & (d0 <= R)
-        if np.any(zero) and kind == "mphi":
+        if np.any(zero):
             # shrinking circles keep the weight 1/2 down to the center point,
-            # so the row keeps a finite value
+            # so the row keeps a finite value; the arc traces no length
             def mapto_pt(B, act):
                 return np.broadcast_to(ctr, B.shape + (2,)), 0.5
 
-            out.append(_Arc(np.where(zero, np.pi, 0.0), mapto_pt, point=True))
+            out.append(_Arc(np.where(zero, np.pi, 0.0), mapto_pt))
         return out
 
-    def sharp_disc_data(g, disc, lam, phi, kind):
+    def sharp_disc_data(g, disc, lam, phi):
         # |grad psi| = 2 sqrt(lambda) is constant on each circle, so the mphi
-        # value is the angular measure of the part inside the disc; riemann
-        # keeps arc length
+        # value is the angular measure of the part inside the disc
         rc = np.sqrt(np.maximum(lam[None, :], 0.0)) + np.zeros((phi.size, 1))
         cx = g.e1 * np.cos(phi)[:, None] - disc.center[0]
         cy = g.e2 * np.sin(phi)[:, None] - disc.center[1]
@@ -672,9 +664,7 @@ def _ellipse():
             cu = (d * d + rc * rc - disc.radius**2) / (2.0 * d * rc)
         cu = np.where(np.isfinite(cu), cu, np.where(d + rc <= disc.radius, -1.0, 1.0))
         gamma = np.arccos(np.clip(cu, -1.0, 1.0))
-        if kind == "mphi":
-            return disc.amplitude * gamma
-        return disc.amplitude * 2.0 * rc * gamma
+        return disc.amplitude * gamma
 
     half_axis = "positive half-axes e1 and e2"
     return _Family(
@@ -703,9 +693,7 @@ def _hyperbola():
             raise GeometryDomainError("hyperbola gradient is undefined at the origin")
         return np.sqrt(1.0 + g.eps**2 - 2.0 * g.eps * (x1 * c + x2 * s) / r)
 
-    def arcs(g, lam, lam_eps, phi, R, kind):
-        if kind != "mphi":
-            _no_factorization(g, lam)  # arc-length data would not convert to mphi
+    def arcs(g, lam, lam_eps, phi, R):
         epsc = g.eps
         turn = np.where(lam >= 0.0, 1.0, -1.0)  # cos alpha0 for alpha0 = 0, pi
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -728,7 +716,7 @@ def _hyperbola():
 
         astar = np.arccos(1.0 / epsc)
         ray = 1.0 / np.sqrt(epsc * epsc - 1.0)  # 1/|grad psi| along cos alpha = 1 / eps
-        rays = _rays(lam, lam_eps, (phi + astar, phi - astar), R, kind, lambda r: ray)
+        rays = _rays(lam, lam_eps, (phi + astar, phi - astar), R, lambda r: ray)
         return [_Arc(W, mapto_h, stretch=True)] + rays
 
     return _Family(
@@ -755,7 +743,7 @@ def _parabola():
         w = -np.sqrt(2.0 * np.hypot(x[0], x[1])) * np.exp(0.5j * np.arctan2(x[1], x[0]))
         return np.array([w.real, w.imag])
 
-    def arcs(g, lam, lam_eps, phi, R, kind):
+    def arcs(g, lam, lam_eps, phi, R):
         pos = lam > lam_eps
         A = np.where(pos, np.arccos(np.clip(lam * lam / R - 1.0, -1.0, 1.0)), 0.0)
 
@@ -768,10 +756,10 @@ def _parabola():
             lr = lam[act][:, None]
             r = lr * lr * q
             P = _polar(r, c, s, cb, np.sin(B))
-            return P, 2.0 * lr * r * q if kind == "mphi" else r * np.sqrt(2.0 * q)
+            return P, 2.0 * lr * r * q
 
         # at lambda = 0 the curve closes onto the backward ray, covered twice
-        rays = _rays(lam, lam_eps, (phi + np.pi,), R, kind, lambda r: np.sqrt(2.0 * r), mult=2.0)
+        rays = _rays(lam, lam_eps, (phi + np.pi,), R, lambda r: 2.0 * np.sqrt(2.0 * r))
         return [_Arc(A, mapto_p, stretch=True)] + rays
 
     return _Family(
@@ -814,7 +802,7 @@ def _cormack():
             return 2.0 * r0 ** (2 - g.k) * (10.0 ** (g.k - 2) - 1.0) / (g.k - 2)
         return 0.0
 
-    def arcs(g, lam, lam_eps, phi, R, kind):
+    def arcs(g, lam, lam_eps, phi, R):
         k = g.k
         Rk = R**k
         absl = np.abs(lam)
@@ -831,11 +819,11 @@ def _cormack():
                 cb = np.cos(B)
                 r = (absl[act][:, None] / cb) ** (1.0 / k)
                 P = _polar(r, c0[act][:, None], s0[act][:, None], np.cos(B / k), np.sin(B / k))
-                return P, r ** (2 - k) / (k * k * cb) if kind == "mphi" else r / (k * cb)
+                return P, r ** (2 - k) / (k * k * cb)
 
             out.append(_Arc(B0.copy(), mapto_c, stretch=True))
         thetas = [(phi + 0.5 * np.pi + np.pi * j) / k for j in range(2 * k)]
-        return out + _rays(lam, lam_eps, thetas, R, kind, lambda r: r ** (1 - k) / k)
+        return out + _rays(lam, lam_eps, thetas, R, lambda r: r ** (1 - k) / k)
 
     return _Family(
         psi=psi,

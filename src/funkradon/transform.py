@@ -4,9 +4,10 @@ Every family's data curve {x : lambda_of(x, phi) = lambda} is a line, a
 circle, or a polar graph, so geometry.arcs parametrizes it exactly, clipped to
 a working disc about the origin; no implicit-surface marching is needed. The
 forward value at one sinogram node is the curve integral of the phantom
-weighted by 1/|grad psi| (kind "mphi") or by nothing (kind "riemann", plain
-metric arc length). Each arc map returns that weight with its points, in the
-family's closed form along its own arcs, so no gradient is evaluated here.
+weighted by 1/|grad psi| (kind "mphi"). Each arc map returns that weight
+with its points, in the family's closed form along its own arcs, so no
+gradient is evaluated here. Plain arc-length data (kind "riemann") multiply
+it by m(x) mu(lambda), on the families where |grad psi| splits so.
 The integral is computed by the trapezoid rule on nested nodes (each
 doubling evaluates only the new midpoints) with Richardson extrapolation,
 from a coarse first level of 16 intervals per arc. Each row refines,
@@ -157,7 +158,7 @@ def _stretch_map(u):
     return s, ds
 
 
-def _column(geom, phantom, lam, phi, R, kind, rtol, n_start, n_max):
+def _column(geom, phantom, lam, phi, R, mu, rtol, n_start, n_max):
     """One sinogram column: integrals over all lambda rows at a fixed phi.
 
     Every arc is integrated by the trapezoid rule on the nodes u_k = 2k/n - 1
@@ -171,13 +172,14 @@ def _column(geom, phantom, lam, phi, R, kind, rtol, n_start, n_max):
     level is taken as half the largest chord between consecutive new
     midpoints on any of the row's arcs. Without that guard a coarse start
     can agree with itself on a feature narrower than the node spacing and
-    stop with it missed. rtol = 0 refines every row up to n_max.
+    stop with it missed. rtol = 0 refines every row up to n_max. mu is None
+    for mphi data, else the per-row mu(lambda) of arc-length data.
     """
-    arcs = geo.arcs(geom, lam, float(phi), R, kind)
+    arcs = geo.arcs(geom, lam, float(phi), R)
     feature = phantom.feature_scale
 
     def node_sum(u, rows, ends=False):
-        """Per row, the sum over arcs of mult * W * sum_k f(u_k), where f is
+        """Per row, the sum over arcs of W * sum_k f(u_k), where f is
         the integrand in u, and the largest chord between consecutive nodes
         on any of the row's arcs; both zero off rows. ends=True takes
         u = (-1, 1), where stretched arcs have weight zero and are skipped."""
@@ -193,6 +195,10 @@ def _column(geom, phantom, lam, phi, R, kind, rtol, n_start, n_max):
             nodes = smap if arc.stretch else u
             B = arc.W[act][:, None] * nodes[None, :]
             P, weight = arc.mapto(B, act)
+            if mu is not None:
+                # m from the record: the arc's own points need no domain check
+                m = geom.record.weight_m(geom, P[..., 0] ** 2 + P[..., 1] ** 2)
+                weight = weight * m * mu[act][:, None]
             if u.size > 1:
                 d = np.diff(P, axis=1)
                 d *= d
@@ -203,7 +209,7 @@ def _column(geom, phantom, lam, phi, R, kind, rtol, n_start, n_max):
             vals = vals * weight
             if arc.stretch:
                 vals = vals * sder[None, :]
-            tot[act] += arc.W[act] * np.sum(vals, axis=1) * arc.mult
+            tot[act] += arc.W[act] * np.sum(vals, axis=1)
         return tot, np.sqrt(chord2)
 
     todo = np.ones(lam.shape, dtype=bool)
@@ -253,6 +259,8 @@ def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, w
     keep_work_arrays_on_the_heap()
     lam = np.asarray(lambda_axis, dtype=float)
     phi = np.asarray(phi_axis, dtype=float)
+    # a family without the m * mu split (hyperbola) is refused before any quadrature
+    mu = None if kind == "mphi" else geo.weight_mu(geom, lam)
     smooth, sharp = _split_phantom(phantom)
     disc_data = geom.record.sharp_disc_data
     if sharp and disc_data is None:
@@ -263,7 +271,7 @@ def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, w
     data = np.zeros((phi.size, lam.size))
     if smooth.components:
         R = _working_radius(geom, smooth)
-        jobs = [(geom, smooth, lam, float(p), R, kind, rtol, n_start, n_max) for p in phi]
+        jobs = [(geom, smooth, lam, float(p), R, mu, rtol, n_start, n_max) for p in phi]
         if workers is None:
             workers = int(os.environ.get("FUNKRADON_WORKERS", "1"))
         if workers > 1:
@@ -272,10 +280,11 @@ def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, w
         else:
             cols = [_column(*job) for job in jobs]
         data += np.stack(cols, axis=0)
-        if kind == "mphi":
+        if mu is None:
             _refuse_divergent_rows(geom, smooth, lam, R, data, rtol, n_max)
     for disc in sharp:
-        data += disc_data(geom, disc, lam, phi, kind)
+        # m = 1 wherever sharp-disc data exist, so arc-length data are mphi * mu
+        data += disc_data(geom, disc, lam, phi) * (1.0 if mu is None else mu)
     return Sinogram(geom, lam, phi, data, kind=kind)
 
 
@@ -326,10 +335,9 @@ def forward_riemann(
     n_max: int = 8192,
     workers: int | None = None,
 ) -> Sinogram:
-    """Plain arc-length integrals of the phantom over the family curves."""
-    # conversion back to mphi data needs the m*mu split; refuse a family
-    # without one (hyperbola) at production time rather than downstream
-    geo.weight_mu(geom, 0.0)
+    """Plain arc-length integrals of the phantom over the family curves.
+    Refuses a family whose gradient has no m(x) mu(lambda) split (hyperbola),
+    since its data would never convert back to mphi data."""
     return _forward(phantom, geom, lambda_axis, phi_axis, "riemann", rtol, n_start, n_max, workers)
 
 
@@ -366,8 +374,8 @@ def trace_curve(geom: GeometryFamily, lam: float, phi: float, region: float, ste
         raise ValueError("region radius must be positive")
     lam_arr = np.array([float(lam)])
     lines = []
-    for arc in geo.arcs(geom, lam_arr, float(phi), float(region), "mphi"):
-        if arc.point or arc.W[0] <= 0.0:
+    for arc in geo.arcs(geom, lam_arr, float(phi), float(region)):
+        if arc.W[0] <= 0.0:
             continue
         W = float(arc.W[0])
         # presample finely, measure length, then resample by arc length

@@ -502,35 +502,44 @@ def arc_oracle(geom, arc, B, act, phi, kind, h=1e-5):
 @pytest.mark.parametrize("geom", ARC_FAMILIES, ids=descriptor)
 def test_arc_weights_match_speed_over_gradient(geom, kind):
     # drawn rows and nodes, with lambda = 0 among the rows so that the rays
-    # of the punctured families and the lines of the Poincare families appear
+    # of the punctured families and the lines of the Poincare families appear;
+    # every arc weighs ds / |grad psi|, and arc-length data multiply it by
+    # m(x) mu(lambda)
     rng = np.random.default_rng(sum(map(ord, descriptor(geom) + kind)))
     lo, hi = lambda_range(geom)
     lam = np.append(lo + (hi - lo) * rng.uniform(0.1, 0.9, 6), 0.0)
     phi = rng.uniform(0.0, 2.0 * math.pi)
     R = 1.05 * geom.support_radius
     if geom.tag == "hyperbola" and kind == "riemann":
-        # arc-length data of a family without the m * mu split would never
-        # convert to mphi data, so the arcs refuse to weigh them
+        # no m * mu split, so arc-length data have no weight to convert from
         with pytest.raises(FactorizationUnavailableError):
-            arcs(geom, lam, phi, R, kind)
+            weight_mu(geom, lam)
         return
     checked = points = 0
-    for arc in arcs(geom, lam, phi, R, kind):
+    for i, arc in enumerate(arcs(geom, lam, phi, R)):
         act = np.flatnonzero(arc.W > 0.0)
         B = arc.W[act][:, None] * rng.uniform(-0.9, 0.9, (act.size, 5))
-        got = np.broadcast_to(arc.mapto(B, act)[1], B.shape)
-        if arc.point:
-            # the ellipse's lambda = 0 row: the limit of shrinking circles
-            # about the centre point, weighed here on a small one
-            small = arcs(geom, np.full(lam.shape, 1e-6), phi, R, kind)[0]
-            want = arc_oracle(geom, small, B, act, phi, kind, h=1e-4)
+        P, weight = arc.mapto(B, act)
+        got = np.broadcast_to(weight, B.shape)
+        if kind == "riemann":
+            got = got * weight_m(geom, P) * weight_mu(geom, lam[act])[:, None]
+        if np.all(P == P[:, :1]):
+            # points that do not move with beta: the ellipse's lambda = 0 row,
+            # the limit of shrinking circles about the centre point, weighed
+            # here on a small one; it has no arc length
+            small = arcs(geom, np.full(lam.shape, 1e-6), phi, R)[0]
+            want = arc_oracle(geom, small, B, act, phi, kind, h=1e-4) if kind == "mphi" else 0.0
             points += 1
         else:
             want = arc_oracle(geom, arc, B, act, phi, kind)
+            if geom.tag == "parabola" and i > 0:
+                # the lambda = 0 parabola closes onto its backward ray, which
+                # the ray's weight counts twice
+                want = 2.0 * want
         assert_allclose(got, want, rtol=1e-7)
         checked += act.size
     assert checked >= lam.size - 1
-    assert points == (geom is CIRCLE and kind == "mphi")
+    assert points == (geom is CIRCLE)
 
 
 def test_domain_radius_cap():

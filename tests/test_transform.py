@@ -299,6 +299,43 @@ def test_circle_family_indicator_disc_angles():
             assert sino.data[j, i] == pytest.approx(2.0 * gamma, abs=1e-10)
 
 
+def test_sharp_disc_riemann_data_are_mphi_data_times_mu():
+    disc = Disc((0.2, -0.1), 0.3, amplitude=2.0)
+    ph = Phantom((disc,))
+    lam, phi = default_axes(RADON, 17, 6)
+    a = forward_mphi(ph, RADON, lam, phi)
+    b = forward_riemann(ph, RADON, lam, phi)
+    assert b.kind == "riemann"
+    assert np.array_equal(a.data, b.data)
+
+    # on the circle of radius sqrt(lambda) the arc inside the disc has
+    # length 2 sqrt(lambda) gamma, gamma its half-angle
+    disc = Disc((1.2, 0.0), 0.3, amplitude=2.0)
+    geom = GeometryFamily("ellipse", e1=1.0, e2=1.0, support_radius=1.5)
+    lam = np.linspace(0.0, 1.21, 12)
+    sino = forward_riemann(Phantom((disc,)), geom, lam, uniform_phi(6))
+    for j, phi in enumerate(sino.phi_axis):
+        ctr = np.array([np.cos(phi), np.sin(phi)])
+        for i, lv in enumerate(lam):
+            gamma = circle_arc_angle_inside_disc(ctr, np.sqrt(lv), np.array(disc.center), disc.radius)
+            assert sino.data[j, i] == pytest.approx(disc.amplitude * 2.0 * np.sqrt(lv) * gamma, abs=1e-10)
+
+
+def test_sharp_disc_families_have_unit_spatial_weight():
+    # the forward turns sharp-disc mphi data into arc-length data by mu(lambda)
+    # alone, which needs m = 1 on every family that has them
+    geoms = (RADON, FUNK, HGEO, EQUI, CIRCLE, HYPER, PARAB, CORMACK2)
+    assert {g.tag for g in geoms} == set(geometry.TAGS)
+    rng = np.random.default_rng(5)
+    r = rng.uniform(0.05, 0.35, 20)
+    th = rng.uniform(0.0, TAU, 20)
+    pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+    with_discs = [g for g in geoms if g.record.sharp_disc_data is not None]
+    assert with_discs
+    for g in with_discs:
+        assert np.array_equal(geometry.weight_m(g, pts), np.ones(20)), g.tag
+
+
 def test_sharp_disc_rejected_off_the_analytic_families():
     ph = Phantom((Disc((0.1, 0.0), 0.2),))
     lam, phi = default_axes(FUNK, 5, 4)
