@@ -172,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half", action="store_true", help="cover phi in [0, pi) (radon only)")
     p.add_argument("--riemann", action="store_true", help="write plain arc-length data")
     p.add_argument("--rtol", type=float, default=1e-8, help="quadrature tolerance")
-    p.add_argument("--workers", type=int, default=None, help="process count (default: FUNKRADON_WORKERS)")
+    p.add_argument("--workers", type=int, default=1, help="process count (default: 1)")
     p.add_argument("--out", required=True, help="output sinogram file")
     p.set_defaults(func=cmd_forward)
 

@@ -371,31 +371,37 @@ class _Arc:
     stretch: bool = False  # cluster quadrature nodes toward the arc ends
 
 
-def _circle_halfwidth(d, rc, R):
+def _circle_halfwidth(gap, d, rc, R):
     """Angular half-width of the part of a circle (center distance d, radius
-    rc) lying in the origin disc of radius R; pi means the full circle."""
-    d = np.asarray(d, dtype=float)
-    rc = np.asarray(rc, dtype=float)
+    rc, gap = d - rc from its nearest point to the origin) lying in the
+    origin disc of radius R; pi means the full circle, and a radius-0 circle
+    within R counts as full. From |P|^2 = gap^2 + 4 d rc sin^2(beta / 2)
+    along the arc of _circle_arc, free of cancellation when gap is passed
+    exactly."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        cu = (d * d + rc * rc - R * R) / (2.0 * d * rc)
-    cu = np.where(np.isfinite(cu), cu, 1.0)
-    return np.arccos(np.clip(cu, -1.0, 1.0))
+        s2 = (R * R - gap * gap) / (4.0 * d * rc)
+    s2 = np.where(np.isnan(s2), 1.0, s2)
+    return 2.0 * np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0)))
 
 
-def _circle_arc(center, rc, weight):
-    """Map for circle arcs: beta is the angle measured from the point of the
-    circle nearest the origin, so the clipped arc is symmetric in beta;
-    weight(px, py, act) gives the weights at the points of rows act."""
+def _circle_arc(center, gap, rc, weight):
+    """Map for circle arcs: beta is the angle measured from the point -gap u
+    of the circle nearest the origin (u the unit vector from the center
+    toward the origin), so the clipped arc is symmetric in beta. The point
+    at beta is -gap u - 2 rc (h^2 u - h k u_perp) with h, k = sin, cos of
+    beta / 2: exact at any radius, where center + rc e(beta) loses the
+    digits of a small gap on a large circle. weight(px, py, act) gives the
+    weights at the points of rows act."""
+    u = -center / np.hypot(center[:, 0], center[:, 1])[:, None]
+    a = -gap[:, None] * u  # the nearest point
+    bu = -2.0 * rc[:, None] * u  # times h^2
+    bp = 2.0 * rc[:, None] * np.stack([-u[:, 1], u[:, 0]], axis=-1)  # times h k
 
     def mapto(B, act):
-        c = center[act]
-        r = rc[act][:, None]
-        d = np.maximum(np.hypot(c[:, 0], c[:, 1]), 1e-300)
-        ux = (-c[:, 0] / d)[:, None]  # unit vector toward the origin
-        uy = (-c[:, 1] / d)[:, None]
-        cb, sb = np.cos(B), np.sin(B)
-        px = c[:, 0][:, None] + r * (cb * ux - sb * uy)
-        py = c[:, 1][:, None] + r * (sb * ux + cb * uy)
+        h, k = np.sin(0.5 * B), np.cos(0.5 * B)
+        h2, hk = h * h, h * k
+        px = a[act, 0][:, None] + bu[act, 0][:, None] * h2 + bp[act, 0][:, None] * hk
+        py = a[act, 1][:, None] + bu[act, 1][:, None] * h2 + bp[act, 1][:, None] * hk
         return np.stack([px, py], axis=-1), weight(px, py, act)
 
     return mapto
@@ -575,19 +581,20 @@ def _poincare(den, sigma, z_max):
 
             out.append(_Arc(np.where(line_rows, R, 0.0), mapto_line))
         if np.any(circ_rows):
+
+            def weight(px, py, act):
+                return scale[act][:, None] * (1.0 + sigma * (px * px + py * py))
+
+            # the line rows make infinite circles, masked out by W = 0
             with np.errstate(divide="ignore", invalid="ignore"):
                 inv = 1.0 / lam
                 center = (sigma * inv)[:, None] * np.array([c, s])[None, :]
+                d = np.abs(inv)
                 rc = np.sqrt(np.maximum(inv * inv - sigma, 0.0))
+                gap = sigma / (d + rc)  # d - rc, exact since d^2 - rc^2 = sigma
                 scale = rc / (2.0 * np.sqrt(np.maximum(1.0 - sigma * lam * lam, 0.0)))
-            W = np.where(circ_rows, _circle_halfwidth(np.abs(inv), rc, R), 0.0)
-
-            def weight(px, py, act):
-                # |P|^2 from the points: d^2 + rc^2 - 2 d rc cos(beta) cancels
-                # on the large circles of small lambda
-                return scale[act][:, None] * (1.0 + sigma * (px * px + py * py))
-
-            out.append(_Arc(np.where(rc > 0, W, 0.0), _circle_arc(center, rc, weight)))
+                W = np.where(circ_rows & (rc > 0), _circle_halfwidth(gap, d, rc, R), 0.0)
+                out.append(_Arc(W, _circle_arc(center, gap, rc, weight)))
         return out
 
     return _Family(
@@ -639,19 +646,12 @@ def _ellipse():
         ctr = np.array([g.e1 * np.cos(phi), g.e2 * np.sin(phi)])
         d0 = float(np.hypot(*ctr))
         rc = np.sqrt(np.maximum(lam, 0.0))
-        W = np.where(lam > 0.0, _circle_halfwidth(d0, rc, R), 0.0)
-
-        # |grad psi| = 2 rc on the circle of radius rc, where ds = rc dbeta
-        out = [_Arc(W, _circle_arc(np.broadcast_to(ctr, (lam.size, 2)), rc, lambda px, py, act: 0.5))]
-        zero = (lam <= 0.0) & (d0 <= R)
-        if np.any(zero):
-            # shrinking circles keep the weight 1/2 down to the center point,
-            # so the row keeps a finite value; the arc traces no length
-            def mapto_pt(B, act):
-                return np.broadcast_to(ctr, B.shape + (2,)), 0.5
-
-            out.append(_Arc(np.where(zero, np.pi, 0.0), mapto_pt))
-        return out
+        # |grad psi| = 2 rc on the circle of radius rc, where ds = rc dbeta;
+        # shrinking circles keep the weight 1/2 down to the radius-0 circle
+        # at lambda <= 0, whose row keeps a finite value and traces no length
+        gap = d0 - rc
+        W = _circle_halfwidth(gap, d0, rc, R)
+        return [_Arc(W, _circle_arc(np.broadcast_to(ctr, (lam.size, 2)), gap, rc, lambda px, py, act: 0.5))]
 
     def sharp_disc_data(g, disc, lam, phi):
         # |grad psi| = 2 sqrt(lambda) is constant on each circle, so the mphi

@@ -50,6 +50,9 @@ TAU = 2.0 * np.pi
 # Nodes of the cubic interpolation stencil: the fewest a filtered lambda axis
 # may have.
 _MIN_NODES = 4
+# Largest data at a lambda boundary, relative to the peak, that pv_filter
+# accepts as decayed.
+_BOUNDARY_RTOL = 1e-6
 
 
 class WindowingError(ValueError):
@@ -176,7 +179,7 @@ def _fp_rows(g: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return G
 
 
-def pv_filter(sino: Sinogram, boundary_rtol: float = 1e-6) -> FilteredSinogram:
+def pv_filter(sino: Sinogram) -> FilteredSinogram:
     """Tabulate the inner finite-part integral on the sinogram's own grid."""
     if sino.kind != "mphi":
         raise ValueError("pv_filter expects kind='mphi' data (convert riemann data first)")
@@ -216,7 +219,7 @@ def pv_filter(sino: Sinogram, boundary_rtol: float = 1e-6) -> FilteredSinogram:
     if peak > 0.0:
         for side, col in (("lower", g[:, 0]), ("upper", g[:, -1])):
             worst = float(np.max(np.abs(col)))
-            if worst > boundary_rtol * peak:
+            if worst > _BOUNDARY_RTOL * peak:
                 raise WindowingError(
                     f"data at the {side} lambda boundary reaches {worst:.3e} "
                     f"({worst / peak:.2e} of peak); the scanned range does not "

@@ -21,7 +21,6 @@ singular point of the family is refused (DivergentRowError).
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,7 +50,9 @@ TAU = 2.0 * np.pi
 
 
 class TracingError(RuntimeError):
-    """Newton projection onto a level curve failed to converge."""
+    """A level curve could not be traced. No library function raises it,
+    since trace_curve draws the closed-form arcs with nothing to converge;
+    the name stays exported for callers that report such a failure."""
 
 
 class DivergentRowError(ValueError):
@@ -272,8 +273,6 @@ def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, w
     if smooth.components:
         R = _working_radius(geom, smooth)
         jobs = [(geom, smooth, lam, float(p), R, mu, rtol, n_start, n_max) for p in phi]
-        if workers is None:
-            workers = int(os.environ.get("FUNKRADON_WORKERS", "1"))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 cols = list(pool.map(_column_worker, jobs, chunksize=max(1, phi.size // (4 * workers))))
@@ -318,7 +317,7 @@ def forward_mphi(
     rtol: float = 1e-8,
     n_start: int = 16,
     n_max: int = 8192,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> Sinogram:
     """Curve integrals of the phantom against 1/|grad psi| (the transform
     this package inverts). Deterministic for any worker count."""
@@ -333,7 +332,7 @@ def forward_riemann(
     rtol: float = 1e-8,
     n_start: int = 16,
     n_max: int = 8192,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> Sinogram:
     """Plain arc-length integrals of the phantom over the family curves.
     Refuses a family whose gradient has no m(x) mu(lambda) split (hyperbola),
@@ -364,9 +363,9 @@ def riemann_to_mphi(sino: Sinogram) -> Sinogram:
 def trace_curve(geom: GeometryFamily, lam: float, phi: float, region: float, step: float):
     """Polylines for {x : lambda_of(x, phi) = lam} inside |x| <= region.
 
-    Each connected piece becomes one ordered polyline with vertices at arc
-    spacing <= step, Newton-projected onto the exact level set. Degenerate
-    (point) components are omitted.
+    Each arc of geometry.arcs becomes one ordered polyline: the arc's own
+    closed-form points, resampled by arc length so that consecutive vertices
+    are at most about step apart. Degenerate (point) components are omitted.
     """
     if not (step > 0):
         raise ValueError("step must be positive")
@@ -391,28 +390,8 @@ def trace_curve(geom: GeometryFamily, lam: float, phi: float, region: float, ste
         want = np.linspace(0.0, total, n_seg + 1)
         tv = np.interp(want, cum, tfine)
         P, _ = arc.mapto(tv[None, :], np.array([0]))
-        lines.append(_project_onto_curve(geom, P[0], float(phi), float(lam)))
+        lines.append(P[0])
     return lines
-
-
-def _project_onto_curve(geom, pts, phi, lam, max_iter=50):
-    tol = 1e-10 * (1.0 + abs(lam))
-    pts = np.array(pts, dtype=float)
-    for _ in range(max_iter):
-        resid = geo.lambda_of(geom, pts, phi) - lam
-        if np.all(np.abs(resid) <= tol):
-            return pts
-        h = 1e-7 * (1.0 + np.hypot(pts[:, 0], pts[:, 1]))
-        ex = np.stack([h, np.zeros_like(h)], axis=-1)
-        ey = np.stack([np.zeros_like(h), h], axis=-1)
-        gx = (geo.lambda_of(geom, pts + ex, phi) - geo.lambda_of(geom, pts - ex, phi)) / (2 * h)
-        gy = (geo.lambda_of(geom, pts + ey, phi) - geo.lambda_of(geom, pts - ey, phi)) / (2 * h)
-        g2 = np.maximum(gx * gx + gy * gy, 1e-300)
-        pts = pts - (resid / g2)[:, None] * np.stack([gx, gy], axis=-1)
-    raise TracingError(
-        f"projection onto the level set lambda={lam}, phi={phi} did not converge "
-        f"within {max_iter} iterations"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -237,20 +237,13 @@ def roots(t: TrigPoly) -> np.ndarray:
     return _stacked_roots(*_coeff_stack(t))[0]
 
 
-def all_real_simple(t: TrigPoly, tol: float = 1e-8) -> bool:
-    """True when every zero of t lies on the real circle and is simple.
-
-    A zero counts as real when |Im phi| < tol and as simple when the
-    derivative there exceeds tol times the coefficient scale of t.
-    """
-    if t.order == 0:
-        return t.a[0] != 0.0
-    rts = roots(t)
-    if np.any(np.abs(rts.imag) >= tol):
+def all_real_simple(t: TrigPoly) -> bool:
+    """True when every zero of t lies on the real circle and is simple, by
+    the rules pv_inverse_square applies; False where it refuses t."""
+    try:
+        return not _simple_zeros(t)[1].size
+    except ValueError:
         return False
-    scale = t.coeff_scale()
-    slopes = np.abs(t.derivative().eval(rts.real))
-    return bool(np.all(slopes > tol * scale))
 
 
 def _real_mask(a, b, rts: np.ndarray) -> np.ndarray:

@@ -523,19 +523,20 @@ def test_arc_weights_match_speed_over_gradient(geom, kind):
         got = np.broadcast_to(weight, B.shape)
         if kind == "riemann":
             got = got * weight_m(geom, P) * weight_mu(geom, lam[act])[:, None]
-        if np.all(P == P[:, :1]):
-            # points that do not move with beta: the ellipse's lambda = 0 row,
-            # the limit of shrinking circles about the centre point, weighed
-            # here on a small one; it has no arc length
+        # rows whose points do not move with beta: the ellipse's lambda = 0
+        # row, the radius-0 limit of shrinking circles about the centre point,
+        # weighed here on a small one; it has no arc length
+        still = np.all(P == P[:, :1], axis=(1, 2))
+        want = np.zeros(B.shape)
+        if kind == "mphi" and np.any(still):
             small = arcs(geom, np.full(lam.shape, 1e-6), phi, R)[0]
-            want = arc_oracle(geom, small, B, act, phi, kind, h=1e-4) if kind == "mphi" else 0.0
-            points += 1
-        else:
-            want = arc_oracle(geom, arc, B, act, phi, kind)
-            if geom.tag == "parabola" and i > 0:
-                # the lambda = 0 parabola closes onto its backward ray, which
-                # the ray's weight counts twice
-                want = 2.0 * want
+            want[still] = arc_oracle(geom, small, B[still], act[still], phi, kind, h=1e-4)
+        want[~still] = arc_oracle(geom, arc, B[~still], act[~still], phi, kind)
+        if geom.tag == "parabola" and i > 0:
+            # the lambda = 0 parabola closes onto its backward ray, which
+            # the ray's weight counts twice
+            want = 2.0 * want
+        points += int(np.sum(still))
         assert_allclose(got, want, rtol=1e-7)
         checked += act.size
     assert checked >= lam.size - 1

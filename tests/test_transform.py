@@ -199,6 +199,34 @@ def test_trace_cormack_zero_level_rays():
         assert residual(CORMACK2, pts, 0.0, 0.0) <= 1e-10
 
 
+def test_trace_parabola_zero_level_backward_ray():
+    # r + <x, e(phi)> = 0 on the backward ray, whose sqrt has no slope to
+    # project along; the ray is drawn from its closed form
+    lines = trace_curve(PARAB, 0.0, 0.7, region=1.0, step=0.05)
+    assert len(lines) == 1
+    pts = lines[0]
+    back = np.array([np.cos(0.7 + np.pi), np.sin(0.7 + np.pi)])
+    assert np.max(np.abs(pts[:, 0] * back[1] - pts[:, 1] * back[0])) <= 1e-15
+    assert np.all(pts @ back > 0.0)
+    assert pts[-1] @ back == pytest.approx(1.0, rel=1e-12)
+    assert polyline_max_step(pts) <= 0.05 * 1.01
+
+
+@pytest.mark.parametrize("lam", (1e-4, 1e-8))
+def test_trace_hgeodesic_near_the_line_is_exact(lam):
+    # circles of radius ~1 / lambda: every vertex solves
+    # 2 <x, e> = lambda (1 + |x|^2) to rounding, in extended precision
+    phi = 0.3
+    lines = trace_curve(HGEO, lam, phi, region=0.7, step=0.05)
+    assert len(lines) == 1
+    x = lines[0].astype(np.longdouble)
+    e = np.array([np.cos(phi), np.sin(phi)], dtype=np.longdouble)
+    resid = np.abs(2.0 * (x @ e) - np.longdouble(lam) * (1.0 + np.sum(x * x, axis=1))) / 2.0
+    assert float(np.max(resid)) <= 1e-15
+    assert np.max(np.hypot(*lines[0].T)) == pytest.approx(0.7, rel=1e-12)
+    assert polyline_max_step(lines[0]) <= 0.05 * 1.01
+
+
 def test_trace_misses_region():
     assert trace_curve(RADON, 0.9, 0.0, region=0.5, step=0.05) == []
     # the zero-lambda ellipse curve degenerates to a point and is omitted
@@ -411,16 +439,27 @@ def test_forward_rejects_support_outside_domain():
         forward_mphi(ph, EQUI, lam, uniform_phi(4))
 
 
-def test_forward_worker_count_is_invisible(monkeypatch):
+def test_forward_worker_count_is_invisible():
     ph = Phantom((Gaussian((0.2, 0.1), 0.15),))
     lam = np.linspace(-0.8, 0.8, 9)
     phi = uniform_phi(4)
     serial = forward_mphi(ph, RADON, lam, phi, **FIXED)
     pooled = forward_mphi(ph, RADON, lam, phi, workers=2, **FIXED)
     assert np.array_equal(serial.data, pooled.data)
-    monkeypatch.setenv("FUNKRADON_WORKERS", "2")
-    from_env = forward_mphi(ph, RADON, lam, phi, **FIXED)
-    assert np.array_equal(serial.data, from_env.data)
+
+
+@pytest.mark.parametrize("shift", (1e-11, 1e-9))
+@pytest.mark.parametrize("geom", (HGEO, EQUI), ids=descriptor)
+def test_poincare_rows_next_to_the_line_are_circles_not_zeros(geom, shift):
+    # a lambda of 1e-9 makes a circle of radius 1e9: its arc in the working
+    # disc must be found and integrated, not rounded away to an empty row
+    ph = Phantom((Gaussian((0.04, 0.03), 0.105),))
+    lam = np.linspace(-0.4, 0.4, 9)
+    phi = uniform_phi(4)
+    base = forward_mphi(ph, geom, lam, phi).data[:, 4]
+    near = forward_mphi(ph, geom, lam + shift, phi).data[:, 4]
+    assert np.min(base) > 0.1
+    assert_allclose(near, base, rtol=1e-7)
 
 
 # ---------------------------------------------------------------------------

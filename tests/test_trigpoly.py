@@ -147,9 +147,8 @@ def test_all_real_simple_examples():
     assert all_real_simple(COS) is True
     assert all_real_simple(poly((1.0, 0.5))) is False
     assert all_real_simple(poly((-1.0, 2.0))) is True
-    # double zero at pi; its numerical slope sits at roundoff scale, so ask
-    # for simplicity at a resolution the root finder can actually certify
-    assert all_real_simple(poly((1.0, 1.0)), tol=1e-6) is False
+    # double zero at pi, refused as repeated
+    assert all_real_simple(poly((1.0, 1.0))) is False
     assert all_real_simple(poly((2.0,))) is True       # nonvanishing constant
     assert all_real_simple(poly((0.0,))) is False
 
