@@ -362,13 +362,47 @@ def ray_start_gain(geom: GeometryFamily, lam, R: float):
 # ds/dbeta / |grad psi| along its own arc, with any multiple covering of the
 # arc folded in. The map receives the active row indices so it can pick its
 # per-row data.
+#
+# The parameter is one in which the points and the weight are smooth and
+# bounded at every lambda, so the trapezoid rule needs no node stretching:
+# the angle from the nearest point on circles, the chord on lines, and on
+# the conics (frame e = e(phi), e_perp, L = |lambda|, s = sign lambda)
+#   parabola   P = (lambda^2/2 - rho^2) e + sqrt(2) lambda rho e_perp,
+#              |P| = lambda^2/2 + rho^2, weight 2 sqrt(2) |P| per d rho;
+#   hyperbola  P = L (eps s + cosh t) / a^2 e + L sinh t / a e_perp with
+#              a = sqrt(eps^2 - 1), |P| = L (s + eps cosh t) / a^2, weight
+#              |P| / a per dt;
+#   cormack    r^k = L cosh kt at polar angle th0 + gd(kt) / k, where
+#              gd(x) = atan(sinh x), weight r^(2-k) / k per dt.
+# Only the lambda = 0 rays out of the origin keep an integrand that does not
+# vanish at one end; they alone are stretched.
+#
+# Copies of an arc turned about the origin by the angles in turns belong to
+# the same row (cormack's k sheets, a family's several rays). The map gives
+# the first copy; the weight, a function of |P| on those families, is the
+# same on every copy.
 
 
 @dataclass
 class _Arc:
+    """One arc of the curves of a column, per the notes above: its
+    half-widths W by row, its map, whether its nodes are stretched (rays
+    only), and the turns that place its copies in the same rows."""
+
     W: np.ndarray
     mapto: Callable  # (B, act) -> (P, weight), P of shape B.shape + (2,), weight broadcasting to B
-    stretch: bool = False  # cluster quadrature nodes toward the arc ends
+    stretch: bool = False  # cluster quadrature nodes toward the ends; the rays only
+    turns: tuple = (0.0,)  # the copies of the arc in a row, turned by these angles
+
+    def turned(self, P):
+        """The points P of the arc's map turned by each of the arc's turns."""
+        for t in self.turns:
+            yield P if t == 0.0 else _frame(P[..., 0], P[..., 1], np.cos(t), np.sin(t))
+
+
+def _frame(a, b, c, s):
+    """Points a e + b e_perp in the frame e = (c, s), e_perp = (-s, c)."""
+    return np.stack([a * c - b * s, a * s + b * c], axis=-1)
 
 
 def _circle_halfwidth(gap, d, rc, R):
@@ -407,31 +441,22 @@ def _circle_arc(center, gap, rc, weight):
     return mapto
 
 
-def _polar(r, c, s, ca, sa):
-    """Points at radius r and polar angle t + a, from c, s = cos t, sin t and
-    ca, sa = cos a, sin a, by angle addition."""
-    return np.stack([r * (c * ca - s * sa), r * (s * ca + c * sa)], axis=-1)
-
-
-def _rays(lam, lam_eps, thetas, R, weight):
-    """Rays from the origin at the polar angles thetas, r in (0, R], on the
-    rows where lambda vanishes; none when no row does. weight(r) is the
-    weight 1/|grad psi| at radius r, since ds = dr."""
+def _rays(lam, lam_eps, theta, turns, R, weight):
+    """The ray from the origin at polar angle theta and its copies turned by
+    turns, r in (0, R], on the rows where lambda vanishes; none when no row
+    does. weight(r) is the weight 1/|grad psi| at radius r, since ds = dr."""
     rows = np.abs(lam) <= lam_eps
     if not np.any(rows):
         return []
     half = 0.5 * (R - _RAY_START * R)
     mid = _RAY_START * R + half
-    out = []
-    for theta in thetas:
-        e = np.array([np.cos(theta), np.sin(theta)])
+    e = np.array([np.cos(theta), np.sin(theta)])
 
-        def mapto(B, act, e=e):
-            r = mid + B
-            return r[..., None] * e, weight(r)
+    def mapto(B, act):
+        r = mid + B
+        return r[..., None] * e, weight(r)
 
-        out.append(_Arc(np.where(rows, half, 0.0), mapto, stretch=True))
-    return out
+    return [_Arc(np.where(rows, half, 0.0), mapto, stretch=True, turns=turns)]
 
 
 # ---------------------------------------------------------------------------
@@ -694,30 +719,29 @@ def _hyperbola():
         return np.sqrt(1.0 + g.eps**2 - 2.0 * g.eps * (x1 * c + x2 * s) / r)
 
     def arcs(g, lam, lam_eps, phi, R):
-        epsc = g.eps
-        turn = np.where(lam >= 0.0, 1.0, -1.0)  # cos alpha0 for alpha0 = 0, pi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cpos = (1.0 + lam / R) / epsc
-            cneg = (1.0 - np.abs(lam) / R) / epsc
-        Wpos = np.arccos(np.clip(cpos, -1.0, 1.0))
-        Wneg = np.pi - np.arccos(np.clip(cneg, -1.0, 1.0))
-        W = np.where(lam > lam_eps, Wpos, np.where(lam < -lam_eps, Wneg, 0.0))
-
+        # the branch in the hyperbolic angle t, through its point nearest the
+        # origin, at distance L / (eps - s), at t = 0 (see the arc geometry
+        # notes)
+        a2 = g.eps * g.eps - 1.0
+        a = np.sqrt(a2)
+        L = np.abs(lam)
+        sgn = np.where(lam >= 0.0, 1.0, -1.0)
+        with np.errstate(divide="ignore"):
+            ch = (R * a2 / L - sgn) / g.eps
+        W = np.where(L > lam_eps, np.arccosh(np.maximum(ch, 1.0)), 0.0)
         c, s = np.cos(phi), np.sin(phi)
 
         def mapto_h(B, act):
-            # alpha = alpha0 + beta; ds and |grad psi| share the factor
-            # sqrt(1 + eps^2 - 2 eps cos alpha), leaving ds/|grad psi| = |r / den|
-            t = turn[act][:, None]
-            ca, sa = t * np.cos(B), t * np.sin(B)
-            den = epsc * ca - 1.0
-            lr = lam[act][:, None]
-            return _polar(lr / den, c, s, ca, sa), np.abs(lr) / (den * den)
+            sc = (L[act] / a2)[:, None]
+            ep = (g.eps * sgn[act])[:, None]
+            ct, st = np.cosh(B), np.sinh(B)
+            r = sc * (sgn[act][:, None] + g.eps * ct)
+            return _frame(sc * (ep + ct), (a * sc) * st, c, s), r / a
 
-        astar = np.arccos(1.0 / epsc)
-        ray = 1.0 / np.sqrt(epsc * epsc - 1.0)  # 1/|grad psi| along cos alpha = 1 / eps
-        rays = _rays(lam, lam_eps, (phi + astar, phi - astar), R, lambda r: ray)
-        return [_Arc(W, mapto_h, stretch=True)] + rays
+        astar = np.arccos(1.0 / g.eps)
+        # 1/|grad psi| along cos alpha = 1 / eps
+        rays = _rays(lam, lam_eps, phi + astar, (0.0, -2.0 * astar), R, lambda r: 1.0 / a)
+        return [_Arc(W, mapto_h)] + rays
 
     return _Family(
         psi=lambda g, x1, x2, c, s: g.eps * (x1 * c + x2 * s) - np.hypot(x1, x2),
@@ -744,23 +768,21 @@ def _parabola():
         return np.array([w.real, w.imag])
 
     def arcs(g, lam, lam_eps, phi, R):
-        pos = lam > lam_eps
-        A = np.where(pos, np.arccos(np.clip(lam * lam / R - 1.0, -1.0, 1.0)), 0.0)
-
+        # a polynomial arc in rho through the vertex lambda^2 / 2 e at rho = 0
+        # (see the arc geometry notes); |P| <= R is rho^2 <= R - lambda^2 / 2
+        half = 0.5 * lam * lam
+        W = np.where(lam > lam_eps, np.sqrt(np.maximum(R - half, 0.0)), 0.0)
         c, s = np.cos(phi), np.sin(phi)
 
         def mapto_p(B, act):
-            # ds = r / cos(beta / 2) dbeta and |grad psi| = 1 / sqrt(2 r)
-            cb = np.cos(B)
-            q = 1.0 / (1.0 + cb)
-            lr = lam[act][:, None]
-            r = lr * lr * q
-            P = _polar(r, c, s, cb, np.sin(B))
-            return P, 2.0 * lr * r * q
+            rho2 = B * B
+            h = half[act][:, None]
+            P = _frame(h - rho2, (np.sqrt(2.0) * lam[act])[:, None] * B, c, s)
+            return P, (2.0 * np.sqrt(2.0)) * (h + rho2)
 
         # at lambda = 0 the curve closes onto the backward ray, covered twice
-        rays = _rays(lam, lam_eps, (phi + np.pi,), R, lambda r: 2.0 * np.sqrt(2.0 * r))
-        return [_Arc(A, mapto_p, stretch=True)] + rays
+        rays = _rays(lam, lam_eps, phi + np.pi, (0.0,), R, lambda r: 2.0 * np.sqrt(2.0 * r))
+        return [_Arc(W, mapto_p)] + rays
 
     return _Family(
         psi=lambda g, x1, x2, c, s: -np.sqrt(np.maximum(np.hypot(x1, x2) + x1 * c + x2 * s, 0.0)),
@@ -803,27 +825,29 @@ def _cormack():
         return 0.0
 
     def arcs(g, lam, lam_eps, phi, R):
+        # the sheet through r^k = L at polar angle th0 = (phi + off) / k, off
+        # = 0 or pi by the sign of lambda, in the hyperbolic angle t; sheet m
+        # is that one turned by 2 pi m / k (see the arc geometry notes)
         k = g.k
-        Rk = R**k
-        absl = np.abs(lam)
-        B0 = np.where(absl > lam_eps, np.arccos(np.clip(absl / Rk, -1.0, 1.0)), 0.0)
-        B0 = np.where(absl <= Rk, B0, 0.0)
-        off = np.where(lam >= 0.0, 0.0, np.pi)
-        out = []
-        for m in range(k):
-            th0 = (phi + off + TAU * m) / k  # polar angle of the sheet at beta = 0
+        L = np.abs(lam)
+        with np.errstate(divide="ignore"):
+            ch = R**k / L
+        W = np.where(L > lam_eps, np.arccosh(np.maximum(ch, 1.0)) / k, 0.0)
+        th0 = (phi + np.where(lam >= 0.0, 0.0, np.pi)) / k
+        c0, s0 = np.cos(th0), np.sin(th0)
 
-            def mapto_c(B, act, c0=np.cos(th0), s0=np.sin(th0)):
-                # theta = th0 + beta / k; ds = r / (k cos beta) dbeta and
-                # |grad psi| = k r^(k-1)
-                cb = np.cos(B)
-                r = (absl[act][:, None] / cb) ** (1.0 / k)
-                P = _polar(r, c0[act][:, None], s0[act][:, None], np.cos(B / k), np.sin(B / k))
-                return P, r ** (2 - k) / (k * k * cb)
+        def mapto_c(B, act):
+            u = k * B
+            rk = L[act][:, None] * np.cosh(u)
+            r = rk ** (1.0 / k)
+            gd = np.arctan(np.sinh(u)) / k
+            P = _frame(r * np.cos(gd), r * np.sin(gd), c0[act][:, None], s0[act][:, None])
+            return P, r * r / (k * rk)
 
-            out.append(_Arc(B0.copy(), mapto_c, stretch=True))
-        thetas = [(phi + 0.5 * np.pi + np.pi * j) / k for j in range(2 * k)]
-        return out + _rays(lam, lam_eps, thetas, R, lambda r: r ** (1 - k) / k)
+        sheets = _Arc(W, mapto_c, turns=tuple(TAU * m / k for m in range(k)))
+        # the 2k rays of the lambda = 0 row, cos(k theta - phi) = 0
+        turns = tuple(np.pi * j / k for j in range(2 * k))
+        return [sheets] + _rays(lam, lam_eps, (phi + 0.5 * np.pi) / k, turns, R, lambda r: r ** (1 - k) / k)
 
     return _Family(
         psi=psi,

@@ -1,8 +1,9 @@
 """Forward transform: family curves traced in closed form and integrated.
 
 Every family's data curve {x : lambda_of(x, phi) = lambda} is a line, a
-circle, or a polar graph, so geometry.arcs parametrizes it exactly, clipped to
-a working disc about the origin; no implicit-surface marching is needed. The
+circle, a conic branch or a cormack curve, so geometry.arcs parametrizes it
+exactly, clipped to a working disc about the origin, in a parameter where
+the integrand is smooth; no implicit-surface marching is needed. The
 forward value at one sinogram node is the curve integral of the phantom
 weighted by 1/|grad psi| (kind "mphi"). Each arc map returns that weight
 with its points, in the family's closed form along its own arcs, so no
@@ -139,19 +140,16 @@ def default_axes(geom: GeometryFamily, n_lambda: int, n_phi: int, half: bool = F
 
 
 def _stretch_map(u):
-    """Odd C^2 map of [-1, 1] onto itself with (1 - u^2)^2 derivative.
+    """Odd C^2 map of [-1, 1] onto itself with (1 - u^2)^2 derivative, for
+    the lambda = 0 rays out of the origin.
 
-    Arcs whose weight spikes at the window edge (the curve leaving the
-    working disc almost tangentially) integrate poorly on uniform nodes: the
-    spike width shrinks linearly with the row's lambda. Substituting
-    beta = W s(u) multiplies the integrand by s'(u), whose quadratic zero at
-    the ends tames the spike to a cube-root feature that a few hundred nodes
-    resolve. Rays get the same treatment for a different reason: their
-    integrand does not vanish at the inner endpoint, which pins the plain
-    trapezoid rule at second order, while under the substitution the boundary
-    derivative terms drop and fourth-order kicks in. Since s'(+-1) = 0, the
-    end nodes of the nested trapezoid rule carry no weight on stretched arcs
-    and are never evaluated.
+    Every other arc is parametrized so that its integrand is smooth and
+    bounded (see geometry's arc notes), but a ray's integrand does not vanish
+    at the inner endpoint, which pins the plain trapezoid rule at second
+    order. Under the substitution beta = W s(u) the boundary derivative terms
+    drop and fourth order kicks in. Since s'(+-1) = 0, the end nodes of the
+    nested trapezoid rule carry no weight on the rays and are never
+    evaluated.
     """
     u2 = u * u
     s = 1.875 * u * (1.0 - u2 * (2.0 / 3.0 - 0.2 * u2))
@@ -180,10 +178,12 @@ def _column(geom, phantom, lam, phi, R, mu, rtol, n_start, n_max):
     feature = phantom.feature_scale
 
     def node_sum(u, rows, ends=False):
-        """Per row, the sum over arcs of W * sum_k f(u_k), where f is
-        the integrand in u, and the largest chord between consecutive nodes
-        on any of the row's arcs; both zero off rows. ends=True takes
-        u = (-1, 1), where stretched arcs have weight zero and are skipped."""
+        """Per row, the sum over arcs and their turned copies of
+        W * sum_k f(u_k), where f is the integrand in u, and the largest
+        chord between consecutive nodes on any of the row's arcs; both zero
+        off rows. ends=True takes u = (-1, 1), where stretched arcs have
+        weight zero and are skipped. An arc is mapped and its chord measured
+        once; only the phantom is evaluated once per turned copy."""
         smap, sder = _stretch_map(u)
         tot = np.zeros(lam.shape)
         chord2 = np.zeros(lam.shape)
@@ -204,7 +204,10 @@ def _column(geom, phantom, lam, phi, R, mu, rtol, n_start, n_max):
                 d = np.diff(P, axis=1)
                 d *= d
                 chord2[act] = np.maximum(chord2[act], np.max(d[..., 0] + d[..., 1], axis=1))
-            vals = phantom.eval(P)
+            copies = arc.turned(P)
+            vals = phantom.eval(next(copies))
+            for Q in copies:
+                vals += phantom.eval(Q)
             if not np.all(np.isfinite(vals)):
                 raise ValueError("phantom evaluated to a non-finite value on a curve")
             vals = vals * weight
@@ -363,9 +366,10 @@ def riemann_to_mphi(sino: Sinogram) -> Sinogram:
 def trace_curve(geom: GeometryFamily, lam: float, phi: float, region: float, step: float):
     """Polylines for {x : lambda_of(x, phi) = lam} inside |x| <= region.
 
-    Each arc of geometry.arcs becomes one ordered polyline: the arc's own
-    closed-form points, resampled by arc length so that consecutive vertices
-    are at most about step apart. Degenerate (point) components are omitted.
+    Each arc of geometry.arcs becomes one ordered polyline per turned copy
+    (cormack's k sheets, a family's rays): the arc's own closed-form points,
+    resampled by arc length so that consecutive vertices are at most about
+    step apart. Degenerate (point) components are omitted.
     """
     if not (step > 0):
         raise ValueError("step must be positive")
@@ -390,7 +394,7 @@ def trace_curve(geom: GeometryFamily, lam: float, phi: float, region: float, ste
         want = np.linspace(0.0, total, n_seg + 1)
         tv = np.interp(want, cum, tfine)
         P, _ = arc.mapto(tv[None, :], np.array([0]))
-        lines.append(P[0])
+        lines.extend(Q[0] for Q in arc.turned(P))
     return lines
 
 

@@ -490,12 +490,16 @@ ARC_FAMILIES = (RADON, FUNK, HGEO, EQUI, CIRCLE, ELLIPSE, HYPER, PARAB, CORMACK2
 
 
 def arc_oracle(geom, arc, B, act, phi, kind, h=1e-5):
-    """Integrand weight from the definition: the metric length of dP/dbeta
-    (central differences), over |grad psi| for mphi data."""
+    """Integrand weight from the definition on each turned copy of the arc:
+    the metric length of dP/dbeta (central differences), over |grad psi| for
+    mphi data."""
     P, _ = arc.mapto(B, act)
     dP = (arc.mapto(B + h, act)[0] - arc.mapto(B - h, act)[0]) / (2.0 * h)
-    ds = arc_element(geom, P, dP)
-    return ds / grad_norm(geom, P, phi) if kind == "mphi" else ds
+    out = []
+    for Q, dQ in zip(arc.turned(P), arc.turned(dP)):
+        ds = arc_element(geom, Q, dQ)
+        out.append(ds / grad_norm(geom, Q, phi) if kind == "mphi" else ds)
+    return out
 
 
 @pytest.mark.parametrize("kind", ("mphi", "riemann"))
@@ -503,8 +507,8 @@ def arc_oracle(geom, arc, B, act, phi, kind, h=1e-5):
 def test_arc_weights_match_speed_over_gradient(geom, kind):
     # drawn rows and nodes, with lambda = 0 among the rows so that the rays
     # of the punctured families and the lines of the Poincare families appear;
-    # every arc weighs ds / |grad psi|, and arc-length data multiply it by
-    # m(x) mu(lambda)
+    # every arc weighs ds / |grad psi| on each of its turned copies, and
+    # arc-length data multiply it by m(x) mu(lambda)
     rng = np.random.default_rng(sum(map(ord, descriptor(geom) + kind)))
     lo, hi = lambda_range(geom)
     lam = np.append(lo + (hi - lo) * rng.uniform(0.1, 0.9, 6), 0.0)
@@ -515,32 +519,77 @@ def test_arc_weights_match_speed_over_gradient(geom, kind):
         with pytest.raises(FactorizationUnavailableError):
             weight_mu(geom, lam)
         return
-    checked = points = 0
+    checked = points = copies = 0
     for i, arc in enumerate(arcs(geom, lam, phi, R)):
         act = np.flatnonzero(arc.W > 0.0)
         B = arc.W[act][:, None] * rng.uniform(-0.9, 0.9, (act.size, 5))
         P, weight = arc.mapto(B, act)
-        got = np.broadcast_to(weight, B.shape)
-        if kind == "riemann":
-            got = got * weight_m(geom, P) * weight_mu(geom, lam[act])[:, None]
         # rows whose points do not move with beta: the ellipse's lambda = 0
         # row, the radius-0 limit of shrinking circles about the centre point,
         # weighed here on a small one; it has no arc length
         still = np.all(P == P[:, :1], axis=(1, 2))
-        want = np.zeros(B.shape)
+        moving = arc_oracle(geom, arc, B[~still], act[~still], phi, kind)
         if kind == "mphi" and np.any(still):
             small = arcs(geom, np.full(lam.shape, 1e-6), phi, R)[0]
-            want[still] = arc_oracle(geom, small, B[still], act[still], phi, kind, h=1e-4)
-        want[~still] = arc_oracle(geom, arc, B[~still], act[~still], phi, kind)
-        if geom.tag == "parabola" and i > 0:
-            # the lambda = 0 parabola closes onto its backward ray, which
-            # the ray's weight counts twice
-            want = 2.0 * want
+            (at_rest,) = arc_oracle(geom, small, B[still], act[still], phi, kind, h=1e-4)
+        for Q, want_moving in zip(arc.turned(P), moving):
+            got = np.broadcast_to(weight, B.shape)
+            if kind == "riemann":
+                got = got * weight_m(geom, Q) * weight_mu(geom, lam[act])[:, None]
+            want = np.zeros(B.shape)
+            want[~still] = want_moving
+            if kind == "mphi" and np.any(still):
+                want[still] = at_rest
+            if geom.tag == "parabola" and i > 0:
+                # the lambda = 0 parabola closes onto its backward ray, which
+                # the ray's weight counts twice
+                want = 2.0 * want
+            assert_allclose(got, want, rtol=1e-7)
+            copies += 1
         points += int(np.sum(still))
-        assert_allclose(got, want, rtol=1e-7)
         checked += act.size
     assert checked >= lam.size - 1
     assert points == (geom is CIRCLE)
+    # cormack: k sheets and 2k rays; hyperbola: a branch and two rays;
+    # parabola: an arc and a ray; every other family: one copy per arc
+    turned = {"cormack": 3 * (geom.k or 0), "hyperbola": 3, "parabola": 2}
+    assert copies == turned.get(geom.tag, i + 1)
+
+
+@pytest.mark.parametrize("geom", ARC_FAMILIES, ids=descriptor)
+def test_arc_points_lie_on_their_curves(geom):
+    # every node of every turned copy of every arc, the arc ends and the rows
+    # next to lambda = 0 included
+    rng = np.random.default_rng(sum(map(ord, descriptor(geom))))
+    lo, hi = lambda_range(geom)
+    lam = np.append(lo + (hi - lo) * rng.uniform(0.1, 0.9, 4), (0.0, 1e-9, -1e-9))
+    lam = lam[(lam >= lo) & (lam <= hi)]
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    e = np.array([math.cos(phi), math.sin(phi)])
+    R = 1.05 * geom.support_radius
+    rows = set()
+    for arc in arcs(geom, lam, phi, R):
+        act = np.flatnonzero(arc.W > 0.0)
+        if act.size == 0:
+            continue
+        B = arc.W[act][:, None] * np.linspace(-1.0, 1.0, 17)
+        P, _ = arc.mapto(B, act)
+        want = np.broadcast_to(lam[act][:, None], B.shape)
+        for Q in arc.turned(P):
+            assert np.all(np.hypot(Q[..., 0], Q[..., 1]) <= R * (1.0 + 1e-12))
+            if geom.tag == "parabola":
+                # lambda_of is a square root, infinitely steep at lambda = 0,
+                # where rounding P by 1e-17 moves it by 1e-9; its square
+                # r + <x, e> is what the points fix to rounding
+                off = np.hypot(Q[..., 0], Q[..., 1]) + Q @ e - want * want
+                assert np.max(np.abs(off) / (1.0 + want * want)) <= 1e-12
+            else:
+                off = lambda_of(geom, Q, phi) - want
+                assert np.max(np.abs(off) / (1.0 + np.abs(want))) <= 1e-12
+        rows.update(act.tolist())
+    # every row next to lambda = 0 has an arc in the disc
+    near = np.flatnonzero((np.abs(lam) <= 1e-9) & (lam != 0.0))
+    assert set(near.tolist()) <= rows
 
 
 def test_domain_radius_cap():

@@ -212,6 +212,34 @@ def test_trace_parabola_zero_level_backward_ray():
     assert polyline_max_step(pts) <= 0.05 * 1.01
 
 
+def test_trace_parabola_next_to_lambda_zero():
+    # the arc out along the backward ray and back, drawn from its polynomial
+    # map; r + <x, e> = lambda^2 = 1e-18 at every vertex
+    phi = 0.3
+    lines = trace_curve(PARAB, 1e-9, phi, region=0.7, step=0.01)
+    assert len(lines) == 1
+    pts = lines[0]
+    e = np.array([np.cos(phi), np.sin(phi)])
+    assert np.max(np.abs(np.hypot(pts[:, 0], pts[:, 1]) + pts @ e - 1e-18)) <= 1e-15
+    assert np.max(np.hypot(pts[:, 0], pts[:, 1])) == pytest.approx(0.7, rel=1e-12)
+    assert polyline_max_step(pts) <= 0.01 * 1.01
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_trace_cormack_draws_one_polyline_per_sheet(k):
+    # the k sheets of r^k cos(k theta - phi) = lambda are one arc turned by
+    # 2 pi m / k about the origin
+    geom = GeometryFamily("cormack", k=k)
+    lines = trace_curve(geom, 0.2, 0.4, region=1.0, step=0.05)
+    assert len(lines) == k
+    for m, pts in enumerate(lines):
+        assert residual(geom, pts, 0.2, 0.4) <= 1e-12
+        c, s = np.cos(TAU * m / k), np.sin(TAU * m / k)
+        turned = np.stack([c * lines[0][:, 0] - s * lines[0][:, 1], s * lines[0][:, 0] + c * lines[0][:, 1]], axis=-1)
+        assert_allclose(pts, turned, atol=1e-14)
+        assert polyline_max_step(pts) <= 0.05 * 1.01
+
+
 @pytest.mark.parametrize("lam", (1e-4, 1e-8))
 def test_trace_hgeodesic_near_the_line_is_exact(lam):
     # circles of radius ~1 / lambda: every vertex solves
@@ -460,6 +488,49 @@ def test_poincare_rows_next_to_the_line_are_circles_not_zeros(geom, shift):
     near = forward_mphi(ph, geom, lam + shift, phi).data[:, 4]
     assert np.min(base) > 0.1
     assert_allclose(near, base, rtol=1e-7)
+
+
+# a ring of Gaussians that vanishes at the origin, so that the cormack rows
+# at lambda = 0 converge, and that every lambda = 0 ray meets
+RING = Phantom(tuple(Gaussian((0.5 * np.cos(a), 0.5 * np.sin(a)), 0.05) for a in np.arange(12) * (TAU / 12)))
+
+
+# lambda axes with a node at 0, and the shifts that move it next to 0 (the
+# parabola has no rows below lambda = 0)
+NEAR_ZERO = {
+    "hyperbola": (HYPER, np.linspace(-0.4, 0.4, 9), (1e-11, 1e-9, -1e-9)),
+    "parabola": (PARAB, np.linspace(0.0, 0.8, 9), (1e-11, 1e-9)),
+    "cormack2": (CORMACK2, np.linspace(-0.4, 0.4, 9), (1e-11, 1e-9, -1e-9)),
+    "cormack3": (GeometryFamily("cormack", k=3), np.linspace(-0.4, 0.4, 9), (1e-11, 1e-9, -1e-9)),
+}
+
+
+@pytest.mark.parametrize("label, shift", [(k, sh) for k, v in NEAR_ZERO.items() for sh in v[2]])
+def test_conic_rows_next_to_lambda_zero_match_the_zero_row(label, shift):
+    # a row a hair off lambda = 0 is a conic arc hugging the rays of the zero
+    # row, and its integral must be theirs, not a value the arc map loses
+    geom, lam, _ = NEAR_ZERO[label]
+    zero = int(np.flatnonzero(lam == 0.0)[0])
+    phi = uniform_phi(4)
+    base = forward_mphi(RING, geom, lam, phi).data[:, zero]
+    near = forward_mphi(RING, geom, lam + shift, phi).data[:, zero]
+    assert np.min(base) > 0.05 * np.max(base) > 0.0
+    assert_allclose(near, base, rtol=1e-7)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_cormack_data_do_not_change_when_the_phantom_turns_by_2pi_over_k(k):
+    # each curve is one sheet and its copies turned by 2 pi m / k, so a
+    # phantom without that symmetry, turned by 2 pi / k, has the same data
+    geom = GeometryFamily("cormack", k=k)
+    c, s = np.cos(TAU / k), np.sin(TAU / k)
+    lam, phi = np.linspace(-0.3, 0.3, 6), uniform_phi(4)
+    data = [
+        forward_mphi(Phantom((Gaussian(centre, 0.08),)), geom, lam, phi, **FIXED).data
+        for centre in ((0.5, 0.2), (0.5 * c - 0.2 * s, 0.5 * s + 0.2 * c))
+    ]
+    assert np.max(data[0]) > 0.01
+    assert_allclose(data[1], data[0], rtol=1e-9, atol=1e-12 * np.max(data[0]))
 
 
 # ---------------------------------------------------------------------------
