@@ -32,7 +32,7 @@ cormack      polar curves r^k cos(k theta - phi) = lambda, k a positive
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -334,9 +334,12 @@ def _lam_eps(lam):
 
 def arcs(geom: GeometryFamily, lam, phi: float, R: float):
     """All arcs of the curves {lambda_of = lam[i]} inside the origin disc of
-    radius R, each weighted by ds / |grad psi| (see _Arc)."""
+    radius R, each weighted by ds / |grad psi| (see _Arc): the arcs of the
+    column's table with their turns advanced by the column's turn."""
     lam = np.asarray(lam, dtype=float)
-    return geom.record.arcs(geom, lam, _lam_eps(lam), phi, R)
+    table, turn = geom.record.column(geom, phi)
+    table_arcs = geom.record.arcs(geom, lam, _lam_eps(lam), table, R)
+    return [replace(arc, turns=tuple(t + turn for t in arc.turns)) for arc in table_arcs]
 
 
 def ray_start_gain(geom: GeometryFamily, lam, R: float):
@@ -366,7 +369,8 @@ def ray_start_gain(geom: GeometryFamily, lam, R: float):
 # The parameter is one in which the points and the weight are smooth and
 # bounded at every lambda, so the trapezoid rule needs no node stretching:
 # the angle from the nearest point on circles, the chord on lines, and on
-# the conics (frame e = e(phi), e_perp, L = |lambda|, s = sign lambda)
+# the conics (frame e = e(0), e_perp of their phi = 0 table, see
+# _Family.column; L = |lambda|, s = sign lambda)
 #   parabola   P = (lambda^2/2 - rho^2) e + sqrt(2) lambda rho e_perp,
 #              |P| = lambda^2/2 + rho^2, weight 2 sqrt(2) |P| per d rho;
 #   hyperbola  P = L (eps s + cosh t) / a^2 e + L sinh t / a e_perp with
@@ -378,8 +382,9 @@ def ray_start_gain(geom: GeometryFamily, lam, R: float):
 # vanish at one end; they alone are stretched.
 #
 # Copies of an arc turned about the origin by the angles in turns belong to
-# the same row (cormack's k sheets, a family's several rays). The map gives
-# the first copy; the weight, a function of |P| on those families, is the
+# the same row (cormack's k sheets, a family's several rays, and every arc
+# of a column turned off its table). The map gives the table's unturned
+# points; the weight, a function of |P| wherever an arc is turned, is the
 # same on every copy.
 
 
@@ -394,9 +399,11 @@ class _Arc:
     stretch: bool = False  # cluster quadrature nodes toward the ends; the rays only
     turns: tuple = (0.0,)  # the copies of the arc in a row, turned by these angles
 
-    def turned(self, P):
-        """The points P of the arc's map turned by each of the arc's turns."""
+    def turned(self, P, turn=0.0):
+        """The points P of the arc's map turned by turn plus each of the
+        arc's turns."""
         for t in self.turns:
+            t = t + turn
             yield P if t == 0.0 else _frame(P[..., 0], P[..., 1], np.cos(t), np.sin(t))
 
 
@@ -481,7 +488,7 @@ class _Family:
     lambda_range: Callable  # (g, rho)
     dcoef: Callable  # (g, x1, x2, r2)
     trig_difference: Callable  # (g, x, y), None where no polynomial exists
-    arcs: Callable  # (g, lam, lam_eps, phi, R) -> list of _Arc
+    arcs: Callable  # (g, lam, lam_eps, table_phi, R) -> list of _Arc, in the table's frame
     weight_m: Callable = _no_factorization  # (g, r2)
     weight_mu: Callable = _no_factorization  # (g, lam)
     psi_branch: Callable | None = None  # (g, x1, x2, phi); None means psi
@@ -498,6 +505,9 @@ class _Family:
     dcoef_radius: Callable = lambda g: g.support_radius  # closed-form D(x) holds inside
     sharp_disc_data: Callable | None = None  # (g, disc, lam, phi), mphi data of indicator discs
     ray_start_gain: Callable = lambda g, r0: 0.0  # (g, r0), see the public ray_start_gain
+    # (g, phi) -> (table_phi, turn): column phi's curves are the arcs at
+    # table_phi turned by turn; column(g, table_phi) = (table_phi, 0)
+    column: Callable = lambda g, phi: (0.0, phi)
 
 
 def _symmetric(z):
@@ -510,17 +520,15 @@ def _harmonic(w, const=0.0):
 
 
 def _line_arcs(sgn, weight):
-    """Arcs of the straight lines <x, e(phi)> = sgn * lambda; weight(lam2, B)
-    is the weight at chord parameter B on rows with lambda^2 = lam2."""
+    """Arcs of the straight lines x1 = sgn * lambda; weight(lam2, B) is the
+    weight at chord parameter B on rows with lambda^2 = lam2."""
 
-    def arcs(g, lam, lam_eps, phi, R):
-        e = np.array([np.cos(phi), np.sin(phi)])
-        eperp = np.array([-e[1], e[0]])
+    def arcs(g, lam, lam_eps, _, R):
         W = np.sqrt(np.maximum(R * R - lam * lam, 0.0))
-        base = sgn * lam[:, None] * e[None, :]
+        base = sgn * lam
 
         def mapto(B, act):
-            P = base[act][:, None, :] + B[..., None] * eperp[None, None, :]
+            P = np.stack([np.broadcast_to(base[act][:, None], B.shape), B], axis=-1)
             return P, weight((lam[act] ** 2)[:, None], B)
 
         return [_Arc(W, mapto)]
@@ -591,17 +599,15 @@ def _poincare(den, sigma, z_max):
         p = psi(g, x1, x2, c, s)
         return (2.0 / den(x1, x2)) * np.sqrt(np.maximum(1.0 - sigma * p * p, 0.0))
 
-    def arcs(g, lam, lam_eps, phi, R):
+    def arcs(g, lam, lam_eps, _, R):
         # on a curve psi = -lambda, so |grad psi| = 2 sqrt(1 - sigma lambda^2) / den
-        c, s = np.cos(phi), np.sin(phi)
         line_rows = np.abs(lam) <= lam_eps
         circ_rows = ~line_rows
         out = []
         if np.any(line_rows):
-            eperp = np.array([-s, c])
 
             def mapto_line(B, act):
-                P = B[..., None] * eperp[None, None, :]
+                P = np.stack([np.zeros(B.shape), B], axis=-1)
                 return P, 0.5 * (1.0 + sigma * B * B)
 
             out.append(_Arc(np.where(line_rows, R, 0.0), mapto_line))
@@ -613,7 +619,7 @@ def _poincare(den, sigma, z_max):
             # the line rows make infinite circles, masked out by W = 0
             with np.errstate(divide="ignore", invalid="ignore"):
                 inv = 1.0 / lam
-                center = (sigma * inv)[:, None] * np.array([c, s])[None, :]
+                center = np.stack([sigma * inv, np.zeros(lam.shape)], axis=-1)
                 d = np.abs(inv)
                 rc = np.sqrt(np.maximum(inv * inv - sigma, 0.0))
                 gap = sigma / (d + rc)  # d - rc, exact since d^2 - rc^2 = sigma
@@ -704,6 +710,8 @@ def _ellipse():
         params=(_Param("e1", lambda v: v > 0, half_axis), _Param("e2", lambda v: v > 0, half_axis)),
         lambda_sign=1.0,
         kernel_condition_ok=lambda g: g.support_radius < min(g.e1, g.e2),
+        # a circle of centers turns with phi; an ellipse maps one table per column
+        column=lambda g, phi: (0.0, phi) if g.e1 == g.e2 else (phi, 0.0),
         dcoef_radius=lambda g: min(g.support_radius, 0.95 * min(g.e1, g.e2)),
         sharp_disc_data=sharp_disc_data,
     )
@@ -718,10 +726,10 @@ def _hyperbola():
             raise GeometryDomainError("hyperbola gradient is undefined at the origin")
         return np.sqrt(1.0 + g.eps**2 - 2.0 * g.eps * (x1 * c + x2 * s) / r)
 
-    def arcs(g, lam, lam_eps, phi, R):
-        # the branch in the hyperbolic angle t, through its point nearest the
-        # origin, at distance L / (eps - s), at t = 0 (see the arc geometry
-        # notes)
+    def arcs(g, lam, lam_eps, _, R):
+        # the branch of phi = 0 in the hyperbolic angle t, through its point
+        # nearest the origin, at distance L / (eps - s), at t = 0 (see the arc
+        # geometry notes)
         a2 = g.eps * g.eps - 1.0
         a = np.sqrt(a2)
         L = np.abs(lam)
@@ -729,18 +737,17 @@ def _hyperbola():
         with np.errstate(divide="ignore"):
             ch = (R * a2 / L - sgn) / g.eps
         W = np.where(L > lam_eps, np.arccosh(np.maximum(ch, 1.0)), 0.0)
-        c, s = np.cos(phi), np.sin(phi)
 
         def mapto_h(B, act):
             sc = (L[act] / a2)[:, None]
             ep = (g.eps * sgn[act])[:, None]
             ct, st = np.cosh(B), np.sinh(B)
             r = sc * (sgn[act][:, None] + g.eps * ct)
-            return _frame(sc * (ep + ct), (a * sc) * st, c, s), r / a
+            return np.stack([sc * (ep + ct), (a * sc) * st], axis=-1), r / a
 
         astar = np.arccos(1.0 / g.eps)
         # 1/|grad psi| along cos alpha = 1 / eps
-        rays = _rays(lam, lam_eps, phi + astar, (0.0, -2.0 * astar), R, lambda r: 1.0 / a)
+        rays = _rays(lam, lam_eps, astar, (0.0, -2.0 * astar), R, lambda r: 1.0 / a)
         return [_Arc(W, mapto_h)] + rays
 
     return _Family(
@@ -767,21 +774,20 @@ def _parabola():
         w = -np.sqrt(2.0 * np.hypot(x[0], x[1])) * np.exp(0.5j * np.arctan2(x[1], x[0]))
         return np.array([w.real, w.imag])
 
-    def arcs(g, lam, lam_eps, phi, R):
-        # a polynomial arc in rho through the vertex lambda^2 / 2 e at rho = 0
+    def arcs(g, lam, lam_eps, _, R):
+        # a polynomial arc in rho through the vertex (lambda^2 / 2, 0) at rho = 0
         # (see the arc geometry notes); |P| <= R is rho^2 <= R - lambda^2 / 2
         half = 0.5 * lam * lam
         W = np.where(lam > lam_eps, np.sqrt(np.maximum(R - half, 0.0)), 0.0)
-        c, s = np.cos(phi), np.sin(phi)
 
         def mapto_p(B, act):
             rho2 = B * B
             h = half[act][:, None]
-            P = _frame(h - rho2, (np.sqrt(2.0) * lam[act])[:, None] * B, c, s)
+            P = np.stack([h - rho2, (np.sqrt(2.0) * lam[act])[:, None] * B], axis=-1)
             return P, (2.0 * np.sqrt(2.0)) * (h + rho2)
 
         # at lambda = 0 the curve closes onto the backward ray, covered twice
-        rays = _rays(lam, lam_eps, phi + np.pi, (0.0,), R, lambda r: 2.0 * np.sqrt(2.0 * r))
+        rays = _rays(lam, lam_eps, np.pi, (0.0,), R, lambda r: 2.0 * np.sqrt(2.0 * r))
         return [_Arc(W, mapto_p)] + rays
 
     return _Family(
@@ -824,16 +830,16 @@ def _cormack():
             return 2.0 * r0 ** (2 - g.k) * (10.0 ** (g.k - 2) - 1.0) / (g.k - 2)
         return 0.0
 
-    def arcs(g, lam, lam_eps, phi, R):
-        # the sheet through r^k = L at polar angle th0 = (phi + off) / k, off
-        # = 0 or pi by the sign of lambda, in the hyperbolic angle t; sheet m
-        # is that one turned by 2 pi m / k (see the arc geometry notes)
+    def arcs(g, lam, lam_eps, _, R):
+        # the sheet of phi = 0 through r^k = L at polar angle th0 = 0, or
+        # pi / k where lambda < 0, in the hyperbolic angle t; sheet m is that
+        # one turned by 2 pi m / k (see the arc geometry notes)
         k = g.k
         L = np.abs(lam)
         with np.errstate(divide="ignore"):
             ch = R**k / L
         W = np.where(L > lam_eps, np.arccosh(np.maximum(ch, 1.0)) / k, 0.0)
-        th0 = (phi + np.where(lam >= 0.0, 0.0, np.pi)) / k
+        th0 = np.where(lam >= 0.0, 0.0, np.pi / k)
         c0, s0 = np.cos(th0), np.sin(th0)
 
         def mapto_c(B, act):
@@ -845,9 +851,9 @@ def _cormack():
             return P, r * r / (k * rk)
 
         sheets = _Arc(W, mapto_c, turns=tuple(TAU * m / k for m in range(k)))
-        # the 2k rays of the lambda = 0 row, cos(k theta - phi) = 0
+        # the 2k rays of the lambda = 0 row, cos(k theta) = 0
         turns = tuple(np.pi * j / k for j in range(2 * k))
-        return [sheets] + _rays(lam, lam_eps, (phi + 0.5 * np.pi) / k, turns, R, lambda r: r ** (1 - k) / k)
+        return [sheets] + _rays(lam, lam_eps, 0.5 * np.pi / k, turns, R, lambda r: r ** (1 - k) / k)
 
     return _Family(
         psi=psi,
@@ -862,6 +868,8 @@ def _cormack():
         punctured=True,
         sheets=lambda g: float(g.k),
         ray_start_gain=ray_start_gain,
+        # the curves of phi are those of 0 turned by phi / k
+        column=lambda g, phi: (0.0, phi / g.k),
     )
 
 

@@ -15,9 +15,13 @@ from a coarse first level of 16 intervals per arc. Each row refines,
 independently of the other rows, until it has converged and its nodes are no
 farther apart than the phantom's feature_scale, so that two coarse levels
 cannot agree on a narrow feature that both of them miss.
-Columns at different angles are independent, so the work parallelizes over
-phi without changing any result. A row whose integral diverges at a
-singular point of the family is refused (DivergentRowError).
+A column is a turn of a table of arcs (geometry's _Family.column): every
+family but the ellipse with e1 != e2 has one table, its phi = 0 curves, so
+each level's arcs are mapped once for all columns, and each column only
+evaluates the phantom at the mapped points turned by its own angle. Columns
+still stop refining independently, so splitting them among worker processes
+parallelizes over phi without changing any result. A row whose integral
+diverges at a singular point of the family is refused (DivergentRowError).
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry as geo
-from ._heap import keep_work_arrays_on_the_heap
 from .fields import format_rows, header_floats, read_rows
 from .geometry import GeometryFamily
 from .phantom import Disc, Phantom
@@ -48,6 +51,9 @@ __all__ = [
 ]
 
 TAU = 2.0 * np.pi
+# the most nodes an arc map receives at once: a level's rows are mapped in
+# blocks of this size, so that a deep level of a whole table holds a few MB
+_TABLE_POINTS = 1 << 16
 
 
 class TracingError(RuntimeError):
@@ -157,14 +163,16 @@ def _stretch_map(u):
     return s, ds
 
 
-def _column(geom, phantom, lam, phi, R, mu, rtol, n_start, n_max):
-    """One sinogram column: integrals over all lambda rows at a fixed phi.
+def _columns(geom, phantom, lam, table, turns, R, mu, rtol, n_start, n_max):
+    """Sinogram columns that share one arc table: integrals over all lambda
+    rows of the columns whose curves are the table's arcs turned by turns,
+    as an array of shape (len(turns), lam.size).
 
     Every arc is integrated by the trapezoid rule on the nodes u_k = 2k/n - 1
     of [-1, 1], starting at n = n_start. The nodes are nested: doubling n
     adds only the n midpoints, T_2n = (T_n + M_n) / 2, so no evaluated node
-    is thrown away. Refinement is per row: a row stops once
-    |T_2n - T_n| < rtol * scale (scale: the largest row value of the column)
+    is thrown away. Refinement is per row of each column: a row stops once
+    |T_2n - T_n| < rtol * scale (scale: the largest row value of its column)
     and its nodes are no farther apart than the phantom's feature_scale, and
     keeps the Richardson estimate (4 T_2n - T_n) / 3 of that level; later
     levels evaluate only the rows still refining. The node spacing of a
@@ -173,50 +181,64 @@ def _column(geom, phantom, lam, phi, R, mu, rtol, n_start, n_max):
     can agree with itself on a feature narrower than the node spacing and
     stop with it missed. rtol = 0 refines every row up to n_max. mu is None
     for mphi data, else the per-row mu(lambda) of arc-length data.
+
+    Per level, each arc is mapped once, for the rows that some column still
+    refines, in blocks of at most _TABLE_POINTS nodes; a block's chords are
+    measured, and the ray stretch and the m(x) mu(lambda) of arc-length data
+    folded into its weights, once for all columns. Each column then
+    evaluates the phantom at the block's points turned by its turn plus the
+    arc's turns, on its own refining rows only, so a column's values do not
+    depend on which columns share its table.
     """
-    arcs = geo.arcs(geom, lam, float(phi), R)
+    arcs = geo.arcs(geom, lam, table, R)
     feature = phantom.feature_scale
 
-    def node_sum(u, rows, ends=False):
-        """Per row, the sum over arcs and their turned copies of
-        W * sum_k f(u_k), where f is the integrand in u, and the largest
-        chord between consecutive nodes on any of the row's arcs; both zero
-        off rows. ends=True takes u = (-1, 1), where stretched arcs have
-        weight zero and are skipped. An arc is mapped and its chord measured
-        once; only the phantom is evaluated once per turned copy."""
+    def node_sum(u, todo, ends=False):
+        """Per column and row, the sum over arcs and their turned copies of
+        W * sum_k f(u_k), where f is the integrand in u, and per row the
+        largest chord between consecutive nodes on any of its arcs; zero off
+        the refining rows. ends=True takes u = (-1, 1), where stretched arcs
+        have weight zero and are skipped."""
         smap, sder = _stretch_map(u)
-        tot = np.zeros(lam.shape)
+        tot = np.zeros(todo.shape)
         chord2 = np.zeros(lam.shape)
+        rows = np.any(todo, axis=0)
+        step = max(1, _TABLE_POINTS // u.size)
         for arc in arcs:
             if ends and arc.stretch:
                 continue
-            act = np.flatnonzero((arc.W > 0.0) & rows)
-            if act.size == 0:
-                continue
             nodes = smap if arc.stretch else u
-            B = arc.W[act][:, None] * nodes[None, :]
-            P, weight = arc.mapto(B, act)
-            if mu is not None:
-                # m from the record: the arc's own points need no domain check
-                m = geom.record.weight_m(geom, P[..., 0] ** 2 + P[..., 1] ** 2)
-                weight = weight * m * mu[act][:, None]
-            if u.size > 1:
-                d = np.diff(P, axis=1)
-                d *= d
-                chord2[act] = np.maximum(chord2[act], np.max(d[..., 0] + d[..., 1], axis=1))
-            copies = arc.turned(P)
-            vals = phantom.eval(next(copies))
-            for Q in copies:
-                vals += phantom.eval(Q)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("phantom evaluated to a non-finite value on a curve")
-            vals = vals * weight
-            if arc.stretch:
-                vals = vals * sder[None, :]
-            tot[act] += arc.W[act] * np.sum(vals, axis=1)
+            todo_rows = np.flatnonzero((arc.W > 0.0) & rows)
+            for first in range(0, todo_rows.size, step):
+                act = todo_rows[first : first + step]
+                B = arc.W[act][:, None] * nodes[None, :]
+                P, weight = arc.mapto(B, act)
+                if mu is not None:
+                    # m from the record: the arc's own points need no domain check
+                    m = geom.record.weight_m(geom, P[..., 0] ** 2 + P[..., 1] ** 2)
+                    weight = weight * m * mu[act][:, None]
+                if arc.stretch:
+                    weight = weight * sder[None, :]
+                weight = np.broadcast_to(weight, B.shape)
+                if u.size > 1:
+                    d = np.diff(P, axis=1)
+                    d *= d
+                    chord2[act] = np.maximum(chord2[act], np.max(d[..., 0] + d[..., 1], axis=1))
+                for j, turn in enumerate(turns):
+                    own = np.flatnonzero(todo[j, act])
+                    if own.size == 0:
+                        continue
+                    Q, w, at = (P, weight, act) if own.size == act.size else (P[own], weight[own], act[own])
+                    copies = arc.turned(Q, turn)
+                    vals = phantom.eval(next(copies))
+                    for Qt in copies:
+                        vals += phantom.eval(Qt)
+                    if not np.all(np.isfinite(vals)):
+                        raise ValueError("phantom evaluated to a non-finite value on a curve")
+                    tot[j, at] += arc.W[at] * np.sum(vals * w, axis=1)
         return tot, np.sqrt(chord2)
 
-    todo = np.ones(lam.shape, dtype=bool)
+    todo = np.ones((len(turns), lam.size), dtype=bool)
     n = n_start
     acc, _ = node_sum(np.arange(1, n) * (2.0 / n) - 1.0, todo)
     acc += 0.5 * node_sum(np.array([-1.0, 1.0]), todo, ends=True)[0]
@@ -228,14 +250,10 @@ def _column(geom, phantom, lam, phi, R, mu, rtol, n_start, n_max):
         n *= 2
         cur = np.where(todo, (2.0 / n) * acc, prev)
         best = np.where(todo, (4.0 * cur - prev) / 3.0, best)
-        scale = max(float(np.max(np.abs(cur))), 1e-300)
+        scale = np.maximum(np.max(np.abs(cur), axis=1, keepdims=True), 1e-300)
         todo &= ~((np.abs(cur - prev) < rtol * scale) & (0.5 * chord <= feature))
         prev = cur
     return best
-
-
-def _column_worker(args):
-    return _column(*args)
 
 
 def _split_phantom(phantom: Phantom):
@@ -260,7 +278,6 @@ def _working_radius(geom: GeometryFamily, phantom: Phantom) -> float:
 
 
 def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, workers):
-    keep_work_arrays_on_the_heap()
     lam = np.asarray(lambda_axis, dtype=float)
     phi = np.asarray(phi_axis, dtype=float)
     # a family without the m * mu split (hyperbola) is refused before any quadrature
@@ -275,13 +292,20 @@ def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, w
     data = np.zeros((phi.size, lam.size))
     if smooth.components:
         R = _working_radius(geom, smooth)
-        jobs = [(geom, smooth, lam, float(p), R, mu, rtol, n_start, n_max) for p in phi]
+        tables = {}
+        for j, p in enumerate(phi):
+            table, turn = geom.record.column(geom, float(p))
+            tables.setdefault(table, []).append((j, turn))
+        # each table's columns split into workers interleaved blocks, one job each
+        blocks = [(table, cols[w::workers]) for table, cols in tables.items() for w in range(min(workers, len(cols)))]
+        jobs = [(geom, smooth, lam, table, [t for _, t in cols], R, mu, rtol, n_start, n_max) for table, cols in blocks]
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                cols = list(pool.map(_column_worker, jobs, chunksize=max(1, phi.size // (4 * workers))))
+                parts = list(pool.map(_columns, *zip(*jobs), chunksize=max(1, len(jobs) // (4 * workers))))
         else:
-            cols = [_column(*job) for job in jobs]
-        data += np.stack(cols, axis=0)
+            parts = [_columns(*job) for job in jobs]
+        for (_, cols), part in zip(blocks, parts):
+            data[[j for j, _ in cols]] = part
         if mu is None:
             _refuse_divergent_rows(geom, smooth, lam, R, data, rtol, n_max)
     for disc in sharp:

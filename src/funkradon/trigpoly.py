@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._heap import keep_work_arrays_on_the_heap
-
 __all__ = [
     "TrigPoly",
     "roots",
@@ -353,7 +351,6 @@ def _inverse_square_off_axis(t: TrigPoly, real: np.ndarray, cplx: np.ndarray) ->
     ch, sh = np.cosh(m * h), np.sinh(m * h)
     u = TrigPoly(tuple(np.multiply(t.a, ch)), tuple(np.multiply(t.b, ch)))
     v = TrigPoly(tuple(np.multiply(t.b, sh)), tuple(-np.multiply(t.a, sh)))
-    keep_work_arrays_on_the_heap()
     total = np.longdouble(0.0)
     for uv, vv in zip(_midpoint_values(u, n), _midpoint_values(v, n)):
         total += np.sum(_regularized_terms(np.square(uv, out=uv), np.square(vv, out=vv)))

@@ -31,7 +31,7 @@ from funkradon import geometry
 from funkradon.acceptance import _round_trips
 from funkradon.geometry import descriptor, lambda_of
 from funkradon.phantom import Disc, Gaussian, parse_phantom
-from funkradon.transform import default_axes, forward_riemann, riemann_to_mphi
+from funkradon.transform import _TABLE_POINTS, default_axes, forward_riemann, riemann_to_mphi
 
 TAU = 2.0 * np.pi
 
@@ -467,12 +467,29 @@ def test_forward_rejects_support_outside_domain():
         forward_mphi(ph, EQUI, lam, uniform_phi(4))
 
 
-def test_forward_worker_count_is_invisible():
-    ph = Phantom((Gaussian((0.2, 0.1), 0.15),))
-    lam = np.linspace(-0.8, 0.8, 9)
-    phi = uniform_phi(4)
-    serial = forward_mphi(ph, RADON, lam, phi, **FIXED)
-    pooled = forward_mphi(ph, RADON, lam, phi, workers=2, **FIXED)
+# a ring of Gaussians that vanishes at the origin, so that the cormack rows
+# at lambda = 0 converge, and that every lambda = 0 ray meets
+RING = Phantom(tuple(Gaussian((0.5 * np.cos(a), 0.5 * np.sin(a)), 0.05) for a in np.arange(12) * (TAU / 12)))
+
+
+@pytest.mark.parametrize("forward", (forward_mphi, forward_riemann), ids=("mphi", "riemann"))
+@pytest.mark.parametrize(
+    "geom, ph, n_phi",
+    [
+        (RADON, Phantom((Gaussian((0.2, 0.1), 0.15),)), 4),
+        # seven columns split unevenly between the workers: cormack and the
+        # parabola share one arc table, the unequal ellipse maps one per column
+        (GeometryFamily("cormack", k=3), RING, 7),
+        (PARAB, RING, 7),
+        (GeometryFamily("ellipse", e1=1.2, e2=0.8, support_radius=0.7), RING, 7),
+    ],
+    ids=("radon", "cormack3", "parabola", "ellipse"),
+)
+def test_forward_worker_count_is_invisible(forward, geom, ph, n_phi):
+    lam, phi = default_axes(geom, 17, n_phi)
+    serial = forward(ph, geom, lam, phi)
+    pooled = forward(ph, geom, lam, phi, workers=2)
+    assert np.max(np.abs(serial.data)) > 0.0
     assert np.array_equal(serial.data, pooled.data)
 
 
@@ -488,11 +505,6 @@ def test_poincare_rows_next_to_the_line_are_circles_not_zeros(geom, shift):
     near = forward_mphi(ph, geom, lam + shift, phi).data[:, 4]
     assert np.min(base) > 0.1
     assert_allclose(near, base, rtol=1e-7)
-
-
-# a ring of Gaussians that vanishes at the origin, so that the cormack rows
-# at lambda = 0 converge, and that every lambda = 0 ray meets
-RING = Phantom(tuple(Gaussian((0.5 * np.cos(a), 0.5 * np.sin(a)), 0.05) for a in np.arange(12) * (TAU / 12)))
 
 
 # lambda axes with a node at 0, and the shifts that move it next to 0 (the
@@ -559,6 +571,47 @@ def test_forward_refines_only_unconverged_rows(monkeypatch):
     counted = count_points(monkeypatch)
     forward_mphi(ph, RADON, lam, phi)
     assert counted[0] <= 2000 * lam.size * phi.size
+
+
+def count_arc_maps(monkeypatch):
+    """Record the number of nodes of every arc-map call from here on."""
+    sizes = []
+    arcs = geometry.arcs
+
+    def counting(*args):
+        out = arcs(*args)
+        for arc in out:
+
+            def mapto(B, act, mapto=arc.mapto):
+                sizes.append(B.size)
+                return mapto(B, act)
+
+            arc.mapto = mapto
+        return out
+
+    monkeypatch.setattr(geometry, "arcs", counting)
+    return sizes
+
+
+def test_forward_maps_each_arc_once_per_level_for_all_columns(monkeypatch):
+    # a column is its table's arcs turned, so at a fixed depth the arc maps
+    # run as often and on as many nodes for 16 columns as for 4, rays and
+    # cormack's sheets included
+    sizes = count_arc_maps(monkeypatch)
+    for geom in (RADON, HYPER, CORMACK2):
+        lam = default_axes(geom, 17, 4)[0]
+        calls = []
+        for n_phi in (4, 16):
+            sizes.clear()
+            forward_mphi(RING, geom, lam, uniform_phi(n_phi), **FIXED)
+            calls.append(list(sizes))
+        assert calls[0] == calls[1] and len(calls[0]) > 0
+    # rows that refine to n_max = 8192 are mapped in blocks, not all at once
+    ph = parse_phantom("gauss:0.06,0.04,0.15,1;disc:-0.2,0.1,0.1,0.5,0.02")
+    lam, phi = default_axes(RADON, 33, 4)
+    sizes.clear()
+    forward_mphi(ph, RADON, lam, phi, rtol=0.0, n_max=8192)
+    assert max(sizes) <= _TABLE_POINTS < sum(sizes)
 
 
 def test_forward_with_zero_rtol_runs_every_row_to_n_max(monkeypatch):

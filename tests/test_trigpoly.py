@@ -8,10 +8,6 @@ Nothing is a snapshot of the module under test.
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,22 +395,6 @@ def test_pv_runs_one_short_line_when_every_zero_is_real(order, monkeypatch):
     t = separated_real_zero_poly(np.random.default_rng(70 + order), order)
     pv_inverse_square(t)
     assert sizes == [216, 216]  # u and v, the real and imaginary parts of t on the line
-
-
-def test_heap_thresholds_are_set_at_the_first_nucleus_integral_not_on_import():
-    # a fresh interpreter: importing the package must leave the allocator
-    # alone, and the first nucleus check sets it
-    script = (
-        "import funkradon\n"
-        "from funkradon._heap import keep_work_arrays_on_the_heap as keep\n"
-        "print(keep.cache_info().currsize)\n"
-        "funkradon.nucleus_check(funkradon.GeometryFamily('radon'), (0.0, 0.0), (1.0, 0.0))\n"
-        "print(keep.cache_info().currsize)\n"
-    )
-    src = str(Path(trigpoly.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "1"]
 
 
 # --------------------------------------------------- residues of s / t
