@@ -13,6 +13,13 @@ Everything one family knows lives in one record (a _Family subclass below),
 registered under its tag; the public functions dispatch into it, and other
 modules ask ``geom.record`` for the family traits they need.
 
+Each record writes the curve parameter lambda0 = lambda_of once, as
+harmonics in phi of fixed points (Harmonics): a(x) + b(x) cos phi +
+c(x) sin phi + k(phi), with k(phi) = e1^2 cos^2 phi + e2^2 sin^2 phi on the
+ellipse and 0 elsewhere, or the square root of that form on the parabola.
+psi and lambda_of are derived from it, and backprojection forms the
+harmonics of its pixels once for every phi row.
+
 Families
 --------
 radon        straight lines, psi = -<x, e(phi)>
@@ -50,6 +57,8 @@ __all__ = [
     "psi_branch",
     "grad_norm",
     "lambda_of",
+    "lambda_harmonics",
+    "Harmonics",
     "lambda_sign",
     "lambda_range",
     "dcoef_closed",
@@ -200,11 +209,59 @@ def domain_radius_cap(geom: GeometryFamily) -> float:
     return 1.0 if geom.record.open_disc else np.inf
 
 
+@dataclass(frozen=True, eq=False)
+class Harmonics:
+    """lambda0(x, phi) of fixed points x as a function of phi alone:
+
+        a + b cos phi + c sin phi + k1 cos^2 phi + k2 sin^2 phi,
+
+    or the square root of that form, clipped at 0, where root is set (the
+    parabola). b, c and a are per-point arrays, a None where it vanishes;
+    k = (k1, k2) is nonzero on the ellipse only. Built once per set of
+    points, it costs a few array passes per angle, with no domain check.
+    """
+
+    b: np.ndarray
+    c: np.ndarray
+    a: np.ndarray | None = None
+    k: tuple[float, float] = (0.0, 0.0)
+    root: bool = False
+
+    def __post_init__(self):
+        # the families pass coordinate views; contiguous copies make every
+        # later pass over the points about twice as fast
+        for name in ("b", "c", "a"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float, order="C"))
+
+    def __call__(self, phi):
+        """lambda0 at the angles phi, broadcast against the points."""
+        cphi, sphi = np.cos(phi), np.sin(phi)
+        # b cos phi has the full broadcast shape, so the sums go in place;
+        # the order (b cos + a) + c sin keeps the parabola's sqrt argument
+        # as r + x1 cos + x2 sin was formed
+        lam0 = self.b * cphi
+        if self.a is not None:
+            lam0 += self.a
+        lam0 += self.c * sphi
+        k1, k2 = self.k
+        if k1 or k2:
+            lam0 += k1 * cphi * cphi + k2 * sphi * sphi
+        if self.root:
+            lam0 = np.sqrt(np.maximum(lam0, 0.0))
+        return lam0
+
+
+def lambda_harmonics(geom: GeometryFamily, x) -> Harmonics:
+    """lambda0 of the points x at any angle, as Harmonics: lambda_of(geom, x,
+    phi) is lambda_harmonics(geom, x)(phi). The points are checked against
+    the family's domain here, once for every angle."""
+    return geom.record.harmonics(geom, *_domain_split(geom, x))
+
+
 def psi(geom: GeometryFamily, x, phi):
     """Generating function psi(x, phi); broadcasts over points and angles."""
-    x1, x2 = _domain_split(geom, x)
-    phi = np.asarray(phi, dtype=float)
-    return geom.record.psi(geom, x1, x2, np.cos(phi), np.sin(phi))
+    return geom.record.lambda_sign * lambda_harmonics(geom, x)(phi)
 
 
 def psi_branch(geom: GeometryFamily, x, phi):
@@ -242,7 +299,7 @@ def lambda_sign(geom: GeometryFamily) -> float:
 
 def lambda_of(geom: GeometryFamily, x, phi):
     """Curve parameter of the family member through x at angle phi."""
-    return lambda_sign(geom) * psi(geom, x, phi)
+    return lambda_harmonics(geom, x)(phi)
 
 
 def lambda_range(geom: GeometryFamily, support_radius: float | None = None):
@@ -385,7 +442,9 @@ def ray_start_gain(geom: GeometryFamily, lam, R: float):
 # the same row (cormack's k sheets, a family's several rays, and every arc
 # of a column turned off its table). The map gives the table's unturned
 # points; the weight, a function of |P| wherever an arc is turned, is the
-# same on every copy.
+# same on every copy. The forward transform evaluates the phantom turned the
+# other way on those points rather than turning them; _Arc.turned draws the
+# copies for trace_curve.
 
 
 @dataclass
@@ -399,11 +458,9 @@ class _Arc:
     stretch: bool = False  # cluster quadrature nodes toward the ends; the rays only
     turns: tuple = (0.0,)  # the copies of the arc in a row, turned by these angles
 
-    def turned(self, P, turn=0.0):
-        """The points P of the arc's map turned by turn plus each of the
-        arc's turns."""
+    def turned(self, P):
+        """The points P of the arc's map turned by each of the arc's turns."""
         for t in self.turns:
-            t = t + turn
             yield P if t == 0.0 else _frame(P[..., 0], P[..., 1], np.cos(t), np.sin(t))
 
 
@@ -481,9 +538,11 @@ def _no_factorization(g, _):
 class _Family:
     """Formulas, arcs and traits of one curve family. Callables take the
     GeometryFamily g holding the parameter values first; points arrive split
-    into x1, x2 and checked against the domain, angles as c, s = cos, sin."""
+    into x1, x2 and checked against the domain, angles as c, s = cos, sin.
+    lambda0 = lambda_sign * psi is written once, as the Harmonics of the
+    points (harmonics); psi and lambda_of are derived from it."""
 
-    psi: Callable  # (g, x1, x2, c, s)
+    harmonics: Callable  # (g, x1, x2) -> Harmonics of lambda0
     grad_norm: Callable  # (g, x1, x2, c, s)
     lambda_range: Callable  # (g, rho)
     dcoef: Callable  # (g, x1, x2, r2)
@@ -546,7 +605,7 @@ def _radon():
         return disc.amplitude * chord
 
     return _Family(
-        psi=lambda g, x1, x2, c, s: -(x1 * c + x2 * s),
+        harmonics=lambda g, x1, x2: Harmonics(x1, x2),
         grad_norm=lambda g, x1, x2, c, s: np.ones(np.broadcast(x1, c).shape),
         lambda_range=lambda g, rho: _symmetric(rho),
         dcoef=lambda g, x1, x2, r2: np.ones_like(r2),
@@ -574,7 +633,7 @@ def _funk():
         return 1.0 / (q * np.sqrt(q))
 
     return _Family(
-        psi=lambda g, x1, x2, c, s: x1 * c + x2 * s,
+        harmonics=lambda g, x1, x2: Harmonics(-x1, -x2),
         grad_norm=lambda g, x1, x2, c, s: np.sqrt((1.0 + x1 * x1 + x2 * x2) * (1.0 + (x1 * c + x2 * s) ** 2)),
         lambda_range=lambda g, rho: _symmetric(rho),
         dcoef=lambda g, x1, x2, r2: (1.0 + r2) ** -1.5,
@@ -592,11 +651,12 @@ def _poincare(den, sigma, z_max):
     through the origin at lambda = 0, otherwise circles about
     sigma e(phi) / lambda of radius sqrt(1 / lambda^2 - sigma)."""
 
-    def psi(g, x1, x2, c, s):
-        return -2.0 * (x1 * c + x2 * s) / den(x1, x2)
+    def harmonics(g, x1, x2):
+        q = 2.0 / den(x1, x2)
+        return Harmonics(q * x1, q * x2)
 
     def grad_norm(g, x1, x2, c, s):
-        p = psi(g, x1, x2, c, s)
+        p = -2.0 * (x1 * c + x2 * s) / den(x1, x2)
         return (2.0 / den(x1, x2)) * np.sqrt(np.maximum(1.0 - sigma * p * p, 0.0))
 
     def arcs(g, lam, lam_eps, _, R):
@@ -629,7 +689,7 @@ def _poincare(den, sigma, z_max):
         return out
 
     return _Family(
-        psi=psi,
+        harmonics=harmonics,
         grad_norm=grad_norm,
         lambda_range=lambda g, rho: _symmetric(min(2.0 * rho / (1.0 + sigma * rho * rho), z_max)),
         dcoef=lambda g, x1, x2, r2: (1.0 + sigma * r2) ** 3 / (4.0 * (1.0 - sigma * r2)),
@@ -699,7 +759,10 @@ def _ellipse():
 
     half_axis = "positive half-axes e1 and e2"
     return _Family(
-        psi=lambda g, x1, x2, c, s: (x1 - g.e1 * c) ** 2 + (x2 - g.e2 * s) ** 2,
+        # |x - e(phi)|^2, expanded
+        harmonics=lambda g, x1, x2: Harmonics(
+            -2.0 * g.e1 * x1, -2.0 * g.e2 * x2, x1 * x1 + x2 * x2, (g.e1**2, g.e2**2)
+        ),
         grad_norm=lambda g, x1, x2, c, s: 2.0 * np.hypot(x1 - g.e1 * c, x2 - g.e2 * s),
         lambda_range=lambda_range,
         dcoef=dcoef,
@@ -751,7 +814,7 @@ def _hyperbola():
         return [_Arc(W, mapto_h)] + rays
 
     return _Family(
-        psi=lambda g, x1, x2, c, s: g.eps * (x1 * c + x2 * s) - np.hypot(x1, x2),
+        harmonics=lambda g, x1, x2: Harmonics(g.eps * x1, g.eps * x2, -np.hypot(x1, x2)),
         grad_norm=grad_norm,
         lambda_range=lambda g, rho: (-(1.0 + g.eps) * rho, (g.eps - 1.0) * rho),
         dcoef=lambda g, x1, x2, r2: np.full_like(r2, 1.0 / (g.eps**2 - 1.0)),
@@ -791,7 +854,7 @@ def _parabola():
         return [_Arc(W, mapto_p)] + rays
 
     return _Family(
-        psi=lambda g, x1, x2, c, s: -np.sqrt(np.maximum(np.hypot(x1, x2) + x1 * c + x2 * s, 0.0)),
+        harmonics=lambda g, x1, x2: Harmonics(x1, x2, np.hypot(x1, x2), root=True),
         grad_norm=lambda g, x1, x2, c, s: 1.0 / np.sqrt(2.0 * np.hypot(x1, x2)) + np.zeros(np.broadcast(x1, c).shape),
         lambda_range=lambda g, rho: (0.0, np.sqrt(2.0 * rho)),
         dcoef=lambda g, x1, x2, r2: 2.0 * np.sqrt(r2),
@@ -809,9 +872,9 @@ def _parabola():
 def _cormack():
     """Polar curves r^k cos(k theta - phi) = lambda, on k parameter sheets."""
 
-    def psi(g, x1, x2, c, s):
+    def harmonics(g, x1, x2):
         w = (x1 + 1j * x2) ** g.k
-        return -(w.real * c + w.imag * s)
+        return Harmonics(w.real, w.imag)
 
     def dcoef(g, x1, x2, r2):
         if np.any(r2 == 0.0):
@@ -856,7 +919,7 @@ def _cormack():
         return [sheets] + _rays(lam, lam_eps, 0.5 * np.pi / k, turns, R, lambda r: r ** (1 - k) / k)
 
     return _Family(
-        psi=psi,
+        harmonics=harmonics,
         grad_norm=lambda g, x1, x2, c, s: g.k * np.hypot(x1, x2) ** (g.k - 1) + np.zeros(np.broadcast(x1, c).shape),
         lambda_range=lambda g, rho: _symmetric(rho**g.k),
         dcoef=dcoef,

@@ -9,10 +9,13 @@ with g the forward data, lambda0(x, phi) the curve parameter of the family
 member through x, and D(x) the angular mean of 1/|grad psi|^2. The inner
 finite-part integral is tabulated once per phi row on the data's own lambda
 grid (pv_filter); backprojection then samples that table at lambda0 by cubic
-interpolation and averages over phi. Each row is interpolated from a
-power-form table: the four coefficients of the 4-point Lagrange cubic on
-every stencil, built in O(m) per row, so a pixel costs four gathers and
-Horner's rule.
+interpolation and averages over phi. lambda0 comes from harmonics computed
+once per pixel (geometry.lambda_harmonics), so a row costs a few array
+passes for it. Each row is interpolated from a power-form table: the four
+coefficients of the 4-point Lagrange cubic on every stencil, built in O(m)
+per row, so a pixel costs four gathers and Horner's rule. On radon data
+with an even row count and a symmetric lambda axis, antipodal rows are
+folded into one, since lambda0(x, phi + pi) = -lambda0(x, phi).
 
 The second-order singularity is never attacked head-on: integrating by parts
 turns it into a first-order principal value of dg/dlambda, which is computed
@@ -246,15 +249,27 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     the -1/(4 pi^2 D(x)) normalization (with the sheet count for the cormack
     family, whose curves pass through each point on k parameter sheets).
 
-    Each phi row is sampled by 4-point Lagrange interpolation on the stencil
-    starting at clip(floor(t) - 1, 0, m - 4), t = (lambda0 - lambda_first)/h,
-    so the first and last intervals extrapolate inside the end stencils. The
-    row is first turned into a power-form table (_cubic_table, O(m)); a pixel
-    then costs four gathers and Horner's rule in s = t - (stencil start + 1).
+    lambda0 comes from the pixels' harmonics (geometry.lambda_harmonics),
+    formed and checked against the family's domain once per call, so a row
+    costs a few array passes for lambda0. Each phi row is sampled by 4-point
+    Lagrange interpolation on the stencil starting at
+    clip(floor(t) - 1, 0, m - 4), t = (lambda0 - lambda_first)/h, so the
+    first and last intervals extrapolate inside the end stencils. The row is
+    first turned into a power-form table (_cubic_table, O(m)); a pixel then
+    costs four gathers and Horner's rule in s = t - (stencil start + 1).
+
+    On a half-range family (radon) with an even number of rows, a lambda
+    axis symmetric about 0 and row j + n/2 at phi_j + pi, antipodal rows are
+    folded: lambda0(x, phi + pi) = -lambda0(x, phi) is node t of the
+    reversed row where lambda0 is node m - 1 - t, and the 4-point stencil is
+    symmetric under that reversal, so row j plus row j + n/2 reversed,
+    sampled at lambda0(x, phi_j), stands for both rows up to rounding. Rows
+    are folded one at a time, and the loop runs over half of them.
     """
     geom = filtered.geom
     lam = filtered.lambda_axis
     phi = filtered.phi_axis
+    values = filtered.values
     m = lam.size
     if m < _MIN_NODES:
         raise ValueError(f"backprojection needs at least {_MIN_NODES} lambda nodes, got {m}")
@@ -262,17 +277,27 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     pts = grid.points()
     D = np.asarray(geo.dcoef_closed(geom, pts))
     sheet = geom.record.sheets(geom)
+    lam0_at = geo.lambda_harmonics(geom, pts)
     tol = 1e-9 * (1.0 + lam[-1] - lam[0])
     lo, hi = lam[0] - tol, lam[-1] + tol
+    half = phi.size // 2
+    fold = (
+        geom.record.half_range
+        and phi.size % 2 == 0
+        and lam[0] == -lam[-1]
+        and np.allclose(phi[half:], phi[:half] + np.pi, rtol=0.0, atol=1e-12)
+    )
     acc = np.zeros((grid.nx, grid.ny))
     val = np.empty_like(acc)
     coef = np.empty_like(acc)
-    for j, p in enumerate(phi):
-        lam0 = np.asarray(geo.lambda_of(geom, pts, float(p)))
+    for j in range(half if fold else phi.size):
+        p = float(phi[j])
+        lam0 = lam0_at(p)
         # min and max carry a NaN lambda0, which fails both comparisons, so
-        # it counts as uncovered too
+        # it counts as uncovered too; on a folded pair lo = -hi, so row j
+        # covers row j + n/2 as well
         if not (lam0.min() >= lo and lam0.max() <= hi):
-            _refuse_uncovered(pts, lam0, lo, hi, lam, float(p))
+            _refuse_uncovered(pts, lam0, lo, hi, lam, p)
         # s = t - 1 - k on the stencil k = clip(floor(t) - 1, 0, m - 4), with
         # t = (lambda0 - lambda_first) / h; clipping floor(t - 1) picks the
         # same k, since t - 1 is exact for t >= 1/2 and below that both clip to 0
@@ -283,7 +308,7 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
         np.clip(k, 0, m - 4, out=k)
         s -= k
         k = k.astype(np.intp)
-        c = _cubic_table(filtered.values[j])
+        c = _cubic_table(values[j] + values[j + half, ::-1] if fold else values[j])
         # k is in range, so mode="clip" only skips numpy's bounds check
         np.take(c[3], k, out=val, mode="clip")
         for ci in c[2::-1]:

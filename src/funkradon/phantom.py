@@ -2,11 +2,15 @@
 
 Components evaluate at arbitrary points, so the forward transform can
 integrate them along curves without committing to a grid; rasterize produces
-the reference field that reconstructions are measured against.
+the reference field that reconstructions are measured against. Every
+evaluation takes a turn: the values at the points turned about the origin by
+that angle, obtained by turning the component's centre the other way, so the
+forward transform can integrate a turned copy of one set of curve points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +25,18 @@ def _require_finite(what, *values):
     # non-finite, and the forward transform would quietly return zeros
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} must be finite")
+
+
+def _offsets(x, center, turn):
+    """x minus the centre turned about the origin by -turn: a component
+    depends on a point only through its distance from the centre, and
+    |R(turn) x - center| = |x - R(-turn) center|, so turning the centre as
+    two floats stands in for turning every point."""
+    cx, cy = center
+    if turn:
+        c, s = math.cos(turn), math.sin(turn)
+        cx, cy = c * cx + s * cy, c * cy - s * cx
+    return x[..., 0] - cx, x[..., 1] - cy
 
 
 @dataclass(frozen=True)
@@ -43,9 +59,9 @@ class Gaussian:
     def feature_scale(self) -> float:
         return float(self.sigma)
 
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        d2 = (x[..., 0] - self.center[0]) ** 2 + (x[..., 1] - self.center[1]) ** 2
+    def eval(self, x, turn=0.0):
+        dx, dy = _offsets(np.asarray(x, dtype=float), self.center, turn)
+        d2 = dx**2 + dy**2
         return self.amplitude * np.exp(-0.5 * d2 / self.sigma**2)
 
 
@@ -80,9 +96,8 @@ class Disc:
         # integrates analytically rather than by quadrature
         return float(self.width)
 
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        d = np.hypot(x[..., 0] - self.center[0], x[..., 1] - self.center[1])
+    def eval(self, x, turn=0.0):
+        d = np.hypot(*_offsets(np.asarray(x, dtype=float), self.center, turn))
         if self.width == 0.0:
             return self.amplitude * (d < self.radius)
         u = np.clip((self.radius - d) / self.width, 0.0, 1.0)
@@ -109,11 +124,13 @@ class Phantom:
         makes the forward quadrature refine its rows to n_max."""
         return min((getattr(c, "feature_scale", 0.0) for c in self.components), default=np.inf)
 
-    def eval(self, x):
+    def eval(self, x, turn=0.0):
+        """The phantom at the points x turned about the origin by turn,
+        f(R(turn) x): the phantom turned by -turn, evaluated at x."""
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1])
         for c in self.components:
-            out += c.eval(x)
+            out += c.eval(x, turn)
         return out if out.shape else float(out)
 
     def rasterize(self, grid: Grid) -> ScalarField:

@@ -17,11 +17,14 @@ farther apart than the phantom's feature_scale, so that two coarse levels
 cannot agree on a narrow feature that both of them miss.
 A column is a turn of a table of arcs (geometry's _Family.column): every
 family but the ellipse with e1 != e2 has one table, its phi = 0 curves, so
-each level's arcs are mapped once for all columns, and each column only
-evaluates the phantom at the mapped points turned by its own angle. Columns
-still stop refining independently, so splitting them among worker processes
-parallelizes over phi without changing any result. A row whose integral
-diverges at a singular point of the family is refused (DivergentRowError).
+each level's arcs are mapped once for all columns. A column then turns the
+phantom, not the points: it evaluates the phantom turned by minus its angle
+(plus each of an arc's own turns) at the table's unturned points, which
+costs a turn of each component's centre instead of a turned copy of every
+node. Columns still stop refining independently, so splitting them among
+worker processes parallelizes over phi without changing any result. A row
+whose integral diverges at a singular point of the family is refused
+(DivergentRowError).
 """
 
 from __future__ import annotations
@@ -186,9 +189,10 @@ def _columns(geom, phantom, lam, table, turns, R, mu, rtol, n_start, n_max):
     refines, in blocks of at most _TABLE_POINTS nodes; a block's chords are
     measured, and the ray stretch and the m(x) mu(lambda) of arc-length data
     folded into its weights, once for all columns. Each column then
-    evaluates the phantom at the block's points turned by its turn plus the
-    arc's turns, on its own refining rows only, so a column's values do not
-    depend on which columns share its table.
+    evaluates the phantom turned by minus its turn plus each of the arc's
+    turns (Phantom.eval's turn) at the block's unturned points, on its own
+    refining rows only, so a column's values do not depend on which columns
+    share its table.
     """
     arcs = geo.arcs(geom, lam, table, R)
     feature = phantom.feature_scale
@@ -229,10 +233,9 @@ def _columns(geom, phantom, lam, table, turns, R, mu, rtol, n_start, n_max):
                     if own.size == 0:
                         continue
                     Q, w, at = (P, weight, act) if own.size == act.size else (P[own], weight[own], act[own])
-                    copies = arc.turned(Q, turn)
-                    vals = phantom.eval(next(copies))
-                    for Qt in copies:
-                        vals += phantom.eval(Qt)
+                    vals = phantom.eval(Q, arc.turns[0] + turn)
+                    for t in arc.turns[1:]:
+                        vals += phantom.eval(Q, t + turn)
                     if not np.all(np.isfinite(vals)):
                         raise ValueError("phantom evaluated to a non-finite value on a curve")
                     tot[j, at] += arc.W[at] * np.sum(vals * w, axis=1)

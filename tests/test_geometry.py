@@ -23,6 +23,7 @@ from funkradon.geometry import (
     descriptor,
     domain_radius_cap,
     grad_norm,
+    lambda_harmonics,
     lambda_of,
     lambda_range,
     lambda_sign,
@@ -45,6 +46,7 @@ HYPER = GeometryFamily("hyperbola", eps=2.0)
 PARAB = GeometryFamily("parabola")
 CORMACK2 = GeometryFamily("cormack", k=2)
 CORMACK3 = GeometryFamily("cormack", k=3)
+TAU = 2.0 * math.pi
 
 
 def sample_points(geom, rng, n, rmin=0.05, rmax=None):
@@ -204,7 +206,9 @@ def test_psi_domain_errors():
         psi(CORMACK2, (0.0, 0.0), 0.0)
 
 
-@pytest.mark.parametrize("fn", (lambda_of, psi, grad_norm, dcoef_closed), ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "fn", (lambda_of, lambda_harmonics, psi, grad_norm, dcoef_closed), ids=lambda f: f.__name__
+)
 @pytest.mark.parametrize(
     "geom, bad, match",
     [
@@ -220,7 +224,7 @@ def test_psi_domain_errors():
 def test_restricted_domains_refuse_a_point_in_a_batch(fn, geom, bad, match):
     # one point outside the domain among good ones, as a grid would hold it
     pts = np.array([(0.3, 0.2), bad, (-0.1, 0.4)])
-    args = (geom, pts) if fn is dcoef_closed else (geom, pts, 0.7)
+    args = (geom, pts) if fn in (dcoef_closed, lambda_harmonics) else (geom, pts, 0.7)
     with pytest.raises(GeometryDomainError, match=match):
         fn(*args)
 
@@ -293,6 +297,41 @@ def test_lambda_sign_conventions():
     for geom in (ELLIPSE, HYPER):
         assert lambda_sign(geom) == 1.0
         assert lambda_of(geom, x, ph) == pytest.approx(psi(geom, x, ph))
+
+
+# lambda0 = lambda_sign * psi as each family wrote it in its own closed form,
+# before the families wrote it once as harmonics
+OWN_LAMBDA0 = {
+    "radon": lambda g, x1, x2, c, s: x1 * c + x2 * s,
+    "funk": lambda g, x1, x2, c, s: -(x1 * c + x2 * s),
+    "hgeodesic": lambda g, x1, x2, c, s: 2.0 * (x1 * c + x2 * s) / (1.0 + x1 * x1 + x2 * x2),
+    "equidistant": lambda g, x1, x2, c, s: 2.0 * (x1 * c + x2 * s) / (1.0 - (x1 * x1 + x2 * x2)),
+    "ellipse": lambda g, x1, x2, c, s: (x1 - g.e1 * c) ** 2 + (x2 - g.e2 * s) ** 2,
+    "hyperbola": lambda g, x1, x2, c, s: g.eps * (x1 * c + x2 * s) - np.hypot(x1, x2),
+    "parabola": lambda g, x1, x2, c, s: np.sqrt(np.maximum(np.hypot(x1, x2) + x1 * c + x2 * s, 0.0)),
+    "cormack": lambda g, x1, x2, c, s: ((x1 + 1j * x2) ** g.k).real * c + ((x1 + 1j * x2) ** g.k).imag * s,
+}
+
+
+@pytest.mark.parametrize(
+    "geom",
+    (RADON, FUNK, HGEO, EQUI, CIRCLE, ELLIPSE, HYPER, PARAB, CORMACK2, CORMACK3),
+    ids=lambda g: descriptor(g),
+)
+def test_lambda_harmonics_match_each_family_own_lambda0(geom):
+    rng = np.random.default_rng(8)
+    pts = sample_points(geom, rng, 400, rmin=0.01)
+    ph = rng.uniform(-TAU, 2 * TAU, size=400)
+    own = OWN_LAMBDA0[geom.tag]
+    x1, x2 = pts[:, 0], pts[:, 1]
+    at = lambda_harmonics(geom, pts)
+    # one set of harmonics serves every angle, one per point or a scalar one
+    assert np.max(np.abs(at(ph) - own(geom, x1, x2, np.cos(ph), np.sin(ph)))) <= 1e-14
+    assert np.max(np.abs(lambda_of(geom, pts, ph) - own(geom, x1, x2, np.cos(ph), np.sin(ph)))) <= 1e-14
+    for p in ph[:8]:
+        assert np.max(np.abs(at(p) - own(geom, x1, x2, np.cos(p), np.sin(p)))) <= 1e-14
+    # psi is lambda0 with the family's sign, exactly
+    assert np.array_equal(psi(geom, pts, ph), lambda_sign(geom) * lambda_of(geom, pts, ph))
 
 
 def test_lambda_range_pins():

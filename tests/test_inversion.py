@@ -327,14 +327,19 @@ def test_backproject_coverage_error_names_the_first_points(lam_lo, lam_hi, messa
 def test_backproject_counts_a_non_finite_lambda0_as_uncovered(monkeypatch):
     sino = window_sinogram(lambda lam: np.zeros_like(lam), m=33, n_phi=8)
     filtered = pv_filter(sino)
-    lambda_of = geo.lambda_of
+    harmonics = geo.lambda_harmonics
 
-    def with_nan(geom, x, phi):
-        lam0 = np.array(lambda_of(geom, x, phi))
-        lam0[2, 3] = np.nan
+    def with_nan(geom, x):
+        at = harmonics(geom, x)
+
+        def lam0(phi):
+            out = at(phi)
+            out[2, 3] = np.nan
+            return out
+
         return lam0
 
-    monkeypatch.setattr(geo, "lambda_of", with_nan)
+    monkeypatch.setattr(geo, "lambda_harmonics", with_nan)
     with pytest.raises(CoverageError, match="1 grid points"):
         backproject(filtered, Grid.centered(9, 0.5))
 
@@ -375,12 +380,67 @@ def test_backproject_matches_the_lagrange_oracle(m, monkeypatch):
     phi = uniform_phi(3)
     values = rng.normal(size=(phi.size, m))
     lam0_at = {float(p): rng.permutation(probes).reshape(n, n) for p in phi}
-    monkeypatch.setattr(geo, "lambda_of", lambda geom, x, p: lam0_at[p].copy())
+    # lambda0 enters at the pixels' harmonics, one call per row at its phi
+    monkeypatch.setattr(geo, "lambda_harmonics", lambda geom, x: lambda p: lam0_at[p].copy())
     grid = Grid.centered(n, 0.5)
 
     got = backproject(FilteredSinogram(RADON, lam, phi, values), grid).values
     acc = sum(lagrange_cubic(row, lam, lam0_at[float(p)]) for row, p in zip(values, phi))
     want = -acc * (phi[1] - phi[0]) / (4.0 * np.pi**2 * geo.dcoef_closed(RADON, grid.points()))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def count_rows(monkeypatch):
+    """Record every angle at which backproject asks for lambda0 from here on."""
+    rows = []
+    harmonics = geo.lambda_harmonics
+
+    def counting(geom, x):
+        at = harmonics(geom, x)
+
+        def lam0(phi):
+            rows.append(phi)
+            return at(phi)
+
+        return lam0
+
+    monkeypatch.setattr(geo, "lambda_harmonics", counting)
+    return rows
+
+
+def per_row_backprojection(filtered, grid):
+    """backproject with no fold: every row sampled at its own lambda0."""
+    pts = grid.points()
+    lam, phi = filtered.lambda_axis, filtered.phi_axis
+    acc = sum(lagrange_cubic(row, lam, geo.lambda_of(filtered.geom, pts, p)) for row, p in zip(filtered.values, phi))
+    return -acc * (phi[1] - phi[0]) / (4.0 * np.pi**2 * geo.dcoef_closed(filtered.geom, pts))
+
+
+def rough_radon_rows(n_phi, lam, half=False):
+    rng = np.random.default_rng(n_phi)
+    g = rng.normal(size=(n_phi, lam.size)) * (1.0 - lam**2) ** 2
+    return pv_filter(Sinogram(RADON, lam, uniform_phi(n_phi, half), g))
+
+
+@pytest.mark.parametrize(
+    "filtered, rows",
+    [
+        (rough_radon_rows(24, np.linspace(-1.0, 1.0, 65)), 12),
+        (rough_radon_rows(12, np.linspace(-1.0, 1.0, 65), half=True), 12),  # doubled to 24 rows
+        (rough_radon_rows(25, np.linspace(-1.0, 1.0, 65)), 25),
+        (rough_radon_rows(24, np.linspace(-1.0, 1.0 + 1e-12, 65)), 24),
+    ],
+    ids=("full data", "doubled half data", "odd n_phi", "asymmetric lambda axis"),
+)
+def test_backproject_folds_antipodal_radon_rows(monkeypatch, filtered, rows):
+    # row j + n/2 sampled at -lambda0(phi_j) on the symmetric axis is the
+    # reversed row sampled at lambda0(phi_j); without an even row count and a
+    # symmetric axis every row is sampled on its own
+    grid = Grid.centered(17, 0.6)
+    want = per_row_backprojection(filtered, grid)
+    asked = count_rows(monkeypatch)
+    got = backproject(filtered, grid).values
+    assert len(asked) == rows
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

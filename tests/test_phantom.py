@@ -51,6 +51,26 @@ def test_phantom_sums_components():
     assert Phantom(()).eval((1.0, 2.0)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "comp",
+    (Gaussian((0.3, -0.2), 0.1, 2.0), Disc((-0.25, 0.1), 0.3, 1.5, width=0.05)),
+    ids=("gaussian", "mollified disc"),
+)
+def test_a_turned_phantom_is_the_phantom_at_turned_points(comp):
+    # turning the centre by -turn stands in for turning every point by turn;
+    # the two differ by the rounding of a distance times the steepest slope,
+    # amplitude / sigma for a Gaussian and 1.5 amplitude / width on a rim
+    rng = np.random.default_rng(4)
+    P = rng.uniform(-0.6, 0.6, size=(4000, 2))
+    ph = Phantom((comp, Gaussian((0.1, 0.2), 0.2, -0.5)))
+    bound = 4.0 * np.finfo(float).eps * comp.amplitude / comp.feature_scale
+    for turn in (0.0, 1e-3, 0.7, -2.1, math.pi, 5.0):
+        c, s = math.cos(turn), math.sin(turn)
+        turned = np.stack([c * P[:, 0] - s * P[:, 1], s * P[:, 0] + c * P[:, 1]], axis=-1)
+        assert np.max(np.abs(comp.eval(P, turn) - comp.eval(turned))) <= bound
+        assert np.max(np.abs(ph.eval(P, turn) - ph.eval(turned))) <= bound
+
+
 def test_feature_scale_is_the_smallest_component_scale():
     # sigma for a Gaussian, the rim band for a disc
     g = Gaussian((0.0, 0.0), 0.1)

@@ -31,7 +31,14 @@ from funkradon import geometry
 from funkradon.acceptance import _round_trips
 from funkradon.geometry import descriptor, lambda_of
 from funkradon.phantom import Disc, Gaussian, parse_phantom
-from funkradon.transform import _TABLE_POINTS, default_axes, forward_riemann, riemann_to_mphi
+from funkradon.transform import (
+    _TABLE_POINTS,
+    _stretch_map,
+    _working_radius,
+    default_axes,
+    forward_riemann,
+    riemann_to_mphi,
+)
 
 TAU = 2.0 * np.pi
 
@@ -447,7 +454,7 @@ class _NaNComponent:
 
     support_radius = 0.3
 
-    def eval(self, x):
+    def eval(self, x, turn=0.0):
         return np.full(np.shape(x)[:-1], np.nan)
 
 
@@ -554,9 +561,9 @@ def count_points(monkeypatch):
     counted = [0]
     evaluate = Phantom.eval
 
-    def counting(self, x):
+    def counting(self, x, *turn):
         counted[0] += np.size(x) // 2
-        return evaluate(self, x)
+        return evaluate(self, x, *turn)
 
     monkeypatch.setattr(Phantom, "eval", counting)
     return counted
@@ -681,6 +688,77 @@ def test_forward_evaluates_no_gradient(monkeypatch, rt):
             forward_riemann(rt.phantom, rt.geom, lam, phi)
     else:
         assert np.max(forward_riemann(rt.phantom, rt.geom, lam, phi).data) > 0.0
+
+
+def node_turning_forward(ph, geom, lam, phi, n, mu=None):
+    """One trapezoid level of n intervals per arc, column by column, with
+    the phantom evaluated at each column's nodes turned through _Arc.turned:
+    the forward as it was before each column turned the phantom instead."""
+    R = _working_radius(geom, ph)
+    u = np.arange(n + 1) * (2.0 / n) - 1.0
+    out = np.zeros((phi.size, lam.size))
+    for j, p in enumerate(phi):
+        for arc in geometry.arcs(geom, lam, p, R):
+            nodes, dnodes = _stretch_map(u) if arc.stretch else (u, 1.0)
+            rows = np.flatnonzero(arc.W > 0.0)
+            B = arc.W[rows, None] * nodes
+            P, w = arc.mapto(B, rows)
+            w = w * dnodes
+            if mu is not None:
+                w = w * geometry.weight_m(geom, P) * mu[rows, None]
+            f = sum(ph.eval(Q) for Q in arc.turned(P)) * w
+            out[j, rows] += arc.W[rows] * (2.0 / n) * (f[:, 1:-1].sum(axis=1) + 0.5 * (f[:, 0] + f[:, -1]))
+    return out
+
+
+# Gaussians and a mollified disc at no common symmetry, so that a copy turned
+# the wrong way shows, and clear of the origin, where the cormack rays start
+TURNED = Phantom(
+    (Gaussian((0.45, 0.25), 0.05), Gaussian((-0.15, -0.55), 0.05, 0.7), Disc((-0.2, 0.1), 0.1, 0.5, 0.02))
+)
+
+
+@pytest.mark.parametrize(
+    "kind, geom",
+    [("mphi", g) for g in (RADON, HYPER, PARAB, CORMACK2, GeometryFamily("cormack", k=3))]
+    + [("riemann", g) for g in (RADON, PARAB, CORMACK2, GeometryFamily("cormack", k=3))],
+    ids=lambda v: v if isinstance(v, str) else descriptor(v),
+)
+def test_forward_turning_the_phantom_matches_turning_the_nodes(kind, geom):
+    # rays (hyperbola, cormack k = 2), sheets (cormack) and plain arcs
+    # (radon, parabola); cormack k = 3 takes an even n_lambda, with no
+    # lambda = 0 row, since at rtol = 0 the Gaussians' f(0) = 1e-23 moves
+    # its rays by more than the refusal allows
+    lam, phi = default_axes(geom, 16 if geom.k == 3 else 17, 7)
+    forward = forward_mphi if kind == "mphi" else forward_riemann
+    mu = None if kind == "mphi" else geometry.weight_mu(geom, lam)
+    got = forward(TURNED, geom, lam, phi, rtol=0.0, n_start=64, n_max=64).data
+    want = node_turning_forward(TURNED, geom, lam, phi, 64, mu)
+    assert np.max(np.abs(want)) > 0.0
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# Phantom.eval points of one adaptive forward of each acceptance phantom at
+# 33 x 8, as the node-turning forward counted them: turning the phantom
+# evaluates it on the same number of points
+EVAL_POINTS = {
+    "radon": 8712,
+    "circle": 8712,
+    "hyperbola": 15120,
+    "equidistant": 8712,
+    "hgeodesic": 8712,
+    "parabola": 18584,
+    "cormack2": 23009,
+    "funk": 8712,
+}
+
+
+@pytest.mark.parametrize("rt", _round_trips(), ids=lambda rt: rt.label)
+def test_forward_evaluates_the_phantom_on_a_pinned_number_of_points(monkeypatch, rt):
+    lam, phi = default_axes(rt.geom, 33, 8)
+    counted = count_points(monkeypatch)
+    forward_mphi(rt.phantom, rt.geom, lam, phi)
+    assert counted[0] == EVAL_POINTS[rt.label]
 
 
 # ---------------------------------------------------------------------------
