@@ -13,9 +13,10 @@ interpolation and averages over phi. lambda0 comes from harmonics computed
 once per pixel (geometry.lambda_harmonics), so a row costs a few array
 passes for it. Each row is interpolated from a power-form table: the four
 coefficients of the 4-point Lagrange cubic on every stencil, built in O(m)
-per row, so a pixel costs four gathers and Horner's rule. On radon data
-with an even row count and a symmetric lambda axis, antipodal rows are
-folded into one, since lambda0(x, phi + pi) = -lambda0(x, phi).
+per row for a block of rows at a time, so a pixel costs four gathers and
+Horner's rule. On radon data with an even row count and a symmetric lambda
+axis, antipodal rows are folded into one, since lambda0(x, phi + pi) =
+-lambda0(x, phi).
 
 The second-order singularity is never attacked head-on: integrating by parts
 turns it into a first-order principal value of dg/dlambda, which is computed
@@ -231,16 +232,17 @@ def pv_filter(sino: Sinogram) -> FilteredSinogram:
     return FilteredSinogram(geom, lam, phi, _fp_rows(g, lam))
 
 
-def _cubic_table(row: np.ndarray) -> np.ndarray:
+def _cubic_table(rows: np.ndarray) -> np.ndarray:
     """Power-form coefficients of the 4-point Lagrange cubic on every stencil
-    of one filtered row: c[:, i] holds (c0, c1, c2, c3) of the cubic through
-    row[i : i + 4], in the offset s from node i + 1 (s in [-1, 2])."""
-    v0, v1, v2, v3 = row[:-3], row[1:-2], row[2:-1], row[3:]
-    c = np.empty((4, row.size - 3))
-    c[0] = v1
-    c[1] = v2 - v0 / 3.0 - v1 / 2.0 - v3 / 6.0
-    c[2] = (v0 + v2) / 2.0 - v1
-    c[3] = (v3 - v0) / 6.0 + (v1 - v2) / 2.0
+    of each filtered row: c[r, :, i] holds (c0, c1, c2, c3) of the cubic
+    through rows[r, i : i + 4], in the offset s from node i + 1 (s in
+    [-1, 2])."""
+    v0, v1, v2, v3 = rows[:, :-3], rows[:, 1:-2], rows[:, 2:-1], rows[:, 3:]
+    c = np.empty((rows.shape[0], 4, rows.shape[1] - 3))
+    c[:, 0] = v1
+    c[:, 1] = v2 - v0 / 3.0 - v1 / 2.0 - v3 / 6.0
+    c[:, 2] = (v0 + v2) / 2.0 - v1
+    c[:, 3] = (v3 - v0) / 6.0 + (v1 - v2) / 2.0
     return c
 
 
@@ -254,17 +256,20 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     costs a few array passes for lambda0. Each phi row is sampled by 4-point
     Lagrange interpolation on the stencil starting at
     clip(floor(t) - 1, 0, m - 4), t = (lambda0 - lambda_first)/h, so the
-    first and last intervals extrapolate inside the end stencils. The row is
-    first turned into a power-form table (_cubic_table, O(m)); a pixel then
-    costs four gathers and Horner's rule in s = t - (stencil start + 1).
+    first and last intervals extrapolate inside the end stencils. The rows
+    are first turned into power-form tables (_cubic_table, O(m) per row),
+    _FILTER_BLOCK rows at a time, so the tables hold a few MB at any row
+    count; a pixel then costs four gathers and Horner's rule in
+    s = t - (stencil start + 1).
 
     On a half-range family (radon) with an even number of rows, a lambda
     axis symmetric about 0 and row j + n/2 at phi_j + pi, antipodal rows are
     folded: lambda0(x, phi + pi) = -lambda0(x, phi) is node t of the
     reversed row where lambda0 is node m - 1 - t, and the 4-point stencil is
     symmetric under that reversal, so row j plus row j + n/2 reversed,
-    sampled at lambda0(x, phi_j), stands for both rows up to rounding. Rows
-    are folded one at a time, and the loop runs over half of them.
+    sampled at lambda0(x, phi_j), stands for both rows up to rounding. Pairs
+    are folded as their block of tables is built, and the loop runs over
+    half of the rows.
     """
     geom = filtered.geom
     lam = filtered.lambda_axis
@@ -290,25 +295,33 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     acc = np.zeros((grid.nx, grid.ny))
     val = np.empty_like(acc)
     coef = np.empty_like(acc)
-    for j in range(half if fold else phi.size):
+    n_rows = half if fold else phi.size
+    for j in range(n_rows):
+        if j % _FILTER_BLOCK == 0:
+            # power-form tables of the next block of rows, folded pairs summed
+            block = values[j : min(j + _FILTER_BLOCK, n_rows)]
+            if fold:
+                block = block + values[j + half : j + half + block.shape[0], ::-1]
+            table = _cubic_table(block)
         p = float(phi[j])
-        lam0 = lam0_at(p)
+        s = lam0_at(p)
         # min and max carry a NaN lambda0, which fails both comparisons, so
         # it counts as uncovered too; on a folded pair lo = -hi, so row j
         # covers row j + n/2 as well
-        if not (lam0.min() >= lo and lam0.max() <= hi):
-            _refuse_uncovered(pts, lam0, lo, hi, lam, p)
+        if not (s.min() >= lo and s.max() <= hi):
+            _refuse_uncovered(pts, s, lo, hi, lam, p)
         # s = t - 1 - k on the stencil k = clip(floor(t) - 1, 0, m - 4), with
-        # t = (lambda0 - lambda_first) / h; clipping floor(t - 1) picks the
-        # same k, since t - 1 is exact for t >= 1/2 and below that both clip to 0
-        s = lam0 - lam[0]
+        # t = (lambda0 - lambda_first) / h, formed in place on lambda0;
+        # clipping floor(t - 1) picks the same k, since t - 1 is exact for
+        # t >= 1/2 and below that both clip to 0
+        s -= lam[0]
         s /= h
         s -= 1.0
         k = np.floor(s)
         np.clip(k, 0, m - 4, out=k)
         s -= k
         k = k.astype(np.intp)
-        c = _cubic_table(values[j] + values[j + half, ::-1] if fold else values[j])
+        c = table[j % _FILTER_BLOCK]
         # k is in range, so mode="clip" only skips numpy's bounds check
         np.take(c[3], k, out=val, mode="clip")
         for ci in c[2::-1]:

@@ -31,12 +31,20 @@ def _offsets(x, center, turn):
     """x minus the centre turned about the origin by -turn: a component
     depends on a point only through its distance from the centre, and
     |R(turn) x - center| = |x - R(-turn) center|, so turning the centre as
-    two floats stands in for turning every point."""
+    two floats stands in for turning every point. The two offsets are fresh
+    arrays, 0-d at a single point, which the caller may overwrite."""
+    x = np.asarray(x, dtype=float)
     cx, cy = center
     if turn:
         c, s = math.cos(turn), math.sin(turn)
         cx, cy = c * cx + s * cy, c * cy - s * cx
+    if x.ndim == 1:
+        return np.array(x[0] - cx), np.array(x[1] - cy)
     return x[..., 0] - cx, x[..., 1] - cy
+
+
+def _result(v):
+    return v if v.ndim else float(v)
 
 
 @dataclass(frozen=True)
@@ -60,9 +68,17 @@ class Gaussian:
         return float(self.sigma)
 
     def eval(self, x, turn=0.0):
-        dx, dy = _offsets(np.asarray(x, dtype=float), self.center, turn)
-        d2 = dx**2 + dy**2
-        return self.amplitude * np.exp(-0.5 * d2 / self.sigma**2)
+        # amplitude * exp(-0.5 * d2 / sigma**2), in place on the offsets
+        d2, dy = _offsets(x, self.center, turn)
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        d2 *= -0.5
+        d2 /= self.sigma**2
+        np.exp(d2, out=d2)
+        if self.amplitude != 1.0:
+            d2 *= self.amplitude
+        return _result(d2)
 
 
 @dataclass(frozen=True)
@@ -97,11 +113,24 @@ class Disc:
         return float(self.width)
 
     def eval(self, x, turn=0.0):
-        d = np.hypot(*_offsets(np.asarray(x, dtype=float), self.center, turn))
+        # in place on the offsets; the mollified profile is
+        # amplitude * u * u * (3 - 2u), u = clip((radius - d) / width, 0, 1)
+        d, dy = _offsets(x, self.center, turn)
+        np.hypot(d, dy, out=d)
         if self.width == 0.0:
-            return self.amplitude * (d < self.radius)
-        u = np.clip((self.radius - d) / self.width, 0.0, 1.0)
-        return self.amplitude * u * u * (3.0 - 2.0 * u)
+            v = np.less(d, self.radius, out=d)
+            if self.amplitude != 1.0:
+                v *= self.amplitude
+            return _result(v)
+        u = np.subtract(self.radius, d, out=d)
+        u /= self.width
+        np.clip(u, 0.0, 1.0, out=u)
+        dy = np.multiply(u, -2.0, out=dy)
+        dy += 3.0
+        v = u * self.amplitude if self.amplitude != 1.0 else u
+        v *= u
+        v *= dy
+        return _result(v)
 
 
 @dataclass(frozen=True)
@@ -126,12 +155,16 @@ class Phantom:
 
     def eval(self, x, turn=0.0):
         """The phantom at the points x turned about the origin by turn,
-        f(R(turn) x): the phantom turned by -turn, evaluated at x."""
+        f(R(turn) x): the phantom turned by -turn, evaluated at x. The sum
+        accumulates in the first component's result, so every component
+        returns a fresh array (or a float at a single point)."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1])
-        for c in self.components:
+        if not self.components:
+            return np.zeros(x.shape[:-1]) if x.ndim > 1 else 0.0
+        out = self.components[0].eval(x, turn)
+        for c in self.components[1:]:
             out += c.eval(x, turn)
-        return out if out.shape else float(out)
+        return out if np.ndim(out) else float(out)
 
     def rasterize(self, grid: Grid) -> ScalarField:
         return ScalarField(grid, self.eval(grid.points()))

@@ -11,7 +11,10 @@ gradient is evaluated here. Plain arc-length data (kind "riemann") multiply
 it by m(x) mu(lambda), on the families where |grad psi| splits so.
 The integral is computed by the trapezoid rule on nested nodes (each
 doubling evaluates only the new midpoints) with Richardson extrapolation,
-from a coarse first level of 16 intervals per arc. Each row refines,
+from a coarse first level of 16 intervals per arc, whose pass evaluates the
+end nodes too, at half weight. Each pass over the nodes checks once that
+its sums are finite, since a non-finite phantom value carries through
+them. Each row refines,
 independently of the other rows, until it has converged and its nodes are no
 farther apart than the phantom's feature_scale, so that two coarse levels
 cannot agree on a narrow feature that both of them miss.
@@ -29,7 +32,6 @@ whose integral diverges at a singular point of the family is refused
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,79 +174,110 @@ def _columns(geom, phantom, lam, table, turns, R, mu, rtol, n_start, n_max):
     as an array of shape (len(turns), lam.size).
 
     Every arc is integrated by the trapezoid rule on the nodes u_k = 2k/n - 1
-    of [-1, 1], starting at n = n_start. The nodes are nested: doubling n
-    adds only the n midpoints, T_2n = (T_n + M_n) / 2, so no evaluated node
-    is thrown away. Refinement is per row of each column: a row stops once
-    |T_2n - T_n| < rtol * scale (scale: the largest row value of its column)
-    and its nodes are no farther apart than the phantom's feature_scale, and
-    keeps the Richardson estimate (4 T_2n - T_n) / 3 of that level; later
-    levels evaluate only the rows still refining. The node spacing of a
-    level is taken as half the largest chord between consecutive new
-    midpoints on any of the row's arcs. Without that guard a coarse start
-    can agree with itself on a feature narrower than the node spacing and
-    stop with it missed. rtol = 0 refines every row up to n_max. mu is None
+    of [-1, 1], starting at n = n_start, whose first pass takes the end
+    nodes u = -1, 1 with the interior ones, at weight 1/2 (a ray's stretch
+    gives them weight zero, so rays skip them). The nodes are nested:
+    doubling n adds only the n midpoints, T_2n = (T_n + M_n) / 2, so no
+    evaluated node is thrown away. Refinement is per row of each column: a
+    row stops once |T_2n - T_n| < rtol * scale (scale: the largest row value
+    of its column) and its nodes are no farther apart than the phantom's
+    feature_scale, and keeps the Richardson estimate (4 T_2n - T_n) / 3 of
+    that level; later levels evaluate only the rows still refining. The
+    node spacing of a level is taken as half the largest chord between
+    consecutive new midpoints on any of the row's arcs. Without that guard
+    a coarse start can agree with itself on a feature narrower than the
+    node spacing and stop with it missed. rtol = 0 refines every row up to n_max. mu is None
     for mphi data, else the per-row mu(lambda) of arc-length data.
 
     Per level, each arc is mapped once, for the rows that some column still
     refines, in blocks of at most _TABLE_POINTS nodes; a block's chords are
-    measured, and the ray stretch and the m(x) mu(lambda) of arc-length data
-    folded into its weights, once for all columns. Each column then
-    evaluates the phantom turned by minus its turn plus each of the arc's
-    turns (Phantom.eval's turn) at the block's unturned points, on its own
-    refining rows only, so a column's values do not depend on which columns
-    share its table.
+    measured, and the ray stretch, the first level's half-weight end nodes
+    and the m(x) mu(lambda) of arc-length data folded into its weights, once
+    for all columns. A weight that is constant along the arc scales the row
+    sums instead of the nodes. Each column then evaluates the phantom turned
+    by minus its turn plus each of the arc's turns (Phantom.eval's turn) at
+    the block's unturned points, on its own refining rows only, so a
+    column's values do not depend on which columns share its table. A pass
+    checks that its sums are finite once, at its end: NaN and inf carry
+    through the weighted sums.
     """
     arcs = geo.arcs(geom, lam, table, R)
     feature = phantom.feature_scale
 
-    def node_sum(u, todo, ends=False):
+    def node_sum(u, todo, first=False):
         """Per column and row, the sum over arcs and their turned copies of
         W * sum_k f(u_k), where f is the integrand in u, and per row the
         largest chord between consecutive nodes on any of its arcs; zero off
-        the refining rows. ends=True takes u = (-1, 1), where stretched arcs
-        have weight zero and are skipped."""
-        smap, sder = _stretch_map(u)
+        the refining rows. first=True is the first level, whose nodes u run
+        from -1 to 1: the end nodes count half, and stretched arcs, which
+        have weight zero there, skip them; its chords are not measured."""
+        smap, sder = _stretch_map(u[1:-1] if first else u)
+        if first:
+            halves = np.ones(u.size)
+            halves[[0, -1]] = 0.5
         tot = np.zeros(todo.shape)
         chord2 = np.zeros(lam.shape)
         rows = np.any(todo, axis=0)
         step = max(1, _TABLE_POINTS // u.size)
         for arc in arcs:
-            if ends and arc.stretch:
-                continue
             nodes = smap if arc.stretch else u
             todo_rows = np.flatnonzero((arc.W > 0.0) & rows)
-            for first in range(0, todo_rows.size, step):
-                act = todo_rows[first : first + step]
+            for first_row in range(0, todo_rows.size, step):
+                act = todo_rows[first_row : first_row + step]
                 B = arc.W[act][:, None] * nodes[None, :]
                 P, weight = arc.mapto(B, act)
+                # each coordinate contiguous: the phantom's offsets from its
+                # centres, formed in every column, then read plain arrays
+                P = np.moveaxis(np.ascontiguousarray(np.moveaxis(P, -1, 0)), 0, -1)
                 if mu is not None:
                     # m from the record: the arc's own points need no domain check
                     m = geom.record.weight_m(geom, P[..., 0] ** 2 + P[..., 1] ** 2)
                     weight = weight * m * mu[act][:, None]
                 if arc.stretch:
                     weight = weight * sder[None, :]
-                weight = np.broadcast_to(weight, B.shape)
-                if u.size > 1:
+                elif first:
+                    weight = weight * halves
+                # a constant weight (radon 1, circle and ellipse 1/2) joins
+                # the row factor W instead of multiplying every node
+                const = np.ndim(weight) == 0
+                fac = arc.W * weight if const else arc.W
+                if not const:
+                    weight = np.broadcast_to(weight, B.shape)
+                if not first and u.size > 1:
                     d = np.diff(P, axis=1)
                     d *= d
                     chord2[act] = np.maximum(chord2[act], np.max(d[..., 0] + d[..., 1], axis=1))
+                # the refining rows of each column; a column that refines
+                # them all takes the block whole, as a slice where it can
+                refining = todo[:, act]
+                whole = refining.all(axis=1)
+                span = slice(act[0], act[-1] + 1) if act[-1] - act[0] == act.size - 1 else act
                 for j, turn in enumerate(turns):
-                    own = np.flatnonzero(todo[j, act])
-                    if own.size == 0:
-                        continue
-                    Q, w, at = (P, weight, act) if own.size == act.size else (P[own], weight[own], act[own])
+                    if whole[j]:
+                        Q, w, at = P, weight, span
+                    else:
+                        own = np.flatnonzero(refining[j])
+                        if own.size == 0:
+                            continue
+                        Q, at = P[own], act[own]
+                        w = weight if const else weight[own]
                     vals = phantom.eval(Q, arc.turns[0] + turn)
                     for t in arc.turns[1:]:
                         vals += phantom.eval(Q, t + turn)
-                    if not np.all(np.isfinite(vals)):
-                        raise ValueError("phantom evaluated to a non-finite value on a curve")
-                    tot[j, at] += arc.W[at] * np.sum(vals * w, axis=1)
+                    if not const:
+                        vals *= w
+                    tot[j, at] += fac[at] * vals.sum(axis=1)
+        # NaN and inf carry through the weighted sums, so one check per pass
+        # catches a non-finite value at any node
+        if not np.all(np.isfinite(tot)):
+            raise ValueError("phantom evaluated to a non-finite value on a curve")
         return tot, np.sqrt(chord2)
 
     todo = np.ones((len(turns), lam.size), dtype=bool)
     n = n_start
-    acc, _ = node_sum(np.arange(1, n) * (2.0 / n) - 1.0, todo)
-    acc += 0.5 * node_sum(np.array([-1.0, 1.0]), todo, ends=True)[0]
+    u = np.arange(n + 1) * (2.0 / n) - 1.0
+    u[[0, -1]] = -1.0, 1.0
+    acc, _ = node_sum(u, todo, first=True)
     prev = (2.0 / n) * acc
     best = prev
     while 2 * n <= n_max and np.any(todo):
@@ -303,6 +336,9 @@ def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, w
         blocks = [(table, cols[w::workers]) for table, cols in tables.items() for w in range(min(workers, len(cols)))]
         jobs = [(geom, smooth, lam, table, [t for _, t in cols], R, mu, rtol, n_start, n_max) for table, cols in blocks]
         if workers > 1:
+            # imported here, so that importing the package does not pull in multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(_columns, *zip(*jobs), chunksize=max(1, len(jobs) // (4 * workers))))
         else:

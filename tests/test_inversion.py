@@ -390,6 +390,30 @@ def test_backproject_matches_the_lagrange_oracle(m, monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("m", (4, 513))
+def test_backproject_stencils_at_the_axis_ends_match_the_lagrange_oracle(m, monkeypatch):
+    # the stencil start is clip(floor(t) - 1, 0, m - 4): lambda0 just below
+    # the axis, on its first node and in its first interval has t - 1 in
+    # (-1, 0] and takes the bottom clip, where a start rounded toward zero
+    # instead of down agrees only after the clip; the last interval, the
+    # last node and just past it take the top clip
+    rng = np.random.default_rng(m)
+    lam = np.linspace(-0.7, 1.3, m)
+    h = lam[1] - lam[0]
+    tol = 1e-9 * (1.0 + lam[-1] - lam[0])
+    probes = np.array([lam[0] - tol / 2, lam[0], lam[0] + h / 2, lam[-1] - h / 2, lam[-1], lam[-1] + tol / 2])
+    phi = uniform_phi(2)
+    values = rng.normal(size=(phi.size, m))
+    lam0_at = {float(p): np.concatenate([rng.permutation(probes), probes[:3]]).reshape(3, 3) for p in phi}
+    monkeypatch.setattr(geo, "lambda_harmonics", lambda geom, x: lambda p: lam0_at[p].copy())
+    grid = Grid.centered(3, 0.5)
+
+    got = backproject(FilteredSinogram(RADON, lam, phi, values), grid).values
+    acc = sum(lagrange_cubic(row, lam, lam0_at[float(p)]) for row, p in zip(values, phi))
+    want = -acc * (phi[1] - phi[0]) / (4.0 * np.pi**2 * geo.dcoef_closed(RADON, grid.points()))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def count_rows(monkeypatch):
     """Record every angle at which backproject asks for lambda0 from here on."""
     rows = []

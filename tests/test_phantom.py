@@ -71,6 +71,71 @@ def test_a_turned_phantom_is_the_phantom_at_turned_points(comp):
         assert np.max(np.abs(ph.eval(P, turn) - ph.eval(turned))) <= bound
 
 
+COMPONENTS = (
+    Gaussian((0.3, -0.2), 0.1),
+    Gaussian((-0.25, 0.15), 0.13, -2.5),
+    Disc((-0.25, 0.1), 0.3, 1.5, width=0.05),
+    Disc((0.1, 0.2), 0.4, -0.7),
+)
+COMPONENT_IDS = ("gaussian", "gaussian with amplitude", "mollified disc", "sharp disc")
+
+
+def closed_form(comp, x, turn):
+    """The component's profile written out, at the points x turned by turn."""
+    c, s = math.cos(turn), math.sin(turn)
+    cx, cy = comp.center
+    if turn:
+        cx, cy = c * cx + s * cy, c * cy - s * cx
+    dx, dy = x[..., 0] - cx, x[..., 1] - cy
+    if isinstance(comp, Gaussian):
+        return comp.amplitude * np.exp(-0.5 * (dx**2 + dy**2) / comp.sigma**2)
+    d = np.hypot(dx, dy)
+    if comp.width == 0.0:
+        return comp.amplitude * (d < comp.radius)
+    u = np.clip((comp.radius - d) / comp.width, 0.0, 1.0)
+    return comp.amplitude * u * u * (3.0 - 2.0 * u)
+
+
+@pytest.mark.parametrize("turn", (0.0, 0.7))
+@pytest.mark.parametrize("comp", COMPONENTS, ids=COMPONENT_IDS)
+def test_component_eval_is_its_closed_form_and_leaves_the_points_alone(comp, turn):
+    # the components work in place on their offsets from the centre: the
+    # values must still be the closed form bit for bit, the input points
+    # untouched, and every call's array its own
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-0.7, 0.7, size=(40, 30, 2))
+    x[0, :2] = comp.center  # on the centre, and on the disc rim
+    x[1, 0] = (comp.center[0] + getattr(comp, "radius", comp.feature_scale), comp.center[1])
+    kept = x.copy()
+    got = comp.eval(x, turn)
+    assert np.array_equal(x, kept)
+    assert got.dtype == float and got.shape == x.shape[:-1]
+    assert np.array_equal(got, closed_form(comp, x, turn))
+    again = comp.eval(x, turn)
+    assert again is not got and np.array_equal(again, got)
+    both = Phantom((comp, COMPONENTS[0]))
+    total = both.eval(x, turn)
+    assert np.array_equal(x, kept)
+    assert np.array_equal(total, got + COMPONENTS[0].eval(x, turn))
+    assert both.eval(x, turn) is not total
+
+
+@pytest.mark.parametrize("turn", (0.0, 0.7))
+@pytest.mark.parametrize("comp", COMPONENTS, ids=COMPONENT_IDS)
+def test_component_eval_at_a_single_point_is_a_float(comp, turn):
+    for point in (np.zeros(2), np.array(comp.center), (0.05, -0.1), [0.3, 0.3]):
+        kept = np.array(point, dtype=float)
+        got = comp.eval(point, turn)
+        assert type(got) is float
+        assert got == closed_form(comp, kept[None], turn)[0]
+        assert np.array_equal(np.asarray(point, dtype=float), kept)
+    # the forward's divergent-row check evaluates the phantom at the origin
+    at_origin = Phantom((comp, COMPONENTS[0])).eval(np.zeros(2))
+    assert type(at_origin) is float
+    assert at_origin == comp.eval(np.zeros(2)) + COMPONENTS[0].eval(np.zeros(2))
+    assert type(Phantom((comp,)).eval(np.zeros(2), turn)) is float
+
+
 def test_feature_scale_is_the_smallest_component_scale():
     # sigma for a Gaussian, the rim band for a disc
     g = Gaussian((0.0, 0.0), 0.1)

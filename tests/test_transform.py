@@ -557,12 +557,14 @@ def test_cormack_data_do_not_change_when_the_phantom_turns_by_2pi_over_k(k):
 
 
 def count_points(monkeypatch):
-    """Count the points every Phantom.eval call receives from here on."""
-    counted = [0]
+    """Count the points every Phantom.eval call receives from here on, and
+    the calls in counted[1]."""
+    counted = [0, 0]
     evaluate = Phantom.eval
 
     def counting(self, x, *turn):
         counted[0] += np.size(x) // 2
+        counted[1] += 1
         return evaluate(self, x, *turn)
 
     monkeypatch.setattr(Phantom, "eval", counting)
@@ -759,6 +761,20 @@ def test_forward_evaluates_the_phantom_on_a_pinned_number_of_points(monkeypatch,
     counted = count_points(monkeypatch)
     forward_mphi(rt.phantom, rt.geom, lam, phi)
     assert counted[0] == EVAL_POINTS[rt.label]
+
+
+@pytest.mark.parametrize("label, arcs", (("radon", 1), ("hgeodesic", 2)))
+def test_forward_evaluates_the_end_nodes_in_the_first_level(monkeypatch, label, arcs):
+    # every row of these columns converges at the first comparison, so each
+    # column makes one pass over each arc for the first level, whose end
+    # nodes count half, and one for its midpoints; a separate pass over the
+    # end nodes would cost a third more calls on the same points
+    # (hgeodesic has a line arc and a circle arc, on disjoint rows)
+    rt = next(rt for rt in _round_trips() if rt.label == label)
+    lam, phi = default_axes(rt.geom, 33, 8)
+    counted = count_points(monkeypatch)
+    forward_mphi(rt.phantom, rt.geom, lam, phi)
+    assert counted == [EVAL_POINTS[label], 2 * arcs * phi.size]
 
 
 # ---------------------------------------------------------------------------
