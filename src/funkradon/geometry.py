@@ -6,7 +6,7 @@ This module owns the formulas: psi itself, its gradient magnitude in the
 family metric, the admissible lambda interval over a support disc, the
 m(x) * mu(lambda) factorization of the gradient where it exists, the
 pointwise normalizer D(x) used by the reconstruction, the exact
-trigonometric polynomial psi(x, .) - psi(y, .) where that difference is one,
+trigonometric polynomial psi(x, .) - psi(y, .) (in phi / 2 on the parabola),
 and the closed-form arcs the forward transform integrates along.
 
 Everything one family knows lives in one record (a _Family subclass below),
@@ -17,8 +17,10 @@ Each record writes the curve parameter lambda0 = lambda_of once, as
 harmonics in phi of fixed points (Harmonics): a(x) + b(x) cos phi +
 c(x) sin phi + k(phi), with k(phi) = e1^2 cos^2 phi + e2^2 sin^2 phi on the
 ellipse and 0 elsewhere, or the square root of that form on the parabola.
-psi and lambda_of are derived from it, and backprojection forms the
-harmonics of its pixels once for every phi row.
+psi and lambda_of are derived from it, and so are the pair differences
+psi(x, .) - psi(y, .) and the parabola's signed branch psi_branch, from the
+harmonics of the two points; backprojection forms the harmonics of its
+pixels once for every phi row.
 
 Families
 --------
@@ -66,7 +68,6 @@ __all__ = [
     "weight_mu",
     "trig_difference",
     "half_angle_difference",
-    "arc_element",
     "arcs",
     "ray_start_gain",
     "domain_radius_cap",
@@ -267,18 +268,20 @@ def psi(geom: GeometryFamily, x, phi):
 def psi_branch(geom: GeometryFamily, x, phi):
     """Smooth representative of psi, whose differences enter the pair kernel.
 
-    Identical to psi everywhere except the parabola family, where the signed
-    half-angle branch -sqrt(2 r) cos((phi - theta)/2) is returned instead of
-    its absolute-value folding. The two differ only by sign on half the
-    circle, and the squared difference that enters the kernel is what must be
+    psi itself except on root harmonics (the parabola), where
+    lambda0 = sqrt(2 a) |cos((phi - theta) / 2)| with a = |(b, c)| and
+    theta = atan2(c, b): there the signed half-angle branch
+    lambda_sign * sqrt(2 a) cos((phi - theta) / 2) is returned instead of its
+    absolute-value folding. The two differ only by sign on half the circle,
+    and the squared difference that enters the kernel is what must be
     2pi-periodic, which it is. half_angle_difference gives the difference of
     two such branches in closed form.
     """
-    branch = geom.record.psi_branch
-    if branch is None:
-        return psi(geom, x, phi)
-    x1, x2 = _domain_split(geom, x)
-    return branch(geom, x1, x2, np.asarray(phi, dtype=float))
+    h = lambda_harmonics(geom, x)
+    s = geom.record.lambda_sign
+    if h.root:
+        return s * np.sqrt(2.0 * h.a) * np.cos(0.5 * (np.asarray(phi, dtype=float) - np.arctan2(h.c, h.b)))
+    return s * h(phi)
 
 
 def grad_norm(geom: GeometryFamily, x, phi):
@@ -340,49 +343,49 @@ def weight_mu(geom: GeometryFamily, lam):
 def trig_difference(geom: GeometryFamily, x, y):
     """psi(x, .) - psi(y, .) as an exact TrigPoly, or None for the parabola.
 
-    Every available family yields a polynomial of order one in phi (the
-    cormack harmonics sit in the spatial power, not the angle) with an extra
-    constant term for ellipse and hyperbola. The parabola difference involves
-    half-angle square roots and is not a trigonometric polynomial.
+    Derived from the harmonics of the two points: the k terms are the same at
+    every point and cancel, so every family but the parabola yields a
+    polynomial of order one in phi (the cormack harmonics sit in the spatial
+    power, not the angle), with a constant term where lambda0 has one
+    (ellipse and hyperbola). The parabola's root harmonics give half-angle
+    square roots, no trigonometric polynomial; see half_angle_difference.
     """
-    return geom.record.trig_difference(geom, *_distinct_pair(geom, x, y))
+    return _pair_difference(geom, x, y, root=False)
 
 
 def half_angle_difference(geom: GeometryFamily, x, y):
     """T with psi_branch(x, phi) - psi_branch(y, phi) = T(phi / 2), an exact
     TrigPoly of order one, for the parabola; None for every other family.
 
-    The branch -sqrt(2 r) cos(phi / 2 - theta / 2) is the harmonic
-    a cos u + b sin u at u = phi / 2 with a + i b = -sqrt(2 r) exp(i theta / 2),
-    theta = atan2(x2, x1) as psi_branch takes it; T is the difference of the
-    two points' harmonics.
+    The branch lambda_sign * sqrt(2 a) cos(phi / 2 - theta / 2) of psi_branch
+    is the harmonic p cos u + q sin u at u = phi / 2 with
+    p + i q = lambda_sign * sqrt(2 a) exp(i theta / 2); T is the difference of
+    the two points' harmonics.
     """
-    half = geom.record.half_angle_difference
-    return None if half is None else half(geom, *_distinct_pair(geom, x, y))
+    return _pair_difference(geom, x, y, root=True)
 
 
-def _distinct_pair(geom: GeometryFamily, x, y):
+def _pair_difference(geom: GeometryFamily, x, y, root: bool):
+    """psi_branch(x, .) - psi_branch(y, .) of a distinct pair from the
+    harmonics of both points, formed in one pass over the stacked pair:
+    T(phi) off root harmonics, T(phi / 2) on them (see the two public
+    functions above); None where the family's harmonics are not of the kind
+    root asks for."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (2,) or y.shape != (2,):
         raise ValueError("a psi difference expects single points")
-    _domain_split(geom, x)
-    _domain_split(geom, y)
+    h = lambda_harmonics(geom, np.stack([x, y]))
     if np.all(x == y):
         raise ValueError("points must be distinct")
-    return x, y
-
-
-def arc_element(geom: GeometryFamily, x, v):
-    """Metric length of the Euclidean tangent v attached at x.
-
-    The funk family measures length in the sphere metric pulled back through
-    the gnomonic chart; every other family uses the Euclidean length (that is
-    the metric in which their gradient and normalizer formulas hold).
-    """
-    x1, x2 = _split(x)
-    v1, v2 = _split(v)
-    return geom.record.arc_element(x1, x2, v1, v2)
+    if h.root != root:
+        return None
+    s = geom.record.lambda_sign
+    if root:
+        w = s * np.sqrt(2.0 * h.a) * np.exp(0.5j * np.arctan2(h.c, h.b))
+        return _harmonic((w.real[0] - w.real[1], w.imag[0] - w.imag[1]))
+    const = 0.0 if h.a is None else s * (h.a[0] - h.a[1])
+    return _harmonic((s * (h.b[0] - h.b[1]), s * (h.c[0] - h.c[1])), const)
 
 
 def _lam_eps(lam):
@@ -540,19 +543,16 @@ class _Family:
     GeometryFamily g holding the parameter values first; points arrive split
     into x1, x2 and checked against the domain, angles as c, s = cos, sin.
     lambda0 = lambda_sign * psi is written once, as the Harmonics of the
-    points (harmonics); psi and lambda_of are derived from it."""
+    points (harmonics); psi, lambda_of, psi_branch and the pair differences
+    trig_difference and half_angle_difference are derived from it."""
 
     harmonics: Callable  # (g, x1, x2) -> Harmonics of lambda0
     grad_norm: Callable  # (g, x1, x2, c, s)
     lambda_range: Callable  # (g, rho)
     dcoef: Callable  # (g, x1, x2, r2)
-    trig_difference: Callable  # (g, x, y), None where no polynomial exists
     arcs: Callable  # (g, lam, lam_eps, table_phi, R) -> list of _Arc, in the table's frame
     weight_m: Callable = _no_factorization  # (g, r2)
     weight_mu: Callable = _no_factorization  # (g, lam)
-    psi_branch: Callable | None = None  # (g, x1, x2, phi); None means psi
-    half_angle_difference: Callable | None = None  # (g, x, y); see half_angle_difference
-    arc_element: Callable = lambda x1, x2, v1, v2: np.hypot(v1, v2)
     params: tuple = ()
     lambda_sign: float = -1.0
     open_disc: bool = False  # domain is the open unit disc
@@ -609,7 +609,6 @@ def _radon():
         grad_norm=lambda g, x1, x2, c, s: np.ones(np.broadcast(x1, c).shape),
         lambda_range=lambda g, rho: _symmetric(rho),
         dcoef=lambda g, x1, x2, r2: np.ones_like(r2),
-        trig_difference=lambda g, x, y: _harmonic(y - x),
         arcs=_line_arcs(1.0, lambda lam2, B: 1.0),
         weight_m=lambda g, r2: np.ones_like(r2),
         weight_mu=lambda g, lam: np.ones_like(lam),
@@ -620,11 +619,6 @@ def _radon():
 
 def _funk():
     """Great circles: chart lines <x, e(phi)> = -lambda in the sphere metric."""
-
-    def sphere_element(x1, x2, v1, v2):
-        x0sq = 1.0 / (1.0 + x1 * x1 + x2 * x2)
-        dot = x1 * v1 + x2 * v2
-        return np.sqrt(x0sq * np.maximum(v1 * v1 + v2 * v2 - x0sq * dot * dot, 0.0))
 
     def weight(lam2, B):
         # on the chord at distance |lambda|, ds = sqrt(1 + lambda^2) / q dbeta
@@ -637,11 +631,9 @@ def _funk():
         grad_norm=lambda g, x1, x2, c, s: np.sqrt((1.0 + x1 * x1 + x2 * x2) * (1.0 + (x1 * c + x2 * s) ** 2)),
         lambda_range=lambda g, rho: _symmetric(rho),
         dcoef=lambda g, x1, x2, r2: (1.0 + r2) ** -1.5,
-        trig_difference=lambda g, x, y: _harmonic(x - y),
         arcs=_line_arcs(-1.0, weight),
         weight_m=lambda g, r2: np.sqrt(1.0 + r2),
         weight_mu=lambda g, lam: np.sqrt(1.0 + lam * lam),
-        arc_element=sphere_element,
     )
 
 
@@ -693,7 +685,6 @@ def _poincare(den, sigma, z_max):
         grad_norm=grad_norm,
         lambda_range=lambda g, rho: _symmetric(min(2.0 * rho / (1.0 + sigma * rho * rho), z_max)),
         dcoef=lambda g, x1, x2, r2: (1.0 + sigma * r2) ** 3 / (4.0 * (1.0 - sigma * r2)),
-        trig_difference=lambda g, x, y: _harmonic(-2.0 * (x / (1.0 + sigma * (x @ x)) - y / (1.0 + sigma * (y @ y)))),
         arcs=arcs,
         weight_m=lambda g, r2: 2.0 / (1.0 + sigma * r2),
         weight_mu=lambda g, lam: np.sqrt(1.0 - sigma * lam * lam),
@@ -766,7 +757,6 @@ def _ellipse():
         grad_norm=lambda g, x1, x2, c, s: 2.0 * np.hypot(x1 - g.e1 * c, x2 - g.e2 * s),
         lambda_range=lambda_range,
         dcoef=dcoef,
-        trig_difference=lambda g, x, y: _harmonic(-2.0 * (x - y) * (g.e1, g.e2), x @ x - y @ y),
         arcs=arcs,
         weight_m=lambda g, r2: np.ones_like(r2),
         weight_mu=lambda g, lam: 2.0 * np.sqrt(lam),
@@ -818,7 +808,6 @@ def _hyperbola():
         grad_norm=grad_norm,
         lambda_range=lambda g, rho: (-(1.0 + g.eps) * rho, (g.eps - 1.0) * rho),
         dcoef=lambda g, x1, x2, r2: np.full_like(r2, 1.0 / (g.eps**2 - 1.0)),
-        trig_difference=lambda g, x, y: _harmonic(g.eps * (x - y), np.hypot(y[0], y[1]) - np.hypot(x[0], x[1])),
         arcs=arcs,
         params=(_Param("eps", lambda v: v > 1, "eccentricity eps > 1"),),
         lambda_sign=1.0,
@@ -827,15 +816,6 @@ def _hyperbola():
 
 def _parabola():
     """Confocal parabolas r = lambda^2 / (1 + cos(theta - phi))."""
-
-    def psi_branch(g, x1, x2, phi):
-        r = np.hypot(x1, x2)
-        theta = np.arctan2(x2, x1)
-        return -np.sqrt(2.0 * r) * np.cos(0.5 * (phi - theta))
-
-    def half_harmonic(x):
-        w = -np.sqrt(2.0 * np.hypot(x[0], x[1])) * np.exp(0.5j * np.arctan2(x[1], x[0]))
-        return np.array([w.real, w.imag])
 
     def arcs(g, lam, lam_eps, _, R):
         # a polynomial arc in rho through the vertex (lambda^2 / 2, 0) at rho = 0
@@ -858,12 +838,9 @@ def _parabola():
         grad_norm=lambda g, x1, x2, c, s: 1.0 / np.sqrt(2.0 * np.hypot(x1, x2)) + np.zeros(np.broadcast(x1, c).shape),
         lambda_range=lambda g, rho: (0.0, np.sqrt(2.0 * rho)),
         dcoef=lambda g, x1, x2, r2: 2.0 * np.sqrt(r2),
-        trig_difference=lambda g, x, y: None,
         arcs=arcs,
         weight_m=lambda g, r2: (2.0 * np.sqrt(r2)) ** -0.5,
         weight_mu=lambda g, lam: np.ones_like(lam),
-        psi_branch=psi_branch,
-        half_angle_difference=lambda g, x, y: _harmonic(half_harmonic(x) - half_harmonic(y)),
         punctured=True,
         even_in_lambda=True,
     )
@@ -880,10 +857,6 @@ def _cormack():
         if np.any(r2 == 0.0):
             raise GeometryDomainError("cormack normalizer is undefined at the origin")
         return 1.0 / (g.k**2 * r2 ** (g.k - 1))
-
-    def trig_difference(g, x, y):
-        w = (x[0] + 1j * x[1]) ** g.k - (y[0] + 1j * y[1]) ** g.k
-        return _harmonic((-w.real, -w.imag))
 
     def ray_start_gain(g, r0):
         # 2k rays, each integrating f(0) r^(1-k) / k over [r0 / 10, r0]
@@ -923,7 +896,6 @@ def _cormack():
         grad_norm=lambda g, x1, x2, c, s: g.k * np.hypot(x1, x2) ** (g.k - 1) + np.zeros(np.broadcast(x1, c).shape),
         lambda_range=lambda g, rho: _symmetric(rho**g.k),
         dcoef=dcoef,
-        trig_difference=trig_difference,
         arcs=arcs,
         weight_m=lambda g, r2: g.k * np.sqrt(r2) ** (g.k - 1),
         weight_mu=lambda g, lam: np.ones_like(lam),

@@ -314,6 +314,12 @@ def _working_radius(geom: GeometryFamily, phantom: Phantom) -> float:
 
 
 def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, workers):
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if n_start < 1:
+        raise ValueError(f"n_start must be at least 1, got {n_start}")
+    if not rtol >= 0.0:
+        raise ValueError(f"rtol must be nonnegative, got {rtol}")
     lam = np.asarray(lambda_axis, dtype=float)
     phi = np.asarray(phi_axis, dtype=float)
     # a family without the m * mu split (hyperbola) is refused before any quadrature

@@ -162,6 +162,18 @@ def test_forward_rejects_tiny_resolutions(capsys, tmp_path):
     assert "at least 8" in err
 
 
+@pytest.mark.parametrize("flag, value", (("--workers", 0), ("--rtol", -1)))
+def test_forward_refuses_bad_quadrature_settings_and_writes_nothing(capsys, tmp_path, flag, value):
+    out = tmp_path / "x.fkr1"
+    code, _, err = run(
+        capsys, "forward", "--geometry", "radon", "--phantom", "gauss:0,0,0.2,1",
+        "--nlambda", 33, "--nphi", 8, flag, value, "--out", out,
+    )
+    assert code == 2
+    assert flag[2:] in err
+    assert not out.exists()
+
+
 def test_forward_half_range_is_radon_only(capsys, tmp_path):
     out = tmp_path / "h.fkr1"
     code, _, _ = run(

@@ -3,7 +3,8 @@
 Closed-form values are substituted by hand next to each assertion. Gradient
 norms are checked against central finite differences of psi, the normalizer
 against its quadrature definition, and the difference polynomials against
-direct sampling of psi, so each formula is validated by an independent route.
+direct sampling of psi and against each family's own closed-form difference
+(OWN_DIFFERENCE), so each formula is validated by an independent route.
 """
 
 import math
@@ -17,12 +18,12 @@ from numpy.testing import assert_allclose
 from funkradon import FactorizationUnavailableError, GeometryDomainError, GeometryFamily, parse_geometry
 from funkradon.geometry import (
     TAGS,
-    arc_element,
     arcs,
     dcoef_closed,
     descriptor,
     domain_radius_cap,
     grad_norm,
+    half_angle_difference,
     lambda_harmonics,
     lambda_of,
     lambda_range,
@@ -488,6 +489,60 @@ def test_trig_difference_unavailable_for_parabola():
     assert trig_difference(PARAB, (0.5, 0.0), (0.0, 0.5)) is None
 
 
+def _half_harmonic(x):
+    # the parabola's branch -sqrt(2 r) cos(phi / 2 - theta / 2) as p cos + q sin of phi / 2
+    w = -np.sqrt(2.0 * np.hypot(x[0], x[1])) * np.exp(0.5j * np.arctan2(x[1], x[0]))
+    return np.array([w.real, w.imag])
+
+
+def _cormack_difference(g, x, y):
+    w = (x[0] + 1j * x[1]) ** g.k - (y[0] + 1j * y[1]) ** g.k
+    return 0.0, -w.real, -w.imag
+
+
+# psi(x, .) - psi(y, .) as (const, cos, sin) coefficients, as each family
+# wrote it in its own closed form before the differences were derived from
+# the harmonics; on the parabola, the half-angle T with
+# psi_branch(x, phi) - psi_branch(y, phi) = T(phi / 2)
+OWN_DIFFERENCE = {
+    "radon": lambda g, x, y: (0.0, *(y - x)),
+    "funk": lambda g, x, y: (0.0, *(x - y)),
+    "hgeodesic": lambda g, x, y: (0.0, *(-2.0 * (x / (1.0 + x @ x) - y / (1.0 + y @ y)))),
+    "equidistant": lambda g, x, y: (0.0, *(-2.0 * (x / (1.0 - x @ x) - y / (1.0 - y @ y)))),
+    "ellipse": lambda g, x, y: (x @ x - y @ y, *(-2.0 * (x - y) * (g.e1, g.e2))),
+    "hyperbola": lambda g, x, y: (np.hypot(y[0], y[1]) - np.hypot(x[0], x[1]), *(g.eps * (x - y))),
+    "parabola": lambda g, x, y: (0.0, *(_half_harmonic(x) - _half_harmonic(y))),
+    "cormack": _cormack_difference,
+}
+
+
+@pytest.mark.parametrize(
+    "geom", (RADON, FUNK, HGEO, EQUI, CIRCLE, ELLIPSE, HYPER, PARAB, CORMACK2, CORMACK3), ids=descriptor
+)
+def test_differences_match_each_family_own_difference(geom):
+    rng = np.random.default_rng(sum(map(ord, descriptor(geom))))
+    own = OWN_DIFFERENCE[geom.tag]
+    for _ in range(50):
+        x, y = sample_points(geom, rng, 2, rmin=0.1)
+        t, other = trig_difference(geom, x, y), half_angle_difference(geom, x, y)
+        if geom is PARAB:
+            t, other = other, t
+        assert other is None
+        got = np.array([t.a[0], t.a[1], t.b[0], t.b[1]])
+        c0, c1, s1 = own(geom, x, y)
+        want = np.array([c0, c1, 0.0, s1])
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (x, y)
+
+
+@pytest.mark.parametrize("geom", (RADON, FUNK, HGEO, EQUI, CIRCLE, ELLIPSE, HYPER, CORMACK2, CORMACK3), ids=descriptor)
+def test_psi_branch_is_psi_off_the_parabola(geom):
+    rng = np.random.default_rng(11)
+    pts = sample_points(geom, rng, 200, rmin=0.01)
+    ph = rng.uniform(-TAU, 2 * TAU, size=200)
+    assert np.array_equal(psi_branch(geom, pts, ph), psi(geom, pts, ph))
+    assert np.array_equal(psi_branch(geom, pts[0], ph), psi(geom, pts[0], ph))
+
+
 def test_trig_difference_rejects_equal_points():
     with pytest.raises(ValueError, match="distinct"):
         trig_difference(RADON, (0.5, 0.5), (0.5, 0.5))
@@ -512,6 +567,20 @@ def test_ellipse_support_condition():
 
 
 # ------------------------------------------------------------ arc element
+
+def arc_element(geom, x, v):
+    """Metric length of the Euclidean tangent v attached at x: the sphere
+    metric pulled back through the gnomonic chart for funk, the Euclidean
+    length for every other family (the metric in which their gradient and
+    normalizer formulas hold)."""
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    x1, x2, v1, v2 = x[..., 0], x[..., 1], v[..., 0], v[..., 1]
+    if geom.tag != "funk":
+        return np.hypot(v1, v2)
+    x0sq = 1.0 / (1.0 + x1 * x1 + x2 * x2)
+    dot = x1 * v1 + x2 * v2
+    return np.sqrt(x0sq * np.maximum(v1 * v1 + v2 * v2 - x0sq * dot * dot, 0.0))
+
 
 def test_arc_element():
     for geom in (RADON, EQUI, ELLIPSE, HYPER, PARAB, CORMACK2):

@@ -633,6 +633,21 @@ def test_forward_with_zero_rtol_runs_every_row_to_n_max(monkeypatch):
     assert counted[0] == 4 * lam.size * 513
 
 
+@pytest.mark.parametrize("forward", (forward_mphi, forward_riemann), ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "bad", (dict(workers=0), dict(workers=-1), dict(n_start=0), dict(rtol=-1e-8), dict(rtol=float("nan"))), ids=str
+)
+def test_forward_refuses_bad_settings_before_any_work(monkeypatch, forward, bad):
+    # workers < 1 once gave an all-zero sinogram, n_start = 0 a
+    # ZeroDivisionError, and a negative or NaN rtol refined every row to n_max
+    ph = Phantom((Gaussian((0.2, 0.1), 0.15),))
+    counted = count_points(monkeypatch)
+    (name,) = bad
+    with pytest.raises(ValueError, match=name):
+        forward(ph, RADON, np.linspace(-0.8, 0.8, 9), uniform_phi(4), **bad)
+    assert counted == [0, 0]
+
+
 def test_forward_stops_coarse_on_the_radon_acceptance_phantom(monkeypatch):
     # sigma 0.15 is resolved at the second level, 33 nodes per line
     rt = next(rt for rt in _round_trips() if rt.label == "radon")
