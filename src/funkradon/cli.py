@@ -19,7 +19,7 @@ import numpy as np
 
 from . import acceptance
 from . import geometry as geo
-from .fields import Grid, write_f64grid, write_pgm
+from .fields import Grid, ScalarField, write_f64grid, write_pgm
 from .inversion import (
     CoverageError,
     WindowingError,
@@ -84,8 +84,11 @@ def cmd_invert(args) -> int:
         write_pgm(args.pgm, rec)
         print(f"wrote {args.pgm}")
     if args.phantom:
-        ref = parse_phantom(args.phantom).rasterize(grid)
-        print(f"rel_l2 vs phantom: {rec.rel_l2(ref):.6f}")
+        # cormack data of order k determine only the k-fold rotational average
+        k, ph, pts = sino.geom.k or 1, parse_phantom(args.phantom), grid.points()
+        ref = ScalarField(grid, np.mean([ph.eval(pts, 2.0 * np.pi * m / k) for m in range(k)], axis=0))
+        average = f" (against its {k}-fold rotational average)" if k > 1 else ""
+        print(f"rel_l2 vs phantom: {rec.rel_l2(ref):.6f}{average}")
     return 0
 
 

@@ -2,12 +2,12 @@
 
 Each family is the level-curve system of a generating function psi(x, phi):
 the data curve at parameters (lambda, phi) is {x : lambda_of(x, phi) = lambda}.
-This module owns the formulas: psi itself, its gradient magnitude in the
-family metric, the admissible lambda interval over a support disc, the
-m(x) * mu(lambda) factorization of the gradient where it exists, the
-pointwise normalizer D(x) used by the reconstruction, the exact
-trigonometric polynomial psi(x, .) - psi(y, .) (in phi / 2 on the parabola),
-and the closed-form arcs the forward transform integrates along.
+This module owns the formulas: psi itself, the admissible lambda interval
+over a support disc, the m(x) * mu(lambda) split of the gradient magnitude
+|grad psi| in the family metric, the pointwise normalizer D(x) used by the
+reconstruction, the exact trigonometric polynomial psi(x, .) - psi(y, .)
+(in phi / 2 on the parabola), and the closed-form arcs the forward
+transform integrates along.
 
 Everything one family knows lives in one record (a _Family subclass below),
 registered under its tag; the public functions dispatch into it, and other
@@ -20,7 +20,8 @@ ellipse and 0 elsewhere, or the square root of that form on the parabola.
 psi and lambda_of are derived from it, and so are the pair differences
 psi(x, .) - psi(y, .) and the parabola's signed branch psi_branch, from the
 harmonics of the two points; backprojection forms the harmonics of its
-pixels once for every phi row.
+pixels once for every phi row. |grad psi| is m(|x|^2) * mu(lambda0) at the
+harmonics' lambda0, save on the hyperbola, whose gradient does not split.
 
 Families
 --------
@@ -286,10 +287,15 @@ def psi_branch(geom: GeometryFamily, x, phi):
 
 def grad_norm(geom: GeometryFamily, x, phi):
     """|grad psi(x, phi)| in the family metric (spherical for funk,
-    Euclidean otherwise); strictly positive on the domain."""
+    Euclidean otherwise), m(|x|^2) mu(lambda0(x, phi)) where it splits;
+    strictly positive on the domain."""
     x1, x2 = _domain_split(geom, x)
     phi = np.asarray(phi, dtype=float)
-    val = geom.record.grad_norm(geom, x1, x2, np.cos(phi), np.sin(phi))
+    rec = geom.record
+    if rec.grad_norm is not None:
+        val = rec.grad_norm(geom, x1, x2, np.cos(phi), np.sin(phi))
+    else:
+        val = rec.weight_m(geom, x1 * x1 + x2 * x2) * rec.weight_mu(geom, rec.harmonics(geom, x1, x2)(phi))
     if not np.all(val > 0.0):
         raise GeometryDomainError(f"{geom.tag} gradient is not strictly positive at the given point")
     return val if val.shape else float(val)
@@ -544,20 +550,21 @@ class _Family:
     into x1, x2 and checked against the domain, angles as c, s = cos, sin.
     lambda0 = lambda_sign * psi is written once, as the Harmonics of the
     points (harmonics); psi, lambda_of, psi_branch and the pair differences
-    trig_difference and half_angle_difference are derived from it."""
+    trig_difference and half_angle_difference are derived from it, and
+    |grad psi| from the split weight_m * weight_mu, except on the hyperbola."""
 
     harmonics: Callable  # (g, x1, x2) -> Harmonics of lambda0
-    grad_norm: Callable  # (g, x1, x2, c, s)
     lambda_range: Callable  # (g, rho)
     dcoef: Callable  # (g, x1, x2, r2)
     arcs: Callable  # (g, lam, lam_eps, table_phi, R) -> list of _Arc, in the table's frame
-    weight_m: Callable = _no_factorization  # (g, r2)
-    weight_mu: Callable = _no_factorization  # (g, lam)
+    weight_m: Callable = lambda g, r2: np.ones_like(r2)  # (g, r2), m of |grad psi| = m mu
+    weight_mu: Callable = lambda g, lam: np.ones_like(lam)  # (g, lam), mu of |grad psi| = m mu
+    grad_norm: Callable | None = None  # (g, x1, x2, c, s), where |grad psi| does not split
     params: tuple = ()
     lambda_sign: float = -1.0
     open_disc: bool = False  # domain is the open unit disc
     punctured: bool = False  # domain excludes the origin
-    half_range: bool = False  # data on phi in [0, pi) determines the full range
+    half_range: bool = False  # phi axes over [0, pi) are accepted and doubled, as input only
     even_in_lambda: bool = False  # transform even in lambda, axis starting at 0
     sheets: Callable = lambda g: 1.0  # parameter sheets through each point
     kernel_condition_ok: Callable = lambda g: True
@@ -606,12 +613,9 @@ def _radon():
 
     return _Family(
         harmonics=lambda g, x1, x2: Harmonics(x1, x2),
-        grad_norm=lambda g, x1, x2, c, s: np.ones(np.broadcast(x1, c).shape),
         lambda_range=lambda g, rho: _symmetric(rho),
         dcoef=lambda g, x1, x2, r2: np.ones_like(r2),
         arcs=_line_arcs(1.0, lambda lam2, B: 1.0),
-        weight_m=lambda g, r2: np.ones_like(r2),
-        weight_mu=lambda g, lam: np.ones_like(lam),
         half_range=True,
         sharp_disc_data=sharp_disc_data,
     )
@@ -628,7 +632,6 @@ def _funk():
 
     return _Family(
         harmonics=lambda g, x1, x2: Harmonics(-x1, -x2),
-        grad_norm=lambda g, x1, x2, c, s: np.sqrt((1.0 + x1 * x1 + x2 * x2) * (1.0 + (x1 * c + x2 * s) ** 2)),
         lambda_range=lambda g, rho: _symmetric(rho),
         dcoef=lambda g, x1, x2, r2: (1.0 + r2) ** -1.5,
         arcs=_line_arcs(-1.0, weight),
@@ -646,10 +649,6 @@ def _poincare(den, sigma, z_max):
     def harmonics(g, x1, x2):
         q = 2.0 / den(x1, x2)
         return Harmonics(q * x1, q * x2)
-
-    def grad_norm(g, x1, x2, c, s):
-        p = -2.0 * (x1 * c + x2 * s) / den(x1, x2)
-        return (2.0 / den(x1, x2)) * np.sqrt(np.maximum(1.0 - sigma * p * p, 0.0))
 
     def arcs(g, lam, lam_eps, _, R):
         # on a curve psi = -lambda, so |grad psi| = 2 sqrt(1 - sigma lambda^2) / den
@@ -682,7 +681,6 @@ def _poincare(den, sigma, z_max):
 
     return _Family(
         harmonics=harmonics,
-        grad_norm=grad_norm,
         lambda_range=lambda g, rho: _symmetric(min(2.0 * rho / (1.0 + sigma * rho * rho), z_max)),
         dcoef=lambda g, x1, x2, r2: (1.0 + sigma * r2) ** 3 / (4.0 * (1.0 - sigma * r2)),
         arcs=arcs,
@@ -754,11 +752,9 @@ def _ellipse():
         harmonics=lambda g, x1, x2: Harmonics(
             -2.0 * g.e1 * x1, -2.0 * g.e2 * x2, x1 * x1 + x2 * x2, (g.e1**2, g.e2**2)
         ),
-        grad_norm=lambda g, x1, x2, c, s: 2.0 * np.hypot(x1 - g.e1 * c, x2 - g.e2 * s),
         lambda_range=lambda_range,
         dcoef=dcoef,
         arcs=arcs,
-        weight_m=lambda g, r2: np.ones_like(r2),
         weight_mu=lambda g, lam: 2.0 * np.sqrt(lam),
         params=(_Param("e1", lambda v: v > 0, half_axis), _Param("e2", lambda v: v > 0, half_axis)),
         lambda_sign=1.0,
@@ -809,6 +805,8 @@ def _hyperbola():
         lambda_range=lambda g, rho: (-(1.0 + g.eps) * rho, (g.eps - 1.0) * rho),
         dcoef=lambda g, x1, x2, r2: np.full_like(r2, 1.0 / (g.eps**2 - 1.0)),
         arcs=arcs,
+        weight_m=_no_factorization,
+        weight_mu=_no_factorization,
         params=(_Param("eps", lambda v: v > 1, "eccentricity eps > 1"),),
         lambda_sign=1.0,
     )
@@ -835,12 +833,10 @@ def _parabola():
 
     return _Family(
         harmonics=lambda g, x1, x2: Harmonics(x1, x2, np.hypot(x1, x2), root=True),
-        grad_norm=lambda g, x1, x2, c, s: 1.0 / np.sqrt(2.0 * np.hypot(x1, x2)) + np.zeros(np.broadcast(x1, c).shape),
         lambda_range=lambda g, rho: (0.0, np.sqrt(2.0 * rho)),
         dcoef=lambda g, x1, x2, r2: 2.0 * np.sqrt(r2),
         arcs=arcs,
         weight_m=lambda g, r2: (2.0 * np.sqrt(r2)) ** -0.5,
-        weight_mu=lambda g, lam: np.ones_like(lam),
         punctured=True,
         even_in_lambda=True,
     )
@@ -852,11 +848,6 @@ def _cormack():
     def harmonics(g, x1, x2):
         w = (x1 + 1j * x2) ** g.k
         return Harmonics(w.real, w.imag)
-
-    def dcoef(g, x1, x2, r2):
-        if np.any(r2 == 0.0):
-            raise GeometryDomainError("cormack normalizer is undefined at the origin")
-        return 1.0 / (g.k**2 * r2 ** (g.k - 1))
 
     def ray_start_gain(g, r0):
         # 2k rays, each integrating f(0) r^(1-k) / k over [r0 / 10, r0]
@@ -893,12 +884,10 @@ def _cormack():
 
     return _Family(
         harmonics=harmonics,
-        grad_norm=lambda g, x1, x2, c, s: g.k * np.hypot(x1, x2) ** (g.k - 1) + np.zeros(np.broadcast(x1, c).shape),
         lambda_range=lambda g, rho: _symmetric(rho**g.k),
-        dcoef=dcoef,
+        dcoef=lambda g, x1, x2, r2: 1.0 / (g.k**2 * r2 ** (g.k - 1)),
         arcs=arcs,
         weight_m=lambda g, r2: g.k * np.sqrt(r2) ** (g.k - 1),
-        weight_mu=lambda g, lam: np.ones_like(lam),
         params=(_Param("k", lambda v: float(v).is_integer() and v >= 1, "a positive integer order k", int),),
         punctured=True,
         sheets=lambda g: float(g.k),

@@ -14,9 +14,10 @@ once per pixel (geometry.lambda_harmonics), so a row costs a few array
 passes for it. Each row is interpolated from a power-form table: the four
 coefficients of the 4-point Lagrange cubic on every stencil, built in O(m)
 per row for a block of rows at a time, so a pixel costs four gathers and
-Horner's rule. On radon data with an even row count and a symmetric lambda
-axis, antipodal rows are folded into one, since lambda0(x, phi + pi) =
--lambda0(x, phi).
+Horner's rule. Where lambda0 is odd in phi, lambda0(x, phi + pi) =
+-lambda0(x, phi) (radon, funk, hgeodesic, equidistant and cormack, whose
+harmonics are b cos phi + c sin phi alone), antipodal rows of data with an
+even row count and a symmetric lambda axis are folded into one.
 
 The second-order singularity is never attacked head-on: integrating by parts
 turns it into a first-order principal value of dg/dlambda, which is computed
@@ -262,14 +263,19 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     count; a pixel then costs four gathers and Horner's rule in
     s = t - (stencil start + 1).
 
-    On a half-range family (radon) with an even number of rows, a lambda
-    axis symmetric about 0 and row j + n/2 at phi_j + pi, antipodal rows are
-    folded: lambda0(x, phi + pi) = -lambda0(x, phi) is node t of the
-    reversed row where lambda0 is node m - 1 - t, and the 4-point stencil is
-    symmetric under that reversal, so row j plus row j + n/2 reversed,
-    sampled at lambda0(x, phi_j), stands for both rows up to rounding. Pairs
-    are folded as their block of tables is built, and the loop runs over
-    half of the rows.
+    Where the pixels' harmonics are b cos phi + c sin phi alone (no a, no
+    k, no root: radon, funk, hgeodesic, equidistant and cormack), lambda0 is
+    odd in phi. With an even number of rows, a lambda axis symmetric about 0
+    and row j + n/2 at phi_j + pi, antipodal rows are then folded:
+    lambda0(x, phi + pi) = -lambda0(x, phi) is node t of the reversed row
+    where lambda0 is node m - 1 - t, and the 4-point stencil is symmetric
+    under that reversal, so row j plus row j + n/2 reversed, sampled at
+    lambda0(x, phi_j), stands for both rows up to rounding, whatever the
+    data. Pairs are folded as their block of tables is built, and the loop
+    runs over half of the rows.
+
+    Cormack data of order k >= 2 determine only the k-fold rotational
+    average f_k(x) = (1/k) sum_m f(R(2 pi m / k) x), which is returned.
     """
     geom = filtered.geom
     lam = filtered.lambda_axis
@@ -287,7 +293,9 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     lo, hi = lam[0] - tol, lam[-1] + tol
     half = phi.size // 2
     fold = (
-        geom.record.half_range
+        lam0_at.a is None
+        and lam0_at.k == (0.0, 0.0)
+        and not lam0_at.root
         and phi.size % 2 == 0
         and lam[0] == -lam[-1]
         and np.allclose(phi[half:], phi[:half] + np.pi, rtol=0.0, atol=1e-12)
@@ -350,7 +358,8 @@ def _refuse_uncovered(pts, lam0, lo, hi, lam, p):
 
 
 def invert(sino: Sinogram, grid: Grid) -> ScalarField:
-    """Full reconstruction: pv_filter then backproject."""
+    """Full reconstruction: pv_filter then backproject; the k-fold
+    rotational average of the field on cormack data of order k >= 2."""
     return backproject(pv_filter(sino), grid)
 
 

@@ -243,6 +243,25 @@ def test_invert_round_trips_through_files(capsys, tmp_path, radon_file):
     assert float(line.split()[-1]) < 0.02
 
 
+def test_invert_compares_cormack_data_with_the_k_fold_average(capsys, tmp_path):
+    # the data of order 2 do not tell the Gaussian at (0.2, 0) from its
+    # mirror at (-0.2, 0), so the report measures against their average
+    src = tmp_path / "c.fkr1"
+    phantom = "gauss:0.2,0,0.03,1"
+    assert run(
+        capsys, "forward", "--geometry", "cormack:k=2", "--phantom", phantom,
+        "--nlambda", 513, "--nphi", 180, "--out", src,
+    )[0] == 0
+    code, text, _ = run(
+        capsys, "invert", "--in", src, "--out", tmp_path / "rec.f64",
+        "--grid-n", 32, "--extent", 0.31, "--phantom", phantom,
+    )
+    assert code == 0
+    line = next(ln for ln in text.splitlines() if ln.startswith("rel_l2 vs phantom: "))
+    assert line.endswith(" (against its 2-fold rotational average)")
+    assert float(line.split()[3]) <= 0.05
+
+
 def test_invert_default_extent_scales_with_the_support(capsys, tmp_path, radon_file):
     out = tmp_path / "rec.f64"
     code, _, _ = run(capsys, "invert", "--in", radon_file, "--out", out, "--grid-n", 17)

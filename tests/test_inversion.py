@@ -12,6 +12,8 @@ is then measured end to end on small grids.
 """
 
 import tracemalloc
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from funkradon import (
     invert,
     pv_filter,
 )
-from funkradon.fields import Grid
+from funkradon.fields import Grid, ScalarField
 from funkradon.inversion import FilteredSinogram, _fp_rows, dcoef_quadrature, reconstruct_riemann
 from funkradon.phantom import Gaussian
 from funkradon.transform import default_axes, forward_riemann
@@ -37,8 +39,13 @@ from funkradon.transform import default_axes, forward_riemann
 TAU = 2.0 * np.pi
 
 RADON = GeometryFamily("radon")
+FUNK = GeometryFamily("funk", support_radius=0.8)
 HGEO = GeometryFamily("hgeodesic", support_radius=0.7)
+EQUI = GeometryFamily("equidistant", support_radius=0.4)
+ELLIPSE = GeometryFamily("ellipse", e1=1.2, e2=0.8, support_radius=0.7)
+HYPER = GeometryFamily("hyperbola", eps=2.0)
 PARAB = GeometryFamily("parabola")
+CORMACK2 = GeometryFamily("cormack", k=2)
 
 
 def uniform_phi(n, half=False):
@@ -280,6 +287,22 @@ def test_pv_filter_memory_stays_linear_in_m():
 # backprojection
 
 
+@dataclass(frozen=True, eq=False)
+class SeamHarmonics(geo.Harmonics):
+    """Real harmonics, whose fields backproject reads to decide its fold,
+    giving lambda0 at each angle from lam0 instead of from the fields."""
+
+    lam0: Callable | None = None
+
+    def __call__(self, phi):
+        return self.lam0(phi)
+
+
+def seam(h, lam0):
+    """The harmonics h with lambda0 at phi taken from lam0(phi)."""
+    return SeamHarmonics(h.b, h.c, h.a, h.k, h.root, lam0)
+
+
 def test_backproject_zero_table():
     sino = window_sinogram(lambda lam: np.zeros_like(lam), m=33, n_phi=8)
     rec = backproject(pv_filter(sino), Grid.centered(9, 0.5))
@@ -337,7 +360,7 @@ def test_backproject_counts_a_non_finite_lambda0_as_uncovered(monkeypatch):
             out[2, 3] = np.nan
             return out
 
-        return lam0
+        return seam(at, lam0)
 
     monkeypatch.setattr(geo, "lambda_harmonics", with_nan)
     with pytest.raises(CoverageError, match="1 grid points"):
@@ -381,7 +404,8 @@ def test_backproject_matches_the_lagrange_oracle(m, monkeypatch):
     values = rng.normal(size=(phi.size, m))
     lam0_at = {float(p): rng.permutation(probes).reshape(n, n) for p in phi}
     # lambda0 enters at the pixels' harmonics, one call per row at its phi
-    monkeypatch.setattr(geo, "lambda_harmonics", lambda geom, x: lambda p: lam0_at[p].copy())
+    harmonics = geo.lambda_harmonics
+    monkeypatch.setattr(geo, "lambda_harmonics", lambda geom, x: seam(harmonics(geom, x), lambda p: lam0_at[p].copy()))
     grid = Grid.centered(n, 0.5)
 
     got = backproject(FilteredSinogram(RADON, lam, phi, values), grid).values
@@ -405,7 +429,8 @@ def test_backproject_stencils_at_the_axis_ends_match_the_lagrange_oracle(m, monk
     phi = uniform_phi(2)
     values = rng.normal(size=(phi.size, m))
     lam0_at = {float(p): np.concatenate([rng.permutation(probes), probes[:3]]).reshape(3, 3) for p in phi}
-    monkeypatch.setattr(geo, "lambda_harmonics", lambda geom, x: lambda p: lam0_at[p].copy())
+    harmonics = geo.lambda_harmonics
+    monkeypatch.setattr(geo, "lambda_harmonics", lambda geom, x: seam(harmonics(geom, x), lambda p: lam0_at[p].copy()))
     grid = Grid.centered(3, 0.5)
 
     got = backproject(FilteredSinogram(RADON, lam, phi, values), grid).values
@@ -426,7 +451,7 @@ def count_rows(monkeypatch):
             rows.append(phi)
             return at(phi)
 
-        return lam0
+        return seam(at, lam0)
 
     monkeypatch.setattr(geo, "lambda_harmonics", counting)
     return rows
@@ -434,10 +459,11 @@ def count_rows(monkeypatch):
 
 def per_row_backprojection(filtered, grid):
     """backproject with no fold: every row sampled at its own lambda0."""
-    pts = grid.points()
+    geom, pts = filtered.geom, grid.points()
     lam, phi = filtered.lambda_axis, filtered.phi_axis
-    acc = sum(lagrange_cubic(row, lam, geo.lambda_of(filtered.geom, pts, p)) for row, p in zip(filtered.values, phi))
-    return -acc * (phi[1] - phi[0]) / (4.0 * np.pi**2 * geo.dcoef_closed(filtered.geom, pts))
+    acc = sum(lagrange_cubic(row, lam, geo.lambda_of(geom, pts, p)) for row, p in zip(filtered.values, phi))
+    sheet = geom.record.sheets(geom)
+    return -acc * (phi[1] - phi[0]) / (4.0 * np.pi**2 * geo.dcoef_closed(geom, pts) * sheet)
 
 
 def rough_radon_rows(n_phi, lam, half=False):
@@ -446,24 +472,51 @@ def rough_radon_rows(n_phi, lam, half=False):
     return pv_filter(Sinogram(RADON, lam, uniform_phi(n_phi, half), g))
 
 
-@pytest.mark.parametrize(
-    "filtered, rows",
-    [
-        (rough_radon_rows(24, np.linspace(-1.0, 1.0, 65)), 12),
-        (rough_radon_rows(12, np.linspace(-1.0, 1.0, 65), half=True), 12),  # doubled to 24 rows
-        (rough_radon_rows(25, np.linspace(-1.0, 1.0, 65)), 25),
-        (rough_radon_rows(24, np.linspace(-1.0, 1.0 + 1e-12, 65)), 24),
-    ],
-    ids=("full data", "doubled half data", "odd n_phi", "asymmetric lambda axis"),
-)
+FOLD_GRID = Grid.centered(17, 0.3, (0.05, 0.03))  # off the origin of the punctured families
+
+
+def random_rows(geom, n_phi, asymmetric=False):
+    """Filtered rows of random low harmonics in lambda, neither even nor odd,
+    on a lambda axis symmetric about 0 that covers FOLD_GRID, its top end
+    moved out by 1e-12 relative if asymmetric. Smooth rows keep the rounding
+    of lambda0(x, phi + pi) against -lambda0(x, phi) from being magnified by
+    the 1/h slopes of noise."""
+    lam0 = geo.lambda_of(geom, FOLD_GRID.points()[..., None, :], uniform_phi(720))
+    top = 1.1 * float(np.max(np.abs(lam0)))
+    lam = np.linspace(-top, top * (1.0 + 1e-12 * asymmetric), 65)
+    u = np.pi * lam / top
+    basis = np.concatenate([np.cos(np.outer(np.arange(4), u)), np.sin(np.outer(np.arange(1, 4), u))])
+    values = np.random.default_rng(n_phi).normal(size=(n_phi, basis.shape[0])) @ basis
+    return FilteredSinogram(geom, lam, uniform_phi(n_phi), values)
+
+
+# (filtered rows, rows backproject should ask for lambda0)
+FOLD_CASES = {
+    "full data": (rough_radon_rows(24, np.linspace(-1.0, 1.0, 65)), 12),
+    "doubled half data": (rough_radon_rows(12, np.linspace(-1.0, 1.0, 65), half=True), 12),  # 24 rows
+    "odd n_phi": (rough_radon_rows(25, np.linspace(-1.0, 1.0, 65)), 25),
+    "asymmetric lambda axis": (rough_radon_rows(24, np.linspace(-1.0, 1.0 + 1e-12, 65)), 24),
+}
+for _geom in (FUNK, HGEO, EQUI, CORMACK2):
+    FOLD_CASES[f"{_geom.tag} even n_phi"] = (random_rows(_geom, 24), 12)
+    FOLD_CASES[f"{_geom.tag} odd n_phi"] = (random_rows(_geom, 25), 25)
+    FOLD_CASES[f"{_geom.tag} asymmetric lambda axis"] = (random_rows(_geom, 24, asymmetric=True), 24)
+for _geom in (HYPER, ELLIPSE, PARAB):
+    FOLD_CASES[f"{_geom.tag} even n_phi"] = (random_rows(_geom, 24), 24)
+
+
+@pytest.mark.parametrize("filtered, rows", FOLD_CASES.values(), ids=FOLD_CASES.keys())
 def test_backproject_folds_antipodal_radon_rows(monkeypatch, filtered, rows):
     # row j + n/2 sampled at -lambda0(phi_j) on the symmetric axis is the
     # reversed row sampled at lambda0(phi_j); without an even row count and a
-    # symmetric axis every row is sampled on its own
-    grid = Grid.centered(17, 0.6)
-    want = per_row_backprojection(filtered, grid)
+    # symmetric axis every row is sampled on its own. Harmonics b cos phi +
+    # c sin phi alone make lambda0 odd in phi, on radon and on funk,
+    # hgeodesic, equidistant and cormack alike; a constant (hyperbola), k
+    # (ellipse) or root (parabola) term does not, and there every row is
+    # sampled on its own too
+    want = per_row_backprojection(filtered, FOLD_GRID)
     asked = count_rows(monkeypatch)
-    got = backproject(filtered, grid).values
+    got = backproject(filtered, FOLD_GRID).values
     assert len(asked) == rows
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -494,6 +547,23 @@ def test_half_range_radon_round_trip():
     grid = Grid.centered(33, 0.45)
     rec = invert(sino, grid)
     assert rec.rel_l2(ph.rasterize(grid)) <= 0.02
+
+
+def test_cormack_reconstructs_the_k_fold_rotational_average():
+    # cormack curves of order k are unchanged by a turn of 2 pi / k, so f and
+    # its k-fold average f_k = (1/k) sum_m f(R(2 pi m / k) x) have the same
+    # data, and invert returns f_k: here half the Gaussian at (0.2, 0) and
+    # half its mirror at (-0.2, 0)
+    k = 2
+    geom = GeometryFamily("cormack", k=k)
+    ph = Phantom((Gaussian((0.2, 0.0), 0.03),))
+    lam, phi = default_axes(geom, 513, 180)
+    grid = Grid.centered(32, 0.31)
+    rec = invert(forward_mphi(ph, geom, lam, phi), grid)
+    pts = grid.points()
+    f_k = ScalarField(grid, np.mean([ph.eval(pts, TAU * m / k) for m in range(k)], axis=0))
+    assert rec.rel_l2(f_k) <= 0.05
+    assert rec.rel_l2(ph.rasterize(grid)) >= 0.5
 
 
 def test_riemann_round_trip_divides_by_both_weights():
