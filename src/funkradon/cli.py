@@ -84,8 +84,8 @@ def cmd_invert(args) -> int:
         write_pgm(args.pgm, rec)
         print(f"wrote {args.pgm}")
     if args.phantom:
-        # cormack data of order k determine only the k-fold rotational average
-        k, ph, pts = sino.geom.k or 1, parse_phantom(args.phantom), grid.points()
+        # data on k parameter sheets (cormack) determine only the k-fold average
+        k, ph, pts = int(sino.geom.record.sheets(sino.geom)), parse_phantom(args.phantom), grid.points()
         ref = ScalarField(grid, np.mean([ph.eval(pts, 2.0 * np.pi * m / k) for m in range(k)], axis=0))
         average = f" (against its {k}-fold rotational average)" if k > 1 else ""
         print(f"rel_l2 vs phantom: {rec.rel_l2(ref):.6f}{average}")

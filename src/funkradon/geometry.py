@@ -20,8 +20,8 @@ ellipse and 0 elsewhere, or the square root of that form on the parabola.
 psi and lambda_of are derived from it, and so are the pair differences
 psi(x, .) - psi(y, .) and the parabola's signed branch psi_branch, from the
 harmonics of the two points; backprojection forms the harmonics of its
-pixels once for every phi row. |grad psi| is m(|x|^2) * mu(lambda0) at the
-harmonics' lambda0, save on the hyperbola, whose gradient does not split.
+pixels once for every phi row. |grad psi| is m(|x|^2) * mu(lambda0), save
+on the hyperbola, which has no split, and the ellipse (see _ellipse).
 
 Families
 --------
@@ -235,6 +235,11 @@ class Harmonics:
         for name in ("b", "c", "a"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float, order="C"))
+
+    @property
+    def odd(self) -> bool:
+        """lambda0(x, phi + pi) = -lambda0(x, phi): b and c alone."""
+        return self.a is None and self.k == (0.0, 0.0) and not self.root
 
     def __call__(self, phi):
         """lambda0 at the angles phi, broadcast against the points."""
@@ -551,7 +556,7 @@ class _Family:
     lambda0 = lambda_sign * psi is written once, as the Harmonics of the
     points (harmonics); psi, lambda_of, psi_branch and the pair differences
     trig_difference and half_angle_difference are derived from it, and
-    |grad psi| from the split weight_m * weight_mu, except on the hyperbola."""
+    |grad psi| from the split weight_m * weight_mu where grad_norm is unset."""
 
     harmonics: Callable  # (g, x1, x2) -> Harmonics of lambda0
     lambda_range: Callable  # (g, rho)
@@ -559,7 +564,7 @@ class _Family:
     arcs: Callable  # (g, lam, lam_eps, table_phi, R) -> list of _Arc, in the table's frame
     weight_m: Callable = lambda g, r2: np.ones_like(r2)  # (g, r2), m of |grad psi| = m mu
     weight_mu: Callable = lambda g, lam: np.ones_like(lam)  # (g, lam), mu of |grad psi| = m mu
-    grad_norm: Callable | None = None  # (g, x1, x2, c, s), where |grad psi| does not split
+    grad_norm: Callable | None = None  # (g, x1, x2, c, s), where m mu does not serve
     params: tuple = ()
     lambda_sign: float = -1.0
     open_disc: bool = False  # domain is the open unit disc
@@ -756,6 +761,8 @@ def _ellipse():
         dcoef=dcoef,
         arcs=arcs,
         weight_mu=lambda g, lam: 2.0 * np.sqrt(lam),
+        # exact as x nears e(phi), where 2 sqrt of the expanded lambda0 is not
+        grad_norm=lambda g, x1, x2, c, s: 2.0 * np.hypot(x1 - g.e1 * c, x2 - g.e2 * s),
         params=(_Param("e1", lambda v: v > 0, half_axis), _Param("e2", lambda v: v > 0, half_axis)),
         lambda_sign=1.0,
         kernel_condition_ok=lambda g: g.support_radius < min(g.e1, g.e2),

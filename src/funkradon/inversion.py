@@ -263,9 +263,9 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     count; a pixel then costs four gathers and Horner's rule in
     s = t - (stencil start + 1).
 
-    Where the pixels' harmonics are b cos phi + c sin phi alone (no a, no
-    k, no root: radon, funk, hgeodesic, equidistant and cormack), lambda0 is
-    odd in phi. With an even number of rows, a lambda axis symmetric about 0
+    Where the pixels' harmonics are odd (b cos phi + c sin phi alone:
+    radon, funk, hgeodesic, equidistant and cormack), so is lambda0 in phi.
+    With an even number of rows, a lambda axis symmetric about 0
     and row j + n/2 at phi_j + pi, antipodal rows are then folded:
     lambda0(x, phi + pi) = -lambda0(x, phi) is node t of the reversed row
     where lambda0 is node m - 1 - t, and the 4-point stencil is symmetric
@@ -293,9 +293,7 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     lo, hi = lam[0] - tol, lam[-1] + tol
     half = phi.size // 2
     fold = (
-        lam0_at.a is None
-        and lam0_at.k == (0.0, 0.0)
-        and not lam0_at.root
+        lam0_at.odd
         and phi.size % 2 == 0
         and lam[0] == -lam[-1]
         and np.allclose(phi[half:], phi[:half] + np.pi, rtol=0.0, atol=1e-12)

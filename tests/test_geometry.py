@@ -256,6 +256,15 @@ def test_grad_rejects_degenerate_point():
         grad_norm(CIRCLE, (1.0, 0.0), 0.0)
 
 
+@pytest.mark.parametrize("geom", (CIRCLE, ELLIPSE), ids=("circle", "ellipse"))
+def test_grad_rejects_the_center_at_generic_phi(geom):
+    # x = e(phi) at angles where the expanded lambda0 = |x - e(phi)|^2 rounds
+    # to a few ulps of either sign rather than to 0
+    for ph in np.random.default_rng(7).uniform(0, 2 * math.pi, size=50):
+        with pytest.raises(GeometryDomainError, match="positive"):
+            grad_norm(geom, (geom.e1 * math.cos(ph), geom.e2 * math.sin(ph)), ph)
+
+
 def test_grad_matches_finite_differences():
     # the oracle of grad_norm on every family but funk, whose gradient is in
     # the sphere metric (see funk_metric_gradient); hgeodesic included on
@@ -294,6 +303,13 @@ def test_grad_factorization_identity():
     pts = sample_points(FUNK, rng, 400, rmin=0.0)
     ph = rng.uniform(0, 2 * math.pi, size=400)
     assert_allclose(grad_norm(FUNK, pts, ph), funk_metric_gradient(pts, ph), rtol=1e-14)
+    # the ellipse keeps 2|x - e(phi)| of its own, which the split reproduces
+    # away from the ellipse of centers
+    for geom in (CIRCLE, ELLIPSE):
+        pts = sample_points(geom, rng, 25, rmin=0.2)
+        ph = rng.uniform(0, 2 * math.pi, size=25)
+        got = weight_m(geom, pts) * weight_mu(geom, lambda_of(geom, pts, ph))
+        assert_allclose(got, grad_norm(geom, pts, ph), rtol=1e-12)
 
 
 # ----------------------------------------------------------------- lambda

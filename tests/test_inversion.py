@@ -289,8 +289,8 @@ def test_pv_filter_memory_stays_linear_in_m():
 
 @dataclass(frozen=True, eq=False)
 class SeamHarmonics(geo.Harmonics):
-    """Real harmonics, whose fields backproject reads to decide its fold,
-    giving lambda0 at each angle from lam0 instead of from the fields."""
+    """Real harmonics, whose odd property backproject reads to decide its
+    fold, giving lambda0 at each angle from lam0 instead of from the fields."""
 
     lam0: Callable | None = None
 
@@ -490,23 +490,26 @@ def random_rows(geom, n_phi, asymmetric=False):
     return FilteredSinogram(geom, lam, uniform_phi(n_phi), values)
 
 
-# (filtered rows, rows backproject should ask for lambda0)
+# (filtered rows, grid, rows backproject should ask for lambda0); the radon
+# grid holds the origin, where lambda0 = 0 is a node of every row and the
+# reversed row is sampled on a stencil one node apart
+RADON_GRID = Grid.centered(17, 0.6)
 FOLD_CASES = {
-    "full data": (rough_radon_rows(24, np.linspace(-1.0, 1.0, 65)), 12),
-    "doubled half data": (rough_radon_rows(12, np.linspace(-1.0, 1.0, 65), half=True), 12),  # 24 rows
-    "odd n_phi": (rough_radon_rows(25, np.linspace(-1.0, 1.0, 65)), 25),
-    "asymmetric lambda axis": (rough_radon_rows(24, np.linspace(-1.0, 1.0 + 1e-12, 65)), 24),
+    "full data": (rough_radon_rows(24, np.linspace(-1.0, 1.0, 65)), RADON_GRID, 12),
+    "doubled half data": (rough_radon_rows(12, np.linspace(-1.0, 1.0, 65), half=True), RADON_GRID, 12),  # 24 rows
+    "odd n_phi": (rough_radon_rows(25, np.linspace(-1.0, 1.0, 65)), RADON_GRID, 25),
+    "asymmetric lambda axis": (rough_radon_rows(24, np.linspace(-1.0, 1.0 + 1e-12, 65)), RADON_GRID, 24),
 }
 for _geom in (FUNK, HGEO, EQUI, CORMACK2):
-    FOLD_CASES[f"{_geom.tag} even n_phi"] = (random_rows(_geom, 24), 12)
-    FOLD_CASES[f"{_geom.tag} odd n_phi"] = (random_rows(_geom, 25), 25)
-    FOLD_CASES[f"{_geom.tag} asymmetric lambda axis"] = (random_rows(_geom, 24, asymmetric=True), 24)
+    FOLD_CASES[f"{_geom.tag} even n_phi"] = (random_rows(_geom, 24), FOLD_GRID, 12)
+    FOLD_CASES[f"{_geom.tag} odd n_phi"] = (random_rows(_geom, 25), FOLD_GRID, 25)
+    FOLD_CASES[f"{_geom.tag} asymmetric lambda axis"] = (random_rows(_geom, 24, asymmetric=True), FOLD_GRID, 24)
 for _geom in (HYPER, ELLIPSE, PARAB):
-    FOLD_CASES[f"{_geom.tag} even n_phi"] = (random_rows(_geom, 24), 24)
+    FOLD_CASES[f"{_geom.tag} even n_phi"] = (random_rows(_geom, 24), FOLD_GRID, 24)
 
 
-@pytest.mark.parametrize("filtered, rows", FOLD_CASES.values(), ids=FOLD_CASES.keys())
-def test_backproject_folds_antipodal_radon_rows(monkeypatch, filtered, rows):
+@pytest.mark.parametrize("filtered, grid, rows", FOLD_CASES.values(), ids=FOLD_CASES.keys())
+def test_backproject_folds_antipodal_radon_rows(monkeypatch, filtered, grid, rows):
     # row j + n/2 sampled at -lambda0(phi_j) on the symmetric axis is the
     # reversed row sampled at lambda0(phi_j); without an even row count and a
     # symmetric axis every row is sampled on its own. Harmonics b cos phi +
@@ -514,9 +517,9 @@ def test_backproject_folds_antipodal_radon_rows(monkeypatch, filtered, rows):
     # hgeodesic, equidistant and cormack alike; a constant (hyperbola), k
     # (ellipse) or root (parabola) term does not, and there every row is
     # sampled on its own too
-    want = per_row_backprojection(filtered, FOLD_GRID)
+    want = per_row_backprojection(filtered, grid)
     asked = count_rows(monkeypatch)
-    got = backproject(filtered, FOLD_GRID).values
+    got = backproject(filtered, grid).values
     assert len(asked) == rows
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
