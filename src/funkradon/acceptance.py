@@ -22,7 +22,7 @@ from .fields import Grid, read_f64grid, write_f64grid
 from .inversion import invert
 from .phantom import Gaussian, Phantom
 from .transform import Sinogram, default_axes, forward_mphi, read_fkr1, write_fkr1
-from .trigpoly import TrigPoly, kernel_scale, nucleus_check, residue_integral
+from .trigpoly import TrigPoly, distinct_points, kernel_scale, nucleus_check, residue_integral
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
 
@@ -88,7 +88,7 @@ def check_nucleus(fast: bool = False) -> CheckResult:
     for cfg in _families():
         pts = _sample_disc(rng, 2 * n_pairs, 0.05, cfg.rmax)
         for x, y in zip(pts[:n_pairs], pts[n_pairs:]):
-            if np.allclose(x, y):
+            if not distinct_points(x, y):
                 continue
             try:
                 val = abs(nucleus_check(cfg.geom, x, y))

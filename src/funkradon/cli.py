@@ -35,7 +35,7 @@ from .transform import (
     read_fkr1,
     write_fkr1,
 )
-from .trigpoly import kernel_scale, nucleus_check, nucleus_zeros
+from .trigpoly import distinct_points, kernel_scale, nucleus_check, nucleus_zeros
 
 
 def _parse_pair(text, flag):
@@ -103,7 +103,7 @@ def cmd_kernel_check(args) -> int:
     ok = True
     for i in range(args.pairs):
         x, y = acceptance._sample_disc(rng, 2, 0.05 * rmax, rmax)
-        while np.allclose(x, y):
+        while not distinct_points(x, y):
             y = acceptance._sample_disc(rng, 1, 0.05 * rmax, rmax)[0]
         try:
             est = nucleus_check(geom, x, y)

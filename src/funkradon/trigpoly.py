@@ -10,12 +10,20 @@ Root finding and residue sums work on stacks: n polynomials of one order k
 given as (a, b) coefficient arrays of shape (n, k + 1). Their companion
 matrices go to a single batched eigenvalue call, so the root finder and the
 residue sum of a single TrigPoly are the one-row case of the stacked ones.
+
+The nucleus functions (nucleus_check, nucleus_zeros, kernel_scale) ask
+about one point pair: the difference t of the pair's psi branches and the
+zeros of t. Each pair is analysed once, by _pair, whose record the nucleus
+N, the zero classes and the tolerance scale share; only the last pair is
+held. Non-finite points and coefficients are refused with ValueError before
+any root is sought.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +34,7 @@ __all__ = [
     "pv_inverse_square",
     "residue_integral",
     "RealZeroError",
+    "distinct_points",
     "nucleus_check",
     "nucleus_zeros",
     "kernel_scale",
@@ -51,16 +60,19 @@ def _as_coeff_tuple(c):
     arr = np.atleast_1d(np.asarray(c, dtype=float))
     if arr.ndim != 1:
         raise ValueError("coefficient arrays must be one-dimensional")
-    return tuple(arr.tolist())
+    coeffs = arr.tolist()
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError(f"trig polynomial coefficients must be finite, got {coeffs}")
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
 class TrigPoly:
     """t(phi) = a[0] + sum_{m>=1} a[m] cos(m phi) + b[m] sin(m phi).
 
-    Trailing harmonics with a[m] == b[m] == 0 are trimmed on construction, so
-    ``order`` always names the true leading harmonic. b[0] is meaningless and
-    pinned to zero.
+    Non-finite coefficients are refused with ValueError. Trailing harmonics
+    with a[m] == b[m] == 0 are trimmed on construction, so ``order`` always
+    names the true leading harmonic. b[0] is meaningless and pinned to zero.
     """
 
     a: tuple = (0.0,)
@@ -164,12 +176,16 @@ class RealZeroError(ValueError):
 
 def _coeff_stack(p):
     """(a, b) coefficient arrays of shape (n, k + 1) for a TrigPoly (n = 1)
-    or for a stack given as an (a, b) pair; b[:, 0] is taken as zero."""
+    or for a stack given as an (a, b) pair; b[:, 0] is taken as zero. A row
+    of a stack with a non-finite entry is refused."""
     if isinstance(p, TrigPoly):
         return np.array([p.a]), np.array([p.b])
     a, b = (np.asarray(c, dtype=float) for c in p)
     if a.ndim != 2 or a.shape != b.shape or a.shape[1] == 0:
         raise ValueError("a stack of trig polynomials is an (a, b) pair of equal (n, k + 1) arrays")
+    bad = np.flatnonzero(~(np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} of the stack has a non-finite coefficient")
     b = b.copy()
     b[:, 0] = 0.0
     return a, b
@@ -239,7 +255,7 @@ def all_real_simple(t: TrigPoly) -> bool:
     """True when every zero of t lies on the real circle and is simple, by
     the rules pv_inverse_square applies; False where it refuses t."""
     try:
-        return not _simple_zeros(t)[1].size
+        return not _simple_zeros(t, *_real_root_slopes(t))[1].size
     except ValueError:
         return False
 
@@ -315,16 +331,16 @@ def pv_inverse_square(t: TrigPoly) -> float:
     6 000 000 nodes is refused with ValueError, before any value of t on it
     is made.
     """
-    return _inverse_square_off_axis(t, *_simple_zeros(t))
+    return _inverse_square_off_axis(t, *_simple_zeros(t, *_real_root_slopes(t)))
 
 
-def _simple_zeros(t: TrigPoly):
-    """(real zeros, complex zeros) of t, refusing t = 0 and repeated real
-    zeros (|t'| at most 1e-6 of the coefficient scale)."""
+def _simple_zeros(t: TrigPoly, real, slopes, cplx):
+    """(real zeros, complex zeros) of t, given as _real_root_slopes splits
+    them, refusing t = 0 and repeated real zeros (|t'| at most 1e-6 of the
+    coefficient scale)."""
     scale = t.coeff_scale()
     if scale == 0.0:
         raise ValueError("t is identically zero")
-    real, slopes, cplx = _real_root_slopes(t)
     if real.size and np.any(slopes <= 1e-6 * scale):
         raise ValueError("t has a repeated (or nearly repeated) real zero")
     return real, cplx
@@ -373,7 +389,9 @@ def residue_integral(s, t):
     polynomials as (a, b) coefficient arrays of shape (n, k + 1), giving n
     integrals at once (a TrigPoly s applies to every row of t). The rows of
     a stacked t share the order k and need a nonzero leading harmonic; all
-    their roots come from one batched eigenvalue call.
+    their roots come from one batched eigenvalue call. A stack with a
+    non-finite coefficient is refused with ValueError naming its first bad
+    row.
     """
     sa, sb = _coeff_stack(s)
     ta, tb = _coeff_stack(t)
@@ -402,21 +420,69 @@ def residue_integral(s, t):
     return float(total[0]) if isinstance(t, TrigPoly) and isinstance(s, TrigPoly) else total
 
 
-def _psi_difference(geom, x, y):
-    """(t, c) with psi_branch(x, phi) - psi_branch(y, phi) = t(c phi) for
-    every phi: the family's closed-form difference (c = 1), or for the
-    parabola the difference of its half-angle branches (c = 1/2, see
-    geometry.half_angle_difference)."""
-    from .geometry import half_angle_difference, trig_difference
+def distinct_points(x, y) -> bool:
+    """Whether the finite plane points x and y are distinct by np.allclose's
+    default tolerances: |x_i - y_i| > 1e-8 + 1e-5 |y_i| in some coordinate.
+    The nucleus functions refuse every pair where this is False. Plain float
+    arithmetic on the four coordinates: the comparison np.allclose makes,
+    without its array set-up."""
+    (x0, x1), (y0, y1) = x, y
+    return abs(x0 - y0) > 1e-8 + 1e-5 * abs(y0) or abs(x1 - y1) > 1e-8 + 1e-5 * abs(y1)
 
+
+class _Pair(NamedTuple):
+    """One point pair as the nucleus functions see it: psi_branch(x, phi) -
+    psi_branch(y, phi) = t(c phi), with c = 1, or c = 1/2 for the parabola's
+    half-angle branches (see geometry.half_angle_difference), and the zeros
+    of t as _real_root_slopes splits them. The arrays are read-only, since
+    every caller of the pair shares them."""
+
+    t: TrigPoly
+    c: float
+    real: np.ndarray
+    slopes: np.ndarray
+    cplx: np.ndarray
+
+
+# (key, _Pair) of the last pair analysed, keyed by the geometry and the bytes
+# of both points. One entry serves the nucleus functions asked in turn about
+# one pair; more would pay only on a sweep that repeats its pairs, where a
+# timed sweep would then measure the cache instead of the analysis. Threads
+# may race on it harmlessly: an entry is a pure function of its key, and it
+# is replaced as one tuple.
+_last_pair = None
+
+
+def _pair(geom, x, y) -> _Pair:
+    """The _Pair of x and y, from the one-entry memo or computed. Points
+    that are not two finite coordinates each, or not distinct_points, are
+    refused with ValueError before any root is sought."""
+    global _last_pair
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.allclose(x, y):
+    if x.shape != (2,) or y.shape != (2,):
+        raise ValueError("a psi difference expects single points")
+    key = (geom, x.tobytes(), y.tobytes())
+    memo = _last_pair
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    xy = x.tolist(), y.tolist()
+    for name, p in zip("xy", xy):
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            raise ValueError(f"{name} = ({p[0]}, {p[1]}) is not a finite point")
+    if not distinct_points(*xy):
         raise ValueError("nucleus is only defined for distinct points")
-    tp = trig_difference(geom, x, y)
-    if tp is not None:
-        return tp, 1.0
-    return half_angle_difference(geom, x, y), 0.5
+    from .geometry import half_angle_difference, trig_difference
+
+    t, c = trig_difference(geom, x, y), 1.0
+    if t is None:
+        t, c = half_angle_difference(geom, x, y), 0.5
+    zeros = _real_root_slopes(t)
+    for arr in zeros:
+        arr.flags.writeable = False
+    pair = _Pair(t, c, *zeros)
+    _last_pair = key, pair
+    return pair
 
 
 def nucleus_check(geom, x, y) -> float:
@@ -426,17 +492,20 @@ def nucleus_check(geom, x, y) -> float:
     of the reconstruction formula, and the test suites assert it rather than
     assuming it. The difference is an exact trig polynomial t, or T(phi / 2)
     for the parabola; T^2 has period pi, so the integral of 1/T(phi / 2)^2
-    over a period is that of 1/T(u)^2. Either way pv_inverse_square takes
-    the limit, refusing repeated real zeros.
+    over a period is that of 1/T(u)^2. Either way the limit is
+    pv_inverse_square's, refusing repeated real zeros, taken on the zeros of
+    the pair's shared record (see _pair).
     """
-    return pv_inverse_square(_psi_difference(geom, x, y)[0])
+    p = _pair(geom, x, y)
+    return _inverse_square_off_axis(p.t, *_simple_zeros(p.t, p.real, p.slopes, p.cplx))
 
 
 def nucleus_zeros(geom, x, y) -> str:
     """How the zeros of psi(x, .) - psi(y, .) are classed, as nucleus_check
     classes them: '2 real simple', 'complex pair', '2 real simple, complex
     pair', ... Refuses what nucleus_check refuses."""
-    real, cplx = _simple_zeros(_psi_difference(geom, x, y)[0])
+    p = _pair(geom, x, y)
+    real, cplx = _simple_zeros(p.t, p.real, p.slopes, p.cplx)
     pairs = cplx.size // 2
     parts = [f"{real.size} real simple"] if real.size else []
     if pairs:
@@ -452,9 +521,8 @@ def kernel_scale(geom, x, y) -> float:
     parabola t(phi) = T(phi / 2), so t'(phi) = T'(phi / 2) / 2. Falls back to
     the maximum slope over the circle when t has no real zero.
     """
-    t, c = _psi_difference(geom, x, y)
-    real, slopes, _ = _real_root_slopes(t)
-    if real.size:
-        return c * float(np.max(slopes))
+    p = _pair(geom, x, y)
+    if p.real.size:
+        return p.c * float(np.max(p.slopes))
     ph = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
-    return c * float(np.max(np.abs(t.derivative().eval(ph))))
+    return p.c * float(np.max(np.abs(p.t.derivative().eval(ph))))

@@ -8,6 +8,7 @@ Nothing is a snapshot of the module under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scipy.integrate import quad
 
 from funkradon import GeometryFamily, TrigPoly, nucleus_check, pv_inverse_square, residue_integral
 from funkradon import trigpoly
-from funkradon.geometry import half_angle_difference, psi_branch
+from funkradon.geometry import half_angle_difference, parse_geometry, psi_branch
 from funkradon.trigpoly import all_real_simple, kernel_scale, roots
 
 TAU = 2 * math.pi
@@ -602,3 +603,152 @@ def test_nucleus_rejects_rotation_equivalent_cormack_pair():
     g = GeometryFamily("cormack", k=2)
     with pytest.raises(ValueError, match="zero"):
         nucleus_check(g, (0.5, 0.0), (-0.5, 0.0))
+
+
+# ------------------------------------------- one analysis per point pair
+
+# The nine kernel-check geometries of CI and the circle.
+PAIR_GEOMETRIES = (
+    "radon",
+    "funk:support=0.8",
+    "hgeodesic:support=0.7",
+    "equidistant:support=0.4",
+    "ellipse:e1=1.2,e2=0.8,support=0.7",
+    "hyperbola:eps=2",
+    "parabola",
+    "cormack:k=2",
+    "cormack:k=3",
+    "ellipse:e1=1,e2=1,support=0.7",
+)
+NUCLEUS_FUNCTIONS = (trigpoly.nucleus_check, trigpoly.nucleus_zeros, trigpoly.kernel_scale)
+
+
+def forget_pair(monkeypatch):
+    monkeypatch.setattr(trigpoly, "_last_pair", None)
+
+
+def count_roots(monkeypatch):
+    calls = []
+    real_roots = trigpoly.roots
+
+    def counted(t):
+        calls.append(t)
+        return real_roots(t)
+
+    monkeypatch.setattr(trigpoly, "roots", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", PAIR_GEOMETRIES)
+def test_nucleus_functions_refuse_a_non_finite_point(spec):
+    g = parse_geometry(spec)
+    base = ((0.2, 0.1), (-0.1, 0.25))
+    cases = [((math.inf, 0.0), (math.inf, 0.0))]
+    for bad in (math.nan, math.inf, -math.inf):
+        for slot in range(2):
+            for coord in range(2):
+                pts = [list(p) for p in base]
+                pts[slot][coord] = bad
+                cases.append(tuple(map(tuple, pts)))
+    for x, y in cases:
+        for fn in NUCLEUS_FUNCTIONS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError, match="finite"):
+                    fn(g, x, y)
+
+
+def test_trigpoly_refuses_non_finite_coefficients():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for a, b in (((math.nan, 1.0), ()), ((1.0,), (0.0, math.inf)), ((1.0, -math.inf), (0.0, 1.0))):
+            with pytest.raises(ValueError, match="finite"):
+                pv_inverse_square(poly(a, b))
+            with pytest.raises(ValueError, match="finite"):
+                residue_integral(poly((1.0,)), poly(a, b))
+        ta, tb = np.ones((4, 2)), np.zeros((4, 2))
+        ta[:, 0] = 3.0
+        ta[2, 1] = math.nan
+        with pytest.raises(ValueError, match="row 2 .*non-finite"):
+            residue_integral(poly((1.0,)), (ta, tb))
+        ta[2, 1], tb[3, 1] = 1.0, math.inf
+        with pytest.raises(ValueError, match="row 3 .*non-finite"):
+            residue_integral((np.ones((4, 1)), np.zeros((4, 1))), (ta, tb))
+        sa, sb = np.ones((4, 2)), np.zeros((4, 2))
+        sa[1, 0], tb[3, 1] = math.nan, 0.0
+        with pytest.raises(ValueError, match="row 1 .*non-finite"):
+            residue_integral((sa, sb), (ta, tb))
+
+
+def test_one_pair_is_solved_once(monkeypatch):
+    forget_pair(monkeypatch)
+    calls = count_roots(monkeypatch)
+    g, x, y = parse_geometry("cormack:k=2"), (0.3, 0.1), (-0.2, 0.4)
+    for fn in NUCLEUS_FUNCTIONS:
+        fn(g, x, y)
+    assert len(calls) == 1
+    assert not trigpoly._pair(g, x, y).real.flags.writeable
+
+
+def test_the_memo_holds_one_pair(monkeypatch):
+    forget_pair(monkeypatch)
+    calls = count_roots(monkeypatch)
+    g, a, b = GeometryFamily("radon"), ((0.3, 0.1), (-0.2, 0.4)), ((0.1, 0.1), (0.5, -0.2))
+    for x, y in (a, b, a):
+        trigpoly.nucleus_check(g, x, y)
+        trigpoly.kernel_scale(g, x, y)
+    assert len(calls) == 3
+
+
+def test_the_memo_is_keyed_by_values_not_by_the_array(monkeypatch):
+    g = parse_geometry("hyperbola:eps=2")
+    x, y = np.array([0.3, 0.1]), np.array([-0.2, 0.4])
+    first = trigpoly.kernel_scale(g, x, y)
+    x[0] = 0.6
+    second = trigpoly.kernel_scale(g, x, y)
+    forget_pair(monkeypatch)
+    assert second == trigpoly.kernel_scale(g, (0.6, 0.1), (-0.2, 0.4)) != first
+
+
+def outcomes(g, x, y, before=lambda: None):
+    """Each nucleus function's answer on the pair, floats by their bits, or
+    the refusal it raised."""
+    out = []
+    for fn in NUCLEUS_FUNCTIONS:
+        before()
+        try:
+            v = fn(g, x, y)
+        except ValueError as exc:
+            v = str(exc)
+        out.append(v.hex() if isinstance(v, float) else v)
+    return out
+
+
+def test_shared_pair_answers_equal_fresh_ones_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(22)
+    for spec in PAIR_GEOMETRIES:
+        g = parse_geometry(spec)
+        rmax = min(g.support_radius, 0.95)
+        r = np.sqrt(rng.uniform(0.05**2, rmax**2, (30, 2)))
+        th = rng.uniform(0.0, TAU, (30, 2))
+        for x, y in np.stack([r * np.cos(th), r * np.sin(th)], axis=-1):
+            forget_pair(monkeypatch)
+            shared = outcomes(g, x, y)
+            fresh = outcomes(g, x, y, before=lambda: forget_pair(monkeypatch))
+            assert shared == fresh, (spec, x, y)
+
+
+def test_distinct_points_agrees_with_allclose_at_the_tolerance_edge():
+    for y in (0.0, 1e-9, 0.37, -0.81, 3.5, -1234.5):
+        edge = 1e-8 + 1e-5 * abs(y)
+        for d in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
+            for sign in (1.0, -1.0):
+                x = y + sign * d
+                for px, py in (((x, 0.2), (y, 0.2)), ((0.2, x), (0.2, y))):
+                    want = not np.allclose(px, py)
+                    assert trigpoly.distinct_points(px, py) is want, (px, py)
+                    assert trigpoly.distinct_points(np.array(px), np.array(py)) == want
+                    if want:
+                        continue
+                    with pytest.raises(ValueError, match="distinct"):
+                        nucleus_check(GeometryFamily("radon"), px, py)
