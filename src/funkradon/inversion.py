@@ -37,7 +37,7 @@ import numpy as np
 
 from . import geometry as geo
 from .fields import Grid, ScalarField
-from .transform import Sinogram, riemann_to_mphi
+from .transform import Sinogram, phi_span, riemann_to_mphi
 
 __all__ = [
     "WindowingError",
@@ -74,7 +74,9 @@ class FilteredSinogram:
 
     The lambda axis may be wider than the input sinogram's: parabola data is
     extended evenly through lambda = 0 before filtering, and radon half-range
-    data is doubled to a full phi range.
+    data is doubled to a full phi range. The phi axis must tile [0, 2pi)
+    uniformly from 0, as a full-range Sinogram's does; any other is refused,
+    since backprojection weights every row by the first step.
     """
 
     geom: geo.GeometryFamily
@@ -96,6 +98,9 @@ class FilteredSinogram:
             raise ValueError("filtered lambda axis must be uniform and ascending")
         if phi.ndim != 1 or phi.size < 2:
             raise ValueError(f"filtered table needs at least two phi rows, got {phi.size}")
+        # backproject weights every row by phi[1] - phi[0] over a full turn
+        if not abs(phi_span(phi) - TAU) < 1e-9:
+            raise ValueError("filtered phi axis must be uniform, start at 0 and tile [0, 2pi)")
         if values.shape != (phi.size, lam.size):
             raise ValueError(
                 f"filtered values of shape {values.shape} do not match the axes ({phi.size}, {lam.size})"

@@ -47,6 +47,7 @@ __all__ = [
     "TracingError",
     "DivergentRowError",
     "default_axes",
+    "phi_span",
     "trace_curve",
     "forward_mphi",
     "forward_riemann",
@@ -70,6 +71,17 @@ class TracingError(RuntimeError):
 class DivergentRowError(ValueError):
     """A row's curve integral diverges at a singular point of the family, so
     the value the quadrature returns is set by where its rays start."""
+
+
+def phi_span(phi: np.ndarray) -> float:
+    """n times the step of a phi axis of n >= 2 nodes that is uniform,
+    ascending and starts at 0 (within 1e-12, and steps equal to rtol 1e-9),
+    or NaN for any other axis. Full-range axes span 2pi and radon's
+    half-range ones pi, each within 1e-9."""
+    dp = np.diff(phi)
+    if abs(phi[0]) > 1e-12 or dp[0] <= 0 or not np.allclose(dp, dp[0], rtol=1e-9, atol=1e-12):
+        return float("nan")
+    return float(dp[0] * phi.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +116,9 @@ class Sinogram:
             raise ValueError("lambda axis must be uniform and ascending")
         if phi.ndim != 1 or phi.size < 2:
             raise ValueError("phi axis needs at least two samples")
-        dp = np.diff(phi)
-        if abs(phi[0]) > 1e-12 or dp[0] <= 0 or not np.allclose(dp, dp[0], rtol=1e-9, atol=1e-12):
+        span = phi_span(phi)
+        if np.isnan(span):
             raise ValueError("phi axis must be uniform starting at 0")
-        span = dp[0] * phi.size
         if not (abs(span - TAU) < 1e-9 or abs(span - np.pi) < 1e-9):
             raise ValueError("phi axis must tile [0, 2pi) or [0, pi)")
         if abs(span - np.pi) < 1e-9 and not self.geom.record.half_range:
@@ -125,8 +136,7 @@ class Sinogram:
 
     @property
     def phi_full(self) -> str:
-        span = (self.phi_axis[1] - self.phi_axis[0]) * self.phi_axis.size
-        return "half" if abs(span - np.pi) < 1e-9 else "full"
+        return "half" if abs(phi_span(self.phi_axis) - np.pi) < 1e-9 else "full"
 
     @property
     def n_lambda(self) -> int:
@@ -168,6 +178,15 @@ def _stretch_map(u):
     return s, ds
 
 
+def _row_sums(vals, w):
+    """Per row i, sum_k vals[i, k] w[k] for one weight per node (w of shape
+    (nodes,)) or sum_k vals[i, k] w[i, k] for a weight per row and node, as
+    one einsum contraction. Not '@' or np.dot: those go to BLAS, which does
+    not promise the same summation order in every process, and forward data
+    must not depend on the worker count."""
+    return np.einsum("ij,j->i" if w.ndim == 1 else "ij,ij->i", vals, w)
+
+
 def _columns(geom, phantom, lam, table, turns, R, mu, rtol, n_start, n_max):
     """Sinogram columns that share one arc table: integrals over all lambda
     rows of the columns whose curves are the table's arcs turned by turns,
@@ -193,13 +212,15 @@ def _columns(geom, phantom, lam, table, turns, R, mu, rtol, n_start, n_max):
     refines, in blocks of at most _TABLE_POINTS nodes; a block's chords are
     measured, and the ray stretch, the first level's half-weight end nodes
     and the m(x) mu(lambda) of arc-length data folded into its weights, once
-    for all columns. A weight that is constant along the arc scales the row
-    sums instead of the nodes. Each column then evaluates the phantom turned
-    by minus its turn plus each of the arc's turns (Phantom.eval's turn) at
-    the block's unturned points, on its own refining rows only, so a
-    column's values do not depend on which columns share its table. A pass
-    checks that its sums are finite once, at its end: NaN and inf carry
-    through the weighted sums.
+    for all columns. A constant weight joins the row factor W, and the nodes
+    of a row sum against a vector of ones; a weight that varies only along
+    the arc is one vector for every row. Either way a row's weighted node
+    sum is one contraction (_row_sums). Each column then evaluates the
+    phantom turned by minus its turn plus each of the arc's turns
+    (Phantom.eval's turn) at the block's unturned points, on its own
+    refining rows only, so a column's values do not depend on which columns
+    share its table. A pass checks that its sums are finite once, at its
+    end: NaN and inf carry through the weighted sums.
     """
     arcs = geo.arcs(geom, lam, table, R)
     feature = phantom.feature_scale
@@ -238,10 +259,15 @@ def _columns(geom, phantom, lam, table, turns, R, mu, rtol, n_start, n_max):
                 elif first:
                     weight = weight * halves
                 # a constant weight (radon 1, circle and ellipse 1/2) joins
-                # the row factor W instead of multiplying every node
+                # the row factor W, and the nodes sum against ones; a weight
+                # that varies along the arc alone is one vector for every row
                 const = np.ndim(weight) == 0
                 fac = arc.W * weight if const else arc.W
-                if not const:
+                if const:
+                    weight = np.ones(B.shape[1])
+                elif np.ndim(weight) == 1 or np.shape(weight)[0] == 1:
+                    weight = np.broadcast_to(weight, B.shape)[0]
+                else:
                     weight = np.broadcast_to(weight, B.shape)
                 if not first and u.size > 1:
                     d = np.diff(P, axis=1)
@@ -260,13 +286,11 @@ def _columns(geom, phantom, lam, table, turns, R, mu, rtol, n_start, n_max):
                         if own.size == 0:
                             continue
                         Q, at = P[own], act[own]
-                        w = weight if const else weight[own]
+                        w = weight if weight.ndim == 1 else weight[own]
                     vals = phantom.eval(Q, arc.turns[0] + turn)
                     for t in arc.turns[1:]:
                         vals += phantom.eval(Q, t + turn)
-                    if not const:
-                        vals *= w
-                    tot[j, at] += fac[at] * vals.sum(axis=1)
+                    tot[j, at] += fac[at] * _row_sums(vals, w)
         # NaN and inf carry through the weighted sums, so one check per pass
         # catches a non-finite value at any node
         if not np.all(np.isfinite(tot)):

@@ -7,8 +7,9 @@ exactly when all zeros are real and simple), and residue summation for
 integrals of s/t when t never vanishes on the real circle.
 
 Root finding and residue sums work on stacks: n polynomials of one order k
-given as (a, b) coefficient arrays of shape (n, k + 1). Their companion
-matrices go to a single batched eigenvalue call, so the root finder and the
+given as (a, b) coefficient arrays of shape (n, k + 1). A stack of order 1 is
+solved in closed form by the quadratic formula; the companion matrices of a
+higher order go to a single batched eigenvalue call. The root finder and the
 residue sum of a single TrigPoly are the one-row case of the stacked ones.
 
 The nucleus functions (nucleus_check, nucleus_zeros, kernel_scale) ask
@@ -214,28 +215,48 @@ def _eval_rows(a, b, phi):
 _EIG_BLOCK = 1 << 12
 
 
+def _order_one_zeros(c) -> np.ndarray:
+    """Both zeros z of c2 z^2 + c1 z + c0 per row of c = (c0, c1, c2), by the
+    cancellation-free quadratic formula: with the sign that adds the two
+    terms, q = -(c1 + sgn sqrt(c1^2 - 4 c2 c0)) / 2, then z = q / c2 and
+    c0 / q. For a real t, c0 = conj(c2), so c2 c0 = |c2|^2 > 0; q = 0 would
+    need c1 = 0 and c1^2 = 4 c2 c0 at once, so neither division fails."""
+    c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+    disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    sgn = np.where((c1.real * disc.real + c1.imag * disc.imag) < 0.0, -1.0, 1.0)
+    q = -0.5 * (c1 + sgn * disc)
+    z = np.empty((c.shape[0], 2), dtype=complex)
+    np.divide(q, c2, out=z[:, 0])
+    np.divide(c0, q, out=z[:, 1])
+    return z
+
+
 def _stacked_roots(a, b) -> np.ndarray:
     """All 2k zeros of every row of a stack of order k >= 1, shape (n, 2k),
     as phi in [0, 2pi) + i tau, each row sorted by real then imaginary part.
 
     Substituting z = exp(i phi) turns z^k t into an algebraic polynomial of
     degree 2k; its roots map back through phi = -i log z, so |z| < 1
-    corresponds to the upper half of the cylinder. Each row's companion
-    matrix is the one numpy's polyroots builds, and all of them go to
-    one batched eigenvalue call per block of rows.
+    corresponds to the upper half of the cylinder. A stack of order 1 is a
+    stack of quadratics, solved in closed form (_order_one_zeros). Higher
+    orders build each row's companion matrix as numpy's polyroots does and
+    send all of them to one batched eigenvalue call per block of rows.
     """
     c = _exp_coeffs(a, b)
     n, deg = c.shape[0], c.shape[1] - 1
     lead = c[:, -1:]
     if np.any(lead == 0):
         raise ValueError("every row of a stack needs a nonzero leading harmonic")
-    z = np.empty((n, deg), dtype=complex)
-    for i0 in range(0, n, _EIG_BLOCK):
-        rows = slice(i0, i0 + _EIG_BLOCK)
-        comp = np.zeros((c[rows].shape[0], deg, deg), dtype=complex)
-        comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-        comp[:, :, -1] -= c[rows, :-1] / lead[rows]
-        z[rows] = np.sort(np.linalg.eigvals(comp), axis=-1)
+    if deg == 2:
+        z = _order_one_zeros(c)
+    else:
+        z = np.empty((n, deg), dtype=complex)
+        for i0 in range(0, n, _EIG_BLOCK):
+            rows = slice(i0, i0 + _EIG_BLOCK)
+            comp = np.zeros((c[rows].shape[0], deg, deg), dtype=complex)
+            comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+            comp[:, :, -1] -= c[rows, :-1] / lead[rows]
+            z[rows] = np.sort(np.linalg.eigvals(comp), axis=-1)
     phi = np.angle(z) - 1j * np.log(np.abs(z))
     phi = np.where(phi.real < 0, phi + 2 * np.pi, phi)
     order = np.lexsort((phi.imag, phi.real), axis=-1)
@@ -271,11 +292,12 @@ def _real_mask(a, b, rts: np.ndarray) -> np.ndarray:
 def _real_root_slopes(t: TrigPoly):
     """(real roots, |t'| there, complex roots) of t."""
     rts = roots(t)
-    real_mask = _real_mask(*_coeff_stack(t), rts[None, :])[0]
+    a, b = _coeff_stack(t)
+    real_mask = _real_mask(a, b, rts[None, :])[0]
     real = rts.real[real_mask]
-    cplx = rts[~real_mask]
-    slopes = np.abs(t.derivative().eval(real)) if real.size else np.zeros(0)
-    return real, slopes, cplx
+    # t' has the coefficients (m b_m, -m a_m)
+    m = np.arange(a.shape[1])
+    return real, np.abs(_eval_rows(m * b, -m * a, real[None, :])[0]), rts[~real_mask]
 
 
 def _regularized_terms(u2, v2):
@@ -288,28 +310,31 @@ def _regularized_terms(u2, v2):
     return terms
 
 
-def _midpoint_values(t: TrigPoly, n: int):
-    # t at phi_k = (k + 1/2) 2pi/n, k = 0..n-1, in extended precision, yielded
-    # in consecutive blocks of at most 2**16 nodes so memory stays flat. With
-    # B = isqrt(n), node k = i B + j sits at anchor A_i = i B step plus offset
-    # O_j = (j + 1/2) step, and each harmonic follows from the addition formula
+def _midpoint_values(a, b, n: int):
+    # Every row of the stack (a, b), shape (r, k + 1), at the nodes
+    # phi_k = (k + 1/2) 2pi/n, k = 0..n-1, in extended precision, yielded as
+    # (r, nodes) arrays of consecutive blocks of at most 2**16 nodes so
+    # memory stays flat. With B = isqrt(n), node k = i B + j sits at anchor
+    # A_i = i B step plus offset O_j = (j + 1/2) step, and each harmonic
+    # follows from the addition formula
     #   a cos m(A+O) + b sin m(A+O) = p_i cos mO_j + q_i sin mO_j,
     #   p_i = a cos mA_i + b sin mA_i,  q_i = b cos mA_i - a sin mA_i,
     # so a grid costs about 2 sqrt(n) extended-precision cos/sin per
-    # harmonic instead of n of each.
+    # harmonic, shared by all rows, instead of n of each per row.
     step = np.longdouble(2 * np.pi) / n
     width = max(1, math.isqrt(n))
     off = (np.arange(width) + np.longdouble(0.5)) * step
-    harmonics = [(m, t.a[m], t.b[m], np.cos(m * off), np.sin(m * off)) for m in range(1, len(t.a))]
+    harmonics = [(m, a[:, m, None], b[:, m, None], np.cos(m * off), np.sin(m * off)) for m in range(1, a.shape[1])]
     n_rows = -(-n // width)
     block = max(1, (1 << 16) // width)
     for i0 in range(0, n_rows, block):
         anchor = np.arange(i0, min(i0 + block, n_rows)) * (width * step)
-        tv = np.full((anchor.size, width), np.longdouble(t.a[0]))
-        for m, a, b, cos_off, sin_off in harmonics:
+        tv = np.empty((a.shape[0], anchor.size, width), dtype=np.longdouble)
+        tv[...] = a[:, 0, None, None]
+        for m, am, bm, cos_off, sin_off in harmonics:
             ca, sa = np.cos(m * anchor), np.sin(m * anchor)
-            tv += np.outer(a * ca + b * sa, cos_off) + np.outer(b * ca - a * sa, sin_off)
-        yield tv.ravel()[: n - i0 * width]
+            tv += (am * ca + bm * sa)[..., None] * cos_off + (bm * ca - am * sa)[..., None] * sin_off
+        yield tv.reshape(a.shape[0], -1)[:, : n - i0 * width]
 
 
 def pv_inverse_square(t: TrigPoly) -> float:
@@ -327,9 +352,10 @@ def pv_inverse_square(t: TrigPoly) -> float:
     It is returned as Re of the integral of 1/t^2 along a line Im phi = h
     above the real zeros and below the complex ones (see
     _inverse_square_off_axis), which stays accurate when complex zeros are
-    close to one another or repeated. A line that needs a grid of more than
-    6 000 000 nodes is refused with ValueError, before any value of t on it
-    is made.
+    close to one another or repeated. The real and imaginary parts of t on
+    the line share one pass over its midpoint grid. A line that needs a grid
+    of more than 6 000 000 nodes is refused with ValueError, before any value
+    of t on it is made.
     """
     return _inverse_square_off_axis(t, *_simple_zeros(t, *_real_root_slopes(t)))
 
@@ -363,12 +389,15 @@ def _inverse_square_off_axis(t: TrigPoly, real: np.ndarray, cplx: np.ndarray) ->
     n = int(44.0 / min(max(d - h, 1e-9), 1.0)) + 128
     if n > _PV_GRID_CAP:
         raise ValueError(f"the limit off the real axis needs a {n}-node grid, above the cap of {_PV_GRID_CAP} nodes")
+    a, b = _coeff_stack(t)
     m = np.arange(t.order + 1)
     ch, sh = np.cosh(m * h), np.sinh(m * h)
-    u = TrigPoly(tuple(np.multiply(t.a, ch)), tuple(np.multiply(t.b, ch)))
-    v = TrigPoly(tuple(np.multiply(t.b, sh)), tuple(-np.multiply(t.a, sh)))
+    # u = (a cosh mh, b cosh mh) and v = (b sinh mh, -a sinh mh) as one
+    # two-row stack, so both rows share every anchor's cos and sin
+    uv_a = np.concatenate([a * ch, b * sh])
+    uv_b = np.concatenate([b * ch, -(a * sh)])
     total = np.longdouble(0.0)
-    for uv, vv in zip(_midpoint_values(u, n), _midpoint_values(v, n)):
+    for uv, vv in _midpoint_values(uv_a, uv_b, n):
         total += np.sum(_regularized_terms(np.square(uv, out=uv), np.square(vv, out=vv)))
     return float(total / n * (2 * np.pi))
 
@@ -389,9 +418,9 @@ def residue_integral(s, t):
     polynomials as (a, b) coefficient arrays of shape (n, k + 1), giving n
     integrals at once (a TrigPoly s applies to every row of t). The rows of
     a stacked t share the order k and need a nonzero leading harmonic; all
-    their roots come from one batched eigenvalue call. A stack with a
-    non-finite coefficient is refused with ValueError naming its first bad
-    row.
+    their roots come from one closed-form solve (order 1) or one batched
+    eigenvalue call (higher orders). A stack with a non-finite coefficient is
+    refused with ValueError naming its first bad row.
     """
     sa, sb = _coeff_stack(s)
     ta, tb = _coeff_stack(t)

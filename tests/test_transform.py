@@ -27,12 +27,13 @@ from funkradon import (
     trace_curve,
     write_fkr1,
 )
-from funkradon import geometry
+from funkradon import geometry, transform
 from funkradon.acceptance import _round_trips
 from funkradon.geometry import descriptor, lambda_of
 from funkradon.phantom import Disc, Gaussian, parse_phantom
 from funkradon.transform import (
     _TABLE_POINTS,
+    _row_sums,
     _stretch_map,
     _working_radius,
     default_axes,
@@ -621,6 +622,43 @@ def test_forward_maps_each_arc_once_per_level_for_all_columns(monkeypatch):
     sizes.clear()
     forward_mphi(ph, RADON, lam, phi, rtol=0.0, n_max=8192)
     assert max(sizes) <= _TABLE_POINTS < sum(sizes)
+
+
+def test_row_sums_equal_multiply_then_sum_for_every_weight_shape():
+    # a constant weight sums against ones, a per-node weight is one vector,
+    # and a per-row-and-node weight pairs with the values node by node; the
+    # contraction may order its sum differently, but by no more than
+    # summation roundoff
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=(37, 129))
+    for w in (
+        np.ones(129),
+        rng.uniform(0.5, 2.0, 129),
+        rng.uniform(0.5, 2.0, (37, 129)),
+        np.broadcast_to(rng.uniform(0.5, 2.0, (37, 1)), (37, 129)),
+    ):
+        want = (vals * w).sum(axis=1)
+        bound = 129 * np.finfo(float).eps * np.abs(vals * w).sum(axis=1)
+        assert np.all(np.abs(_row_sums(vals, w) - want) <= bound)
+
+
+def test_forward_row_sums_see_all_three_weight_shapes(monkeypatch):
+    # radon's weight is constant (ones after the first level, whose end nodes
+    # count half: a per-node vector); funk's varies per row and node
+    seen = set()
+
+    def recorded(vals, w):
+        seen.add("ones" if w.ndim == 1 and np.all(w == 1.0) else f"{w.ndim}-d")
+        return row_sums(vals, w)
+
+    row_sums = transform._row_sums
+    monkeypatch.setattr(transform, "_row_sums", recorded)
+    ph = parse_phantom("gauss:0.05,0.03,0.105,1")
+    forward_mphi(ph, RADON, *default_axes(RADON, 17, 4), **FIXED)
+    assert seen == {"ones", "1-d"}
+    seen.clear()
+    forward_mphi(ph, FUNK, *default_axes(FUNK, 17, 4), **FIXED)
+    assert seen == {"2-d"}
 
 
 def test_forward_with_zero_rtol_runs_every_row_to_n_max(monkeypatch):

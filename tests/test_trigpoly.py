@@ -138,6 +138,89 @@ def test_roots_properties_random():
     assert roots(poly((5.0,))).shape == (0,)
 
 
+def eigvals_roots(a, b):
+    """Zeros of a stack of order-one rows from np.linalg.eigvals of each
+    row's 2 x 2 companion matrix for c2 z^2 + c1 z + c0, as phi in
+    [0, 2pi) + i tau."""
+    c0, c2 = 0.5 * (a[:, 1] + 1j * b[:, 1]), 0.5 * (a[:, 1] - 1j * b[:, 1])
+    comp = np.zeros((a.shape[0], 2, 2), dtype=complex)
+    comp[:, 1, 0] = 1.0
+    comp[:, 0, 1] = -c0 / c2
+    comp[:, 1, 1] = -a[:, 0] / c2
+    z = np.linalg.eigvals(comp)
+    phi = np.angle(z) - 1j * np.log(np.abs(z))
+    return np.where(phi.real < 0, phi + TAU, phi)
+
+
+def refuses_repeated(t, rts):
+    """Whether pv_inverse_square's rules refuse t, given its zeros rts."""
+    a, b = trigpoly._coeff_stack(t)
+    real_mask = trigpoly._real_mask(a, b, rts[None, :])[0]
+    real = rts.real[real_mask]
+    try:
+        trigpoly._simple_zeros(t, real, np.abs(t.derivative().eval(real)), rts[~real_mask])
+    except ValueError:
+        return True
+    return False
+
+
+def test_order_one_closed_form_zeros_match_the_companion_eigenvalues():
+    # random rows, complex pairs (|a0| > R = |a1 + i b1|), rows a hair either
+    # side of a double zero (|a0| = R (1 +- 1e-12): zeros ~1.4e-6 apart, real
+    # or complex) and exact double zeros R (1 + cos(phi - u)), which the
+    # eigenvalue call splits by roundoff
+    rng = np.random.default_rng(23)
+    n = 60
+    a, b = rng.normal(size=(4 * n, 2)), rng.normal(size=(4 * n, 2))
+    b[:, 0] = 0.0
+    R = np.hypot(a[:, 1], b[:, 1])
+    sign = np.where(rng.uniform(size=4 * n) < 0.5, -1.0, 1.0)
+    a[n : 2 * n, 0] = sign[n : 2 * n] * R[n : 2 * n] * rng.uniform(1.1, 3.0, n)
+    a[2 * n : 3 * n, 0] = sign[2 * n : 3 * n] * R[2 * n : 3 * n] * (1.0 + np.resize([1e-12, -1e-12], n))
+    u = rng.uniform(0.0, TAU, n)
+    a[3 * n :] = np.stack([np.ones(n), np.cos(u)], axis=1) * R[3 * n :, None]
+    b[3 * n :, 1] = R[3 * n :] * np.sin(u)
+    a = np.concatenate([a, [[1.0, 1.0], [1.0, -1.0]]])  # 1 + cos and 1 - cos
+    b = np.concatenate([b, np.zeros((2, 2))])
+
+    got = trigpoly._stacked_roots(a, b)
+    want = eigvals_roots(a, b)
+    assert got.shape == want.shape == (a.shape[0], 2)
+    assert np.all((0.0 <= got.real) & (got.real < TAU))
+    assert np.all(np.lexsort((got.imag, got.real), axis=-1) == [0, 1])
+    # the same zeros, matched on the unit circle of z = exp(i phi)
+    zg, zw = np.exp(1j * got), np.exp(1j * want)
+    gap = np.minimum(
+        np.max(np.abs(zg - zw), axis=1), np.max(np.abs(zg - zw[:, ::-1]), axis=1)
+    )
+    double = np.zeros(a.shape[0], dtype=bool)
+    double[3 * n :] = True
+    assert np.max(gap[: 2 * n]) <= 1e-13
+    assert np.max(gap[2 * n : 3 * n]) <= 1e-9
+    assert np.max(gap[double]) <= 1e-6
+    # the same real/complex split and the same refusals
+    split_got = trigpoly._real_mask(a, b, got).sum(axis=1)
+    split_want = trigpoly._real_mask(a, b, want).sum(axis=1)
+    assert split_got.tolist() == split_want.tolist()
+    assert set(split_got[n : 2 * n]) == {0} and set(split_got[double]) == {2}
+    assert set(split_got[2 * n : 3 * n]) == {0, 2}
+    for i in range(a.shape[0]):
+        t = poly(a[i], b[i])
+        assert refuses_repeated(t, got[i]) == refuses_repeated(t, want[i]) == double[i], i
+    # far complex pairs, where the other sign of the square root would
+    # cancel: a0 + R cos(phi - u) vanishes at u + pi (u for a0 < 0) plus or
+    # minus i acosh(|a0| / R)
+    R, u = 0.7, 2.0
+    for ratio in (1e2, 1e4, 1e6, -1e2, -1e4, -1e6):
+        got = trigpoly._stacked_roots(np.array([[ratio * R, R * math.cos(u)]]), np.array([[0.0, R * math.sin(u)]]))[0]
+        tau = math.acosh(abs(ratio))
+        assert_allclose(got.real, u + math.pi * (ratio > 0), rtol=0, atol=1e-13)
+        assert_allclose(got.imag, [-tau, tau], rtol=1e-14)
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="nonzero leading harmonic"):
+            trigpoly._stacked_roots(np.array([[1.0] + [0.5] * (k - 1) + [0.0]]), np.zeros((1, k + 1)))
+
+
 # ------------------------------------------------------------ real/simple
 
 def test_all_real_simple_examples():
@@ -291,21 +374,23 @@ LD_EPS = float(np.finfo(np.longdouble).eps)
 # also on a partial block of rows
 @pytest.mark.parametrize("n", [1, 2, 7, 128, 4099, 65537, 300007])
 def test_midpoint_values_match_per_node_evaluation(n):
-    # the angle-addition grid against t summed node by node in extended
-    # precision at phi_k = (k + 1/2) 2pi/n
+    # the angle-addition grid against each row summed node by node in
+    # extended precision at phi_k = (k + 1/2) 2pi/n; two rows per stack, as
+    # the line integral sends u and v
     rng = np.random.default_rng(n)
     ph = (np.arange(n) + np.longdouble(0.5)) * (np.longdouble(TAU) / n)
     for order in (1, 2, 3):
-        t = poly(rng.normal(size=order + 1), rng.normal(size=order + 1))
-        direct = np.full(n, np.longdouble(t.a[0]))
-        for m in range(1, order + 1):
-            direct += t.a[m] * np.cos(m * ph) + t.b[m] * np.sin(m * ph)
-        blocks = list(trigpoly._midpoint_values(t, n))
-        assert all(b.dtype == np.longdouble and 0 < b.size <= 1 << 16 for b in blocks)
-        grid = np.concatenate(blocks)
-        assert grid.shape == (n,)
-        bound = 32 * LD_EPS * sum(map(abs, t.a + t.b))
-        assert float(np.max(np.abs(grid - direct))) <= bound
+        a, b = rng.normal(size=(2, order + 1)), rng.normal(size=(2, order + 1))
+        blocks = list(trigpoly._midpoint_values(a, b, n))
+        assert all(bl.dtype == np.longdouble and bl.shape[0] == 2 and 0 < bl.shape[1] <= 1 << 16 for bl in blocks)
+        grid = np.concatenate(blocks, axis=1)
+        assert grid.shape == (2, n)
+        for row in range(2):
+            direct = np.full(n, np.longdouble(a[row, 0]))
+            for m in range(1, order + 1):
+                direct += a[row, m] * np.cos(m * ph) + b[row, m] * np.sin(m * ph)
+            bound = 32 * LD_EPS * (np.abs(a[row]).sum() + np.abs(b[row, 1:]).sum())
+            assert float(np.max(np.abs(grid[row] - direct))) <= bound
 
 
 def separated_real_zero_poly(rng, order):
@@ -385,17 +470,17 @@ def test_pv_matches_the_eps_ladder_on_random_t(order, pair):
 def test_pv_runs_one_short_line_when_every_zero_is_real(order, monkeypatch):
     # with no complex zero the line sits at Im phi = 1/2, half a unit above
     # the real poles, and 44 / (1/2) + 128 = 216 midpoint nodes resolve it
-    sizes = []
+    passes = []
 
-    def counted(t, n):
-        sizes.append(n)
-        return real_values(t, n)
+    def counted(a, b, n):
+        passes.append((a.shape[0], n))
+        return real_values(a, b, n)
 
     real_values = trigpoly._midpoint_values
     monkeypatch.setattr(trigpoly, "_midpoint_values", counted)
     t = separated_real_zero_poly(np.random.default_rng(70 + order), order)
     pv_inverse_square(t)
-    assert sizes == [216, 216]  # u and v, the real and imaginary parts of t on the line
+    assert passes == [(2, 216)]  # one pass carrying u and v, the real and imaginary parts of t on the line
 
 
 # --------------------------------------------------- residues of s / t
@@ -724,18 +809,79 @@ def outcomes(g, x, y, before=lambda: None):
     return out
 
 
-def test_shared_pair_answers_equal_fresh_ones_bit_for_bit(monkeypatch):
-    rng = np.random.default_rng(22)
+def drawn_pairs(seed, count=30):
+    """(geometry, x, y): ``count`` point pairs per geometry of
+    PAIR_GEOMETRIES, drawn uniformly on the disc 0.05 < |x| < min(support,
+    0.95)."""
+    rng = np.random.default_rng(seed)
     for spec in PAIR_GEOMETRIES:
         g = parse_geometry(spec)
         rmax = min(g.support_radius, 0.95)
-        r = np.sqrt(rng.uniform(0.05**2, rmax**2, (30, 2)))
-        th = rng.uniform(0.0, TAU, (30, 2))
+        r = np.sqrt(rng.uniform(0.05**2, rmax**2, (count, 2)))
+        th = rng.uniform(0.0, TAU, (count, 2))
         for x, y in np.stack([r * np.cos(th), r * np.sin(th)], axis=-1):
-            forget_pair(monkeypatch)
-            shared = outcomes(g, x, y)
-            fresh = outcomes(g, x, y, before=lambda: forget_pair(monkeypatch))
-            assert shared == fresh, (spec, x, y)
+            yield g, x, y
+
+
+def test_shared_pair_answers_equal_fresh_ones_bit_for_bit(monkeypatch):
+    for g, x, y in drawn_pairs(22):
+        forget_pair(monkeypatch)
+        shared = outcomes(g, x, y)
+        fresh = outcomes(g, x, y, before=lambda: forget_pair(monkeypatch))
+        assert shared == fresh, (g, x, y)
+
+
+def one_row_grid(a, b, n):
+    """One trig polynomial (a, b) on the midpoint grid of n nodes, alone, in
+    the extended-precision anchor-and-offset arithmetic of _midpoint_values
+    and its blocks of at most 2**16 nodes."""
+    step = np.longdouble(2 * np.pi) / n
+    width = max(1, math.isqrt(n))
+    off = (np.arange(width) + np.longdouble(0.5)) * step
+    n_rows = -(-n // width)
+    block = max(1, (1 << 16) // width)
+    for i0 in range(0, n_rows, block):
+        anchor = np.arange(i0, min(i0 + block, n_rows)) * (width * step)
+        tv = np.full((anchor.size, width), np.longdouble(a[0]))
+        for m in range(1, a.size):
+            ca, sa = np.cos(m * anchor), np.sin(m * anchor)
+            tv += np.outer(a[m] * ca + b[m] * sa, np.cos(m * off)) + np.outer(b[m] * ca - a[m] * sa, np.sin(m * off))
+        yield tv.ravel()[: n - i0 * width]
+
+
+def two_pass_limit(t, real, cplx):
+    """pv_inverse_square's line integral with u and v each on a grid pass of
+    its own: the line and grid of _inverse_square_off_axis, summed block by
+    block in extended precision."""
+    d = float(np.min(np.abs(cplx.imag))) if cplx.size else 1.0
+    h = d / 2 if real.size else 0.0
+    n = int(44.0 / min(max(d - h, 1e-9), 1.0)) + 128
+    a, b = np.array(t.a), np.array(t.b)
+    m = np.arange(a.size)
+    ch, sh = np.cosh(m * h), np.sinh(m * h)
+    total = np.longdouble(0.0)
+    for u, v in zip(one_row_grid(a * ch, b * ch, n), one_row_grid(b * sh, -(a * sh), n)):
+        u2, v2 = u * u, v * v
+        total += np.sum((u2 - v2) / ((u2 + v2) * (u2 + v2)))
+    return float(total / n * (2 * np.pi))
+
+
+def test_one_pass_nucleus_equals_two_passes_bit_for_bit():
+    # every pair's t, with its real zeros or its complex pair, and products
+    # of orders 2 to 4 whose grids run to several blocks
+    checked = 0
+    for g, x, y in drawn_pairs(23):
+        p = trigpoly._pair(g, x, y)
+        want = two_pass_limit(p.t, *trigpoly._simple_zeros(p.t, p.real, p.slopes, p.cplx))
+        assert nucleus_check(g, x, y).hex() == want.hex(), (g, x, y)
+        checked += 1
+    assert checked == 300
+    for t in (
+        COS * poly((1.0 + 1e-7, 1.0)),
+        poly((2.0, 1.0)) * poly((2.0 + 1e-3, 1.0)),
+        COS * poly((0.3, 1.0), (0.0, 0.4)) * poly((1.5, 0.2, -0.7), (0.0, 0.5, 0.1)),
+    ):
+        assert pv_inverse_square(t).hex() == two_pass_limit(t, *trigpoly._real_root_slopes(t)[::2]).hex()
 
 
 def test_distinct_points_agrees_with_allclose_at_the_tolerance_edge():
