@@ -6,14 +6,15 @@ the F64GRID text format (exact float round trip via repr) and can be dumped
 as a binary PGM preview for quick viewing.
 
 The numeric body of both text formats (F64GRID here, FKR1 sinograms in
-transform.py) is written by format_rows and read back by read_rows, which
-parse in bulk and refuse non-finite numbers, as header_floats does for the
-numbers of a header line.
+transform.py) is written a row at a time by write_rows and read in chunks from
+the open file by read_rows, which refuses non-finite numbers as header_floats
+does in a header; header_count refuses any count but a positive integer.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,17 +95,20 @@ class ScalarField:
         return float(np.max(np.abs(self.values - other.values)))
 
 
-def format_rows(data) -> str:
-    """Lines of repr-formatted values, one per row of the 2-D array ``data``.
+def write_rows(path, head: str, data) -> None:
+    """Write the text ``head``, then one line of repr-formatted values per
+    row of the 2-D array ``data``, to the file ``path``.
 
     repr is the shortest text that parses back to the same double, so a
     written body reads back bit for bit. Non-finite values are refused with
-    ValueError, as read_rows would refuse them.
+    ValueError before the file is opened, as read_rows would refuse them.
     """
     data = np.asarray(data, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ValueError("refusing to write non-finite values")
-    return "\n".join(" ".join(map(repr, row)) for row in data.tolist())
+    with open(path, "w") as f:
+        f.write(head)
+        f.writelines(" ".join(map(repr, row.tolist())) + "\n" for row in data)
 
 
 def _refuse_non_finite(path, values: np.ndarray, place: str) -> None:
@@ -126,24 +130,36 @@ def header_floats(path, tokens) -> list:
     return values.tolist()
 
 
-def read_rows(path, lines, n_rows: int, n_cols: int) -> np.ndarray:
-    """The (n_rows, n_cols) body written by format_rows, from its text
-    ``lines`` (blank lines skipped), parsed in bulk.
+def header_count(path, token: str, field: str) -> int:
+    """The header count ``token`` of ``field``; anything but a positive
+    integer is refused with ValueError naming the file and the field."""
+    if not (token.isascii() and token.isdigit() and int(token) > 0):
+        raise ValueError(f"{path}: {field} must be a positive integer, got {token!r}")
+    return int(token)
+
+
+def read_rows(path, f, n_rows: int, n_cols: int) -> np.ndarray:
+    """The (n_rows, n_cols) body written by write_rows, read from the open
+    text file ``f`` at its first row (blank lines skipped) by numpy's reader.
 
     A wrong row count or row length, a malformed number and a non-finite
-    number are each refused with ValueError naming the file and the row.
+    number are each refused with ValueError naming the file and the row;
+    a second pass over the body finds the row to name.
     """
-    body = [ln for ln in lines if ln.strip()]
-    if len(body) != n_rows:
-        raise ValueError(f"{path}: expected {n_rows} data rows, found {len(body)}")
+    start = f.tell()
     try:
-        values = np.loadtxt(body, dtype=float, comments=None, ndmin=2) if body else np.empty((0, n_cols))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body, refused below by its row count
+            values = np.loadtxt(f, dtype=float, comments=None, ndmin=2)
     except ValueError:
         values = None
     if values is None or values.shape != (n_rows, n_cols):
-        # find the first offending row for the message
-        for j, ln in enumerate(body):
-            row = ln.split()
+        f.seek(start)
+        found = sum(1 for ln in f if ln.strip())
+        if found != n_rows:
+            raise ValueError(f"{path}: expected {n_rows} data rows, found {found}")
+        f.seek(start)
+        for j, row in enumerate(r for r in map(str.split, f) if r):
             if len(row) != n_cols:
                 raise ValueError(f"{path}: row {j} has {len(row)} values, expected {n_cols}")
             try:
@@ -161,21 +177,21 @@ def write_f64grid(path, field: ScalarField) -> None:
     Values are serialized with repr so the round trip is bit-identical.
     """
     g = field.grid
-    head = f"F64GRID {g.nx} {g.ny} {float(g.x0)!r} {float(g.y0)!r} {float(g.h)!r}"
-    Path(path).write_text(head + "\n" + format_rows(field.values.T) + "\n")
+    head = f"F64GRID {g.nx} {g.ny} {float(g.x0)!r} {float(g.y0)!r} {float(g.h)!r}\n"
+    write_rows(path, head, field.values.T)
 
 
 def read_f64grid(path) -> ScalarField:
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("F64GRID"):
-        raise ValueError(f"{path}: not an F64GRID file")
-    head = lines[0].split()
-    if len(head) != 6:
-        raise ValueError(f"{path}: malformed F64GRID header")
-    nx, ny = int(head[1]), int(head[2])
-    grid = Grid(nx, ny, *header_floats(path, head[3:]))
-    values = read_rows(path, lines[1:], ny, nx)
+    with open(path) as f:
+        line = next((ln for ln in iter(f.readline, "") if ln.strip()), "")
+        if not line.startswith("F64GRID"):
+            raise ValueError(f"{path}: not an F64GRID file")
+        head = line.split()
+        if len(head) != 6:
+            raise ValueError(f"{path}: malformed F64GRID header")
+        nx, ny = header_count(path, head[1], "nx"), header_count(path, head[2], "ny")
+        grid = Grid(nx, ny, *header_floats(path, head[3:]))
+        values = read_rows(path, f, ny, nx)
     return ScalarField(grid, np.ascontiguousarray(values.T))
 
 

@@ -611,10 +611,11 @@ def _radon():
     """Straight lines <x, e(phi)> = lambda."""
 
     def sharp_disc_data(g, disc, lam, phi):
-        # exact chords of an indicator disc over the (phi, lambda) lattice
-        dist = np.cos(phi)[:, None] * disc.center[0] + np.sin(phi)[:, None] * disc.center[1] - lam[None, :]
-        chord = 2.0 * np.sqrt(np.maximum(disc.radius**2 - dist * dist, 0.0))
-        return disc.amplitude * chord
+        # exact chords of an indicator disc over the (phi, lambda) lattice, in place
+        out = np.subtract((np.cos(phi) * disc.center[0] + np.sin(phi) * disc.center[1])[:, None], lam)
+        np.subtract(disc.radius**2, np.multiply(out, out, out=out), out=out)
+        np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+        return np.multiply(disc.amplitude, np.multiply(2.0, out, out=out), out=out)
 
     return _Family(
         harmonics=lambda g, x1, x2: Harmonics(x1, x2),
@@ -740,16 +741,18 @@ def _ellipse():
 
     def sharp_disc_data(g, disc, lam, phi):
         # |grad psi| = 2 sqrt(lambda) is constant on each circle, so the mphi
-        # value is the angular measure of the part inside the disc
-        rc = np.sqrt(np.maximum(lam[None, :], 0.0)) + np.zeros((phi.size, 1))
-        cx = g.e1 * np.cos(phi)[:, None] - disc.center[0]
-        cy = g.e2 * np.sin(phi)[:, None] - disc.center[1]
-        d = np.hypot(cx, cy) + np.zeros_like(rc)
+        # value is the angular measure of the part inside the disc, formed in
+        # place from the circle radii rc (a row) and centre distances d (a column)
+        rc = np.sqrt(np.maximum(lam, 0.0))[None, :]
+        d = np.hypot(g.e1 * np.cos(phi) - disc.center[0], g.e2 * np.sin(phi) - disc.center[1])[:, None]
+        out = np.add(d * d, rc * rc)
+        out -= disc.radius**2
         with np.errstate(divide="ignore", invalid="ignore"):
-            cu = (d * d + rc * rc - disc.radius**2) / (2.0 * d * rc)
-        cu = np.where(np.isfinite(cu), cu, np.where(d + rc <= disc.radius, -1.0, 1.0))
-        gamma = np.arccos(np.clip(cu, -1.0, 1.0))
-        return disc.amplitude * gamma
+            out /= 2.0 * d * rc
+        # d = 0 or rc = 0: the circle lies wholly inside or wholly outside
+        bad = np.nonzero(~np.isfinite(out))
+        out[bad] = np.where(d[bad[0], 0] + rc[0, bad[1]] <= disc.radius, -1.0, 1.0)
+        return np.multiply(disc.amplitude, np.arccos(np.clip(out, -1.0, 1.0, out=out), out=out), out=out)
 
     half_axis = "positive half-axes e1 and e2"
     return _Family(

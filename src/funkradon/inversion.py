@@ -155,7 +155,9 @@ def _fp_rows(g: np.ndarray, lam: np.ndarray) -> np.ndarray:
     zero-padded to a fast length of at least 2m - 1 (O(m log m) per row, rows
     in blocks). The subtracted weight sum_{k != i} w_k / (h (k - i)) is
     H(m - 1 - i) - H(i) with harmonic numbers H, corrected for the two
-    half-weight end nodes.
+    half-weight end nodes. Each block's spectrum is multiplied in place and
+    its terms are summed straight into its rows of the output, so the
+    filter holds a few MB of block buffers beside the output at any size.
     """
     m = lam.size
     h = lam[1] - lam[0]
@@ -178,14 +180,19 @@ def _fp_rows(g: np.ndarray, lam: np.ndarray) -> np.ndarray:
     G = np.empty(g.shape)
     for r0 in range(0, g.shape[0], _FILTER_BLOCK):
         rows = slice(r0, r0 + _FILTER_BLOCK)
+        Gb = G[rows]
         gp = np.gradient(g[rows], h, axis=1, edge_order=2)
-        gpp = np.gradient(gp, h, axis=1, edge_order=2)
-        conv = np.fft.irfft(np.fft.rfft(gp * w, n_fft) * kern_hat, n_fft)[:, :m]
-        Gb = conv - gp * csum + gpp * w + gp * L
+        spec = np.fft.rfft(gp * w, n_fft)
+        spec *= kern_hat
+        np.multiply(gp, csum, out=Gb)
+        np.subtract(np.fft.irfft(spec, n_fft)[:, :m], Gb, out=Gb)
+        del spec
+        Gb += np.gradient(gp, h, axis=1, edge_order=2) * w
+        Gb += gp * L
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = g[rows, :1] / (lam[0] - lam) - g[rows, -1:] / (lam[-1] - lam)
         bound[:, 0] = bound[:, -1] = 0.0
-        G[rows] = Gb + bound
+        Gb += bound
     return G
 
 
@@ -225,7 +232,7 @@ def pv_filter(sino: Sinogram) -> FilteredSinogram:
         lam = np.concatenate([-lam[:0:-1], lam])
         g = np.concatenate([g[:, :0:-1], g], axis=1)
 
-    peak = float(np.max(np.abs(g)))
+    peak = max(float(g.max()), -float(g.min()))
     if peak > 0.0:
         for side, col in (("lower", g[:, 0]), ("upper", g[:, -1])):
             worst = float(np.max(np.abs(col)))
@@ -238,18 +245,15 @@ def pv_filter(sino: Sinogram) -> FilteredSinogram:
     return FilteredSinogram(geom, lam, phi, _fp_rows(g, lam))
 
 
-def _cubic_table(rows: np.ndarray) -> np.ndarray:
-    """Power-form coefficients of the 4-point Lagrange cubic on every stencil
-    of each filtered row: c[r, :, i] holds (c0, c1, c2, c3) of the cubic
-    through rows[r, i : i + 4], in the offset s from node i + 1 (s in
-    [-1, 2])."""
+def _cubic_table(rows: np.ndarray, c: np.ndarray) -> None:
+    """Fill c[r, :, i], for each filtered row r, with the power-form
+    coefficients (c0, c1, c2, c3) of the 4-point Lagrange cubic through
+    rows[r, i : i + 4], in the offset s from node i + 1 (s in [-1, 2])."""
     v0, v1, v2, v3 = rows[:, :-3], rows[:, 1:-2], rows[:, 2:-1], rows[:, 3:]
-    c = np.empty((rows.shape[0], 4, rows.shape[1] - 3))
     c[:, 0] = v1
     c[:, 1] = v2 - v0 / 3.0 - v1 / 2.0 - v3 / 6.0
     c[:, 2] = (v0 + v2) / 2.0 - v1
     c[:, 3] = (v3 - v0) / 6.0 + (v1 - v2) / 2.0
-    return c
 
 
 def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
@@ -264,9 +268,9 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     clip(floor(t) - 1, 0, m - 4), t = (lambda0 - lambda_first)/h, so the
     first and last intervals extrapolate inside the end stencils. The rows
     are first turned into power-form tables (_cubic_table, O(m) per row),
-    _FILTER_BLOCK rows at a time, so the tables hold a few MB at any row
-    count; a pixel then costs four gathers and Horner's rule in
-    s = t - (stencil start + 1).
+    _FILTER_BLOCK rows at a time into one buffer allocated per call, so the
+    tables hold a few MB at any row count; a pixel then costs four gathers
+    and Horner's rule in s = t - (stencil start + 1).
 
     Where the pixels' harmonics are odd (b cos phi + c sin phi alone:
     radon, funk, hgeodesic, equidistant and cormack), so is lambda0 in phi.
@@ -307,13 +311,14 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     val = np.empty_like(acc)
     coef = np.empty_like(acc)
     n_rows = half if fold else phi.size
+    table = np.empty((min(_FILTER_BLOCK, n_rows), 4, m - 3))
     for j in range(n_rows):
         if j % _FILTER_BLOCK == 0:
             # power-form tables of the next block of rows, folded pairs summed
             block = values[j : min(j + _FILTER_BLOCK, n_rows)]
             if fold:
                 block = block + values[j + half : j + half + block.shape[0], ::-1]
-            table = _cubic_table(block)
+            _cubic_table(block, table[: block.shape[0]])
         p = float(phi[j])
         s = lam0_at(p)
         # min and max carry a NaN lambda0, which fails both comparisons, so

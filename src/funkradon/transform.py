@@ -33,12 +33,11 @@ whose integral diverges at a singular point of the family is refused
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import geometry as geo
-from .fields import format_rows, header_floats, read_rows
+from .fields import header_count, header_floats, read_rows, write_rows
 from .geometry import GeometryFamily
 from .phantom import Disc, Phantom
 
@@ -379,7 +378,7 @@ def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, w
             _refuse_divergent_rows(geom, smooth, lam, R, data, rtol, n_max)
     for disc in sharp:
         # m = 1 wherever sharp-disc data exist, so arc-length data are mphi * mu
-        data += disc_data(geom, disc, lam, phi) * (1.0 if mu is None else mu)
+        data += disc_data(geom, disc, lam, phi) if mu is None else disc_data(geom, disc, lam, phi) * mu
     return Sinogram(geom, lam, phi, data, kind=kind)
 
 
@@ -506,25 +505,26 @@ def write_fkr1(path, sino: Sinogram) -> None:
         f"{sino.kind} {lam.size} {sino.phi_axis.size} "
         f"{float(lam[0])!r} {float(lam[-1])!r} {sino.phi_full}\n"
     )
-    Path(path).write_text(head + format_rows(sino.data) + "\n")
+    write_rows(path, head, sino.data)
 
 
 def read_fkr1(path) -> Sinogram:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != "FKR1":
-        raise ValueError(f"{path}: not an FKR1 sinogram file")
-    if len(lines) < 3:
-        raise ValueError(f"{path}: truncated FKR1 header")
-    geom = geo.parse_geometry(lines[1].strip())
-    fields = lines[2].split()
-    if len(fields) != 6:
-        raise ValueError(f"{path}: malformed FKR1 axis header")
-    kind, n_lam, n_phi = fields[0], int(fields[1]), int(fields[2])
-    lam_min, lam_max = header_floats(path, fields[3:5])
-    full = fields[5]
-    if full not in ("full", "half"):
-        raise ValueError(f"{path}: phi coverage must be 'full' or 'half', got {full!r}")
-    data = read_rows(path, lines[3:], n_phi, n_lam)
+    with open(path) as f:
+        lines = [f.readline() for _ in range(3)]
+        if lines[0].strip() != "FKR1":
+            raise ValueError(f"{path}: not an FKR1 sinogram file")
+        if not lines[2]:
+            raise ValueError(f"{path}: truncated FKR1 header")
+        geom = geo.parse_geometry(lines[1].strip())
+        fields = lines[2].split()
+        if len(fields) != 6:
+            raise ValueError(f"{path}: malformed FKR1 axis header")
+        kind, n_lam, n_phi = fields[0], header_count(path, fields[1], "n_lambda"), header_count(path, fields[2], "n_phi")
+        lam_min, lam_max = header_floats(path, fields[3:5])
+        full = fields[5]
+        if full not in ("full", "half"):
+            raise ValueError(f"{path}: phi coverage must be 'full' or 'half', got {full!r}")
+        data = read_rows(path, f, n_phi, n_lam)
     lam = np.linspace(lam_min, lam_max, n_lam)
     span = np.pi if full == "half" else TAU
     phi = np.arange(n_phi) * (span / n_phi)

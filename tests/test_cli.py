@@ -356,6 +356,20 @@ def test_invert_missing_input_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_invert_refuses_an_n_phi_of_zero_exits_2(capsys, tmp_path, radon_file):
+    # a header that promises no rows, over no rows: the count is refused
+    # before the phi step 2 pi / n_phi is formed
+    lines = radon_file.read_text().splitlines()
+    fields = lines[2].split()
+    bad = tmp_path / "zero.fkr1"
+    bad.write_text("\n".join(lines[:2] + [" ".join(fields[:2] + ["0"] + fields[3:])]) + "\n")
+    out = tmp_path / "x.f64"
+    code, _, err = run(capsys, "invert", "--in", bad, "--out", out)
+    assert code == 2
+    assert f"{bad}: n_phi must be a positive integer, got '0'" in err
+    assert not out.exists()
+
+
 # ----------------------------------------------- kernel-check and dcoef
 
 def test_kernel_check_reports_the_limit_and_the_zeros_and_passes(capsys):
