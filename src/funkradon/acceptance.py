@@ -3,9 +3,7 @@
 Every check pits the library against an expected value derived by a second
 route: closed forms evaluated by hand, adaptive quadrature built from plain
 numpy, exact symmetries, or bit-level file comparisons. run_all executes the
-whole battery and reports one CheckResult per property; the fast variant
-trims sample counts and resolutions to stay interactive, the full variant is
-the release gate.
+whole battery, the release gate, and reports one CheckResult per property.
 """
 
 from __future__ import annotations
@@ -76,11 +74,11 @@ class GeometryConfig:
 # kernel vanishing
 
 
-def check_nucleus(fast: bool = False) -> CheckResult:
+def check_nucleus() -> CheckResult:
     """Nucleus magnitudes |N(x, y)| over random point pairs of every family."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
-    n_pairs = 20 if fast else 100
+    n_pairs = 100
     worst = 0.0
     worst_at = ""
     count = 0
@@ -116,13 +114,13 @@ def check_nucleus(fast: bool = False) -> CheckResult:
 # normalizer closed forms vs quadrature
 
 
-def check_normalizer(fast: bool = False) -> CheckResult:
+def check_normalizer() -> CheckResult:
     """D(x) closed forms against the angular quadrature definition."""
     from .inversion import dcoef_quadrature
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(23)
-    n_pts = 5 if fast else 20
+    n_pts = 20
     worst = 0.0
     worst_at = ""
     for cfg in _families():
@@ -155,11 +153,11 @@ def _periodic_quad(f, rtol=1e-13, n_max=1 << 19) -> float:
     return cur
 
 
-def check_residues(fast: bool = False) -> CheckResult:
+def check_residues() -> CheckResult:
     """residue_integral against direct quadrature, plus pinned closed forms."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(37)
-    n_cases = 10 if fast else 50
+    n_cases = 50
     worst = 0.0
     for _ in range(n_cases):
         k = int(rng.integers(1, 5))
@@ -187,7 +185,7 @@ def check_residues(fast: bool = False) -> CheckResult:
 # forward exactness
 
 
-def check_forward(fast: bool = False) -> CheckResult:
+def check_forward() -> CheckResult:
     """Chords of an indicator disc and Gaussian line projections."""
     from .phantom import Disc
 
@@ -300,16 +298,13 @@ def _run_round_trip(rt: RoundTrip, n_lambda, n_phi, grid_n):
     return rec.rel_l2(rt.phantom.rasterize(grid))
 
 
-def check_round_trip(fast: bool = False) -> CheckResult:
+def check_round_trip() -> CheckResult:
     """Reconstruction error of forward-then-invert for every family."""
     t0 = time.perf_counter()
-    n_lambda, n_phi, grid_n = (257, 180, 65) if fast else (513, 360, 129)
-    cases = _round_trips()
-    if fast:
-        cases = [rt for rt in cases if rt.label in ("radon", "circle", "parabola")]
+    n_lambda, n_phi, grid_n = 513, 360, 129
     rows = []
     ok = True
-    for rt in cases:
+    for rt in _round_trips():
         t1 = time.perf_counter()
         err = _run_round_trip(rt, n_lambda, n_phi, grid_n)
         dt = time.perf_counter() - t1
@@ -320,13 +315,10 @@ def check_round_trip(fast: bool = False) -> CheckResult:
     return CheckResult("round-trip", ok, detail, time.perf_counter() - t0)
 
 
-def check_convergence(fast: bool = False) -> CheckResult:
+def check_convergence() -> CheckResult:
     """rel_l2 must not increase when all resolutions double."""
     t0 = time.perf_counter()
-    if fast:
-        ladder = [(129, 90, 33), (257, 180, 65)]
-    else:
-        ladder = [(257, 180, 65), (513, 360, 129), (1025, 720, 257)]
+    ladder = [(257, 180, 65), (513, 360, 129), (1025, 720, 257)]
     rows = []
     ok = True
     for rt in _round_trips():
@@ -339,19 +331,25 @@ def check_convergence(fast: bool = False) -> CheckResult:
     return CheckResult("convergence", ok, "; ".join(rows), time.perf_counter() - t0)
 
 
-def check_half_range(fast: bool = False) -> CheckResult:
-    """Radon reconstructions from [0, pi) and [0, 2pi) data must agree."""
+def check_half_range() -> CheckResult:
+    """Reconstructions from [0, pi) and [0, 2pi) data must agree on every
+    family whose lambda0 is odd in phi."""
     t0 = time.perf_counter()
-    n_lambda, n_phi, grid_n = (129, 90, 33) if fast else (257, 180, 65)
-    rt = _round_trips()[0]
-    lam, phi_full = default_axes(rt.geom, n_lambda, n_phi)
-    _, phi_half = default_axes(rt.geom, n_lambda, n_phi // 2, half=True)
-    grid = Grid.centered(grid_n, rt.extent, rt.center)
-    full = invert(forward_mphi(rt.phantom, rt.geom, lam, phi_full, workers=1), grid)
-    half = invert(forward_mphi(rt.phantom, rt.geom, lam, phi_half, workers=1), grid)
-    err = half.rel_l2(full)
-    ok = err <= 1e-6
-    detail = f"half vs full range rel_l2 {err:.2e}"
+    n_lambda, n_phi, grid_n = 257, 180, 65
+    rows = []
+    ok = True
+    for rt in _round_trips():
+        if rt.label not in ("radon", "funk", "hgeodesic", "equidistant", "cormack2"):
+            continue
+        lam, phi_full = default_axes(rt.geom, n_lambda, n_phi)
+        _, phi_half = default_axes(rt.geom, n_lambda, n_phi // 2, half=True)
+        grid = Grid.centered(grid_n, rt.extent, rt.center)
+        full = invert(forward_mphi(rt.phantom, rt.geom, lam, phi_full, workers=1), grid)
+        half = invert(forward_mphi(rt.phantom, rt.geom, lam, phi_half, workers=1), grid)
+        err = half.rel_l2(full)
+        ok = ok and err <= 1e-6
+        rows.append(f"{rt.label} {err:.2e}{'' if err <= 1e-6 else '!'}")
+    detail = "half vs full range rel_l2: " + ", ".join(rows)
     return CheckResult("half-range", ok, detail, time.perf_counter() - t0)
 
 
@@ -359,7 +357,7 @@ def check_half_range(fast: bool = False) -> CheckResult:
 # file formats
 
 
-def check_formats(fast: bool = False) -> CheckResult:
+def check_formats() -> CheckResult:
     """Write-read cycles of both text formats reproduce every bit."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(53)
@@ -410,11 +408,11 @@ CHECKS = (
 )
 
 
-def run_all(fast: bool = False, report=None) -> list[CheckResult]:
+def run_all(report=None) -> list[CheckResult]:
     """Run every check; call ``report`` with each CheckResult as it lands."""
     results = []
     for check in CHECKS:
-        res = check(fast=fast)
+        res = check()
         results.append(res)
         if report is not None:
             report(res)

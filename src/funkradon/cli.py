@@ -96,6 +96,8 @@ def cmd_kernel_check(args) -> int:
     geom = geo.parse_geometry(args.geometry)
     if args.pairs < 1:
         raise ValueError("--pairs must be at least 1")
+    if not 0.0 < args.tol < np.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     rmax = geom.support_radius
     worst = 0.0
@@ -154,7 +156,7 @@ def cmd_dcoef(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = acceptance.run_all(fast=args.fast, report=lambda r: print(r.line(), flush=True))
+    results = acceptance.run_all(report=lambda r: print(r.line(), flush=True))
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} checks passed")
     return 0 if n_pass == len(results) else 1
@@ -172,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phantom", required=True, help="phantom descriptor, e.g. gauss:0,0,0.2,1")
     p.add_argument("--nlambda", type=int, default=513, help="number of lambda samples")
     p.add_argument("--nphi", type=int, default=360, help="number of phi samples")
-    p.add_argument("--half", action="store_true", help="cover phi in [0, pi) (radon only)")
+    p.add_argument("--half", action="store_true", help="cover phi in [0, pi) (families with lambda0 odd in phi)")
     p.add_argument("--riemann", action="store_true", help="write plain arc-length data")
     p.add_argument("--rtol", type=float, default=1e-8, help="quadrature tolerance")
     p.add_argument("--workers", type=int, default=1, help="process count (default: 1)")
@@ -206,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dcoef)
 
     p = sub.add_parser("selftest", help="run the verification battery")
-    p.add_argument("--fast", action="store_true", help="reduced sample counts and resolutions")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -238,7 +238,8 @@ class Harmonics:
 
     @property
     def odd(self) -> bool:
-        """lambda0(x, phi + pi) = -lambda0(x, phi): b and c alone."""
+        """lambda0(x, phi + pi) = -lambda0(x, phi): b and c alone, for all
+        points of a family or none, so half a turn of data determines all."""
         return self.a is None and self.k == (0.0, 0.0) and not self.root
 
     def __call__(self, phi):
@@ -556,7 +557,8 @@ class _Family:
     lambda0 = lambda_sign * psi is written once, as the Harmonics of the
     points (harmonics); psi, lambda_of, psi_branch and the pair differences
     trig_difference and half_angle_difference are derived from it, and
-    |grad psi| from the split weight_m * weight_mu where grad_norm is unset."""
+    |grad psi| from the split weight_m * weight_mu where grad_norm is unset,
+    and the phi and lambda symmetries from Harmonics.odd and Harmonics.root."""
 
     harmonics: Callable  # (g, x1, x2) -> Harmonics of lambda0
     lambda_range: Callable  # (g, rho)
@@ -569,8 +571,6 @@ class _Family:
     lambda_sign: float = -1.0
     open_disc: bool = False  # domain is the open unit disc
     punctured: bool = False  # domain excludes the origin
-    half_range: bool = False  # phi axes over [0, pi) are accepted and doubled, as input only
-    even_in_lambda: bool = False  # transform even in lambda, axis starting at 0
     sheets: Callable = lambda g: 1.0  # parameter sheets through each point
     kernel_condition_ok: Callable = lambda g: True
     dcoef_radius: Callable = lambda g: g.support_radius  # closed-form D(x) holds inside
@@ -622,7 +622,6 @@ def _radon():
         lambda_range=lambda g, rho: _symmetric(rho),
         dcoef=lambda g, x1, x2, r2: np.ones_like(r2),
         arcs=_line_arcs(1.0, lambda lam2, B: 1.0),
-        half_range=True,
         sharp_disc_data=sharp_disc_data,
     )
 
@@ -848,7 +847,6 @@ def _parabola():
         arcs=arcs,
         weight_m=lambda g, r2: (2.0 * np.sqrt(r2)) ** -0.5,
         punctured=True,
-        even_in_lambda=True,
     )
 
 

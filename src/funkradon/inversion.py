@@ -17,7 +17,8 @@ per row for a block of rows at a time, so a pixel costs four gathers and
 Horner's rule. Where lambda0 is odd in phi, lambda0(x, phi + pi) =
 -lambda0(x, phi) (radon, funk, hgeodesic, equidistant and cormack, whose
 harmonics are b cos phi + c sin phi alone), antipodal rows of data with an
-even row count and a symmetric lambda axis are folded into one.
+even row count and a symmetric lambda axis are folded into one, and half
+a turn of data stands for the whole (pv_filter doubles it).
 
 The second-order singularity is never attacked head-on: integrating by parts
 turns it into a first-order principal value of dg/dlambda, which is computed
@@ -72,11 +73,11 @@ class CoverageError(ValueError):
 class FilteredSinogram:
     """G(lambda0, phi) tables, one row per phi, on a uniform lambda0 grid.
 
-    The lambda axis may be wider than the input sinogram's: parabola data is
-    extended evenly through lambda = 0 before filtering, and radon half-range
-    data is doubled to a full phi range. The phi axis must tile [0, 2pi)
-    uniformly from 0, as a full-range Sinogram's does; any other is refused,
-    since backprojection weights every row by the first step.
+    The lambda axis may be wider than the input sinogram's: root-harmonics
+    (parabola) data are extended evenly through lambda = 0 before filtering,
+    and half-range data doubled to a full phi range. The phi axis must tile
+    [0, 2pi) uniformly from 0, as a full-range Sinogram's does; any other is
+    refused, since backprojection weights every row by the first step.
     """
 
     geom: geo.GeometryFamily
@@ -197,22 +198,24 @@ def _fp_rows(g: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def pv_filter(sino: Sinogram) -> FilteredSinogram:
-    """Tabulate the inner finite-part integral on the sinogram's own grid."""
+    """Tabulate the inner finite-part integral on the sinogram's own grid,
+    widened as FilteredSinogram says by the symmetries of the harmonics."""
     if sino.kind != "mphi":
         raise ValueError("pv_filter expects kind='mphi' data (convert riemann data first)")
     geom = sino.geom
     lam = sino.lambda_axis
     phi = sino.phi_axis
     g = sino.data
-    # the parabola's even extension filters 2m - 1 nodes
-    m = 2 * lam.size - 1 if geom.record.even_in_lambda else lam.size
+    root = geo.lambda_harmonics(geom, np.empty((0, 2))).root
+    # the even extension filters 2m - 1 nodes
+    m = 2 * lam.size - 1 if root else lam.size
     if m < _MIN_NODES:
         raise ValueError(
             f"the filtered lambda axis has {m} nodes; cubic interpolation "
             f"needs at least {_MIN_NODES}"
         )
 
-    if geom.record.half_range and sino.phi_full == "half":
+    if sino.phi_full == "half":
         # g(-lambda, phi + pi) = g(lambda, phi): mirror the lambda axis to
         # synthesize the second half of the phi range
         if np.max(np.abs(lam + lam[::-1])) > 1e-9 * (1.0 + abs(lam[-1])):
@@ -220,10 +223,10 @@ def pv_filter(sino: Sinogram) -> FilteredSinogram:
         g = np.concatenate([g, g[:, ::-1]], axis=0)
         phi = np.concatenate([phi, phi + np.pi])
 
-    if geom.record.even_in_lambda:
-        # physical lambda starts at 0 where the data is genuinely nonzero
-        # (parabola); the transform is even in lambda, so extend and filter
-        # on the symmetric axis, making 0 an interior node
+    if root:
+        # lambda0 = sqrt(...) starts at 0 where the data is genuinely
+        # nonzero; the transform is even in lambda, so extend and filter on
+        # the symmetric axis, making 0 an interior node
         if abs(lam[0]) > 1e-12 * (1.0 + abs(lam[-1])):
             raise WindowingError(
                 f"{geom.tag} filtering needs the lambda axis to start at 0 "

@@ -75,8 +75,8 @@ class DivergentRowError(ValueError):
 def phi_span(phi: np.ndarray) -> float:
     """n times the step of a phi axis of n >= 2 nodes that is uniform,
     ascending and starts at 0 (within 1e-12, and steps equal to rtol 1e-9),
-    or NaN for any other axis. Full-range axes span 2pi and radon's
-    half-range ones pi, each within 1e-9."""
+    or NaN for any other axis. Full-range axes span 2pi and half-range
+    ones pi, each within 1e-9."""
     dp = np.diff(phi)
     if abs(phi[0]) > 1e-12 or dp[0] <= 0 or not np.allclose(dp, dp[0], rtol=1e-9, atol=1e-12):
         return float("nan")
@@ -88,9 +88,9 @@ class Sinogram:
     """Sampled transform data on a uniform (lambda, phi) lattice.
 
     data[j, i] is the value at (lambda_axis[i], phi_axis[j]). The phi axis
-    covers [0, 2pi) endpoint-free, or [0, pi) for radon half-range data; for
-    full-range radon the forward output satisfies data(-lambda, phi+pi) =
-    data(lambda, phi) up to quadrature tolerance (not enforced here).
+    covers [0, 2pi) endpoint-free, or [0, pi) where lambda0 is odd in phi
+    (geometry.Harmonics.odd), since data(-lambda, phi + pi) = data(lambda,
+    phi) there; pv_filter doubles such data to a full turn.
     """
 
     geom: GeometryFamily
@@ -120,8 +120,8 @@ class Sinogram:
             raise ValueError("phi axis must be uniform starting at 0")
         if not (abs(span - TAU) < 1e-9 or abs(span - np.pi) < 1e-9):
             raise ValueError("phi axis must tile [0, 2pi) or [0, pi)")
-        if abs(span - np.pi) < 1e-9 and not self.geom.record.half_range:
-            raise ValueError("half-range phi axis is only meaningful for radon")
+        if abs(span - np.pi) < 1e-9 and not geo.lambda_harmonics(self.geom, np.empty((0, 2))).odd:
+            raise ValueError(f"a half-range phi axis needs lambda0 odd in phi, which {self.geom.tag} is not")
         if data.shape != (phi.size, lam.size):
             raise ValueError(f"data shape {data.shape} does not match axes ({phi.size}, {lam.size})")
         if not np.all(np.isfinite(data)):
@@ -148,11 +148,12 @@ class Sinogram:
 
 def default_axes(geom: GeometryFamily, n_lambda: int, n_phi: int, half: bool = False):
     """Uniform axes spanning the family's full admissible lambda interval."""
-    lo, hi = geo.lambda_range(geom)
-    lam = np.linspace(lo, hi, n_lambda)
-    span = np.pi if half else TAU
-    phi = np.arange(n_phi) * (span / n_phi)
-    return lam, phi
+    return _axes(*geo.lambda_range(geom), n_lambda, n_phi, half)
+
+
+def _axes(lo, hi, n_lambda, n_phi, half):
+    """Axes as read_fkr1 must rebuild them, bit for bit, from a file's header."""
+    return np.linspace(lo, hi, n_lambda), np.arange(n_phi) * ((np.pi if half else TAU) / n_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +526,5 @@ def read_fkr1(path) -> Sinogram:
         if full not in ("full", "half"):
             raise ValueError(f"{path}: phi coverage must be 'full' or 'half', got {full!r}")
         data = read_rows(path, f, n_phi, n_lam)
-    lam = np.linspace(lam_min, lam_max, n_lam)
-    span = np.pi if full == "half" else TAU
-    phi = np.arange(n_phi) * (span / n_phi)
+    lam, phi = _axes(lam_min, lam_max, n_lam, n_phi, full == "half")
     return Sinogram(geom, lam, phi, data, kind=kind)

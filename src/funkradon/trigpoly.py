@@ -104,10 +104,7 @@ class TrigPoly:
     def eval(self, phi):
         """Value of t at real or complex phi (arrays welcome); 2pi-periodic."""
         phi = np.asarray(phi)
-        out = np.zeros(phi.shape, dtype=np.result_type(phi, float)) + self.a[0]
-        for m in range(1, len(self.a)):
-            mphi = m * phi
-            out = out + self.a[m] * np.cos(mphi) + self.b[m] * np.sin(mphi)
+        out = _eval_rows(*_coeff_stack(self), phi.reshape(1, -1)).reshape(phi.shape)
         if np.isrealobj(phi):
             return out.real if out.shape else float(out.real)
         return out if out.shape else complex(out)
@@ -115,10 +112,8 @@ class TrigPoly:
     __call__ = eval
 
     def derivative(self) -> "TrigPoly":
-        k = self.order
-        da = [0.0] + [m * self.b[m] for m in range(1, k + 1)]
-        db = [0.0] + [-m * self.a[m] for m in range(1, k + 1)]
-        return TrigPoly(tuple(da), tuple(db))
+        da, db = _derivative_rows(*_coeff_stack(self))
+        return TrigPoly(da[0], db[0])
 
     def _complex_coeffs(self):
         return _exp_coeffs(*_coeff_stack(self))[0]
@@ -200,6 +195,12 @@ def _exp_coeffs(a, b):
     c[:, k + 1 :] = 0.5 * (a[:, 1:] - 1j * b[:, 1:])
     c[:, :k][:, ::-1] = 0.5 * (a[:, 1:] + 1j * b[:, 1:])
     return c
+
+
+def _derivative_rows(a, b):
+    """Coefficients (m b_m, -m a_m) of t' for every row t of the stack."""
+    m = np.arange(a.shape[1])
+    return m * b, -m * a
 
 
 def _eval_rows(a, b, phi):
@@ -295,9 +296,7 @@ def _real_root_slopes(t: TrigPoly):
     a, b = _coeff_stack(t)
     real_mask = _real_mask(a, b, rts[None, :])[0]
     real = rts.real[real_mask]
-    # t' has the coefficients (m b_m, -m a_m)
-    m = np.arange(a.shape[1])
-    return real, np.abs(_eval_rows(m * b, -m * a, real[None, :])[0]), rts[~real_mask]
+    return real, np.abs(_eval_rows(*_derivative_rows(a, b), real[None, :])[0]), rts[~real_mask]
 
 
 def _regularized_terms(u2, v2):
@@ -439,8 +438,7 @@ def residue_integral(s, t):
             raise RealZeroError("t has a real zero; the residue formula does not apply", bad)
         row, col = np.nonzero(rts.imag > 0)
         upper = rts[row, col][:, None]
-        da = np.arange(k + 1) * tb[row]
-        db = -np.arange(k + 1) * ta[row]
+        da, db = _derivative_rows(ta[row], tb[row])
         terms = (_eval_rows(sa[row], sb[row], upper) / _eval_rows(da, db, upper))[:, 0]
         total = 2j * np.pi * (np.bincount(row, terms.real, n) + 1j * np.bincount(row, terms.imag, n))
         if sa.shape[1] - 1 == k:

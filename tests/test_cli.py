@@ -174,7 +174,7 @@ def test_forward_refuses_bad_quadrature_settings_and_writes_nothing(capsys, tmp_
     assert not out.exists()
 
 
-def test_forward_half_range_is_radon_only(capsys, tmp_path):
+def test_forward_half_range_needs_odd_lambda0(capsys, tmp_path):
     out = tmp_path / "h.fkr1"
     code, _, _ = run(
         capsys, "forward", "--geometry", "radon", "--phantom", "gauss:0,0,0.2,1",
@@ -186,12 +186,13 @@ def test_forward_half_range_is_radon_only(capsys, tmp_path):
     assert sino.phi_axis[-1] < np.pi
 
     code, _, err = run(
-        capsys, "forward", "--geometry", "hgeodesic:support=0.7",
-        "--phantom", "gauss:0,0,0.1,1", "--nlambda", 33, "--nphi", 24,
+        capsys, "forward", "--geometry", "hyperbola:eps=2",
+        "--phantom", "gauss:0.06,0.04,0.15,1", "--nlambda", 33, "--nphi", 24,
         "--half", "--out", tmp_path / "h2.fkr1",
     )
     assert code == 2
-    assert "radon" in err
+    assert "hyperbola" in err
+    assert not (tmp_path / "h2.fkr1").exists()
 
 
 def test_forward_riemann_flag_sets_the_kind(capsys, tmp_path):
@@ -426,6 +427,14 @@ def test_kernel_check_names_a_complex_pair(capsys):
     assert "zeros [complex pair]" in text
     flagged = [ln for ln in text.splitlines() if "(over tolerance)" in ln]
     assert flagged and all("zeros [complex pair]" in ln for ln in flagged)
+
+
+@pytest.mark.parametrize("tol", ("0", "-1", "nan", "inf"))
+def test_kernel_check_refuses_a_tolerance_that_is_not_positive_and_finite(capsys, tol):
+    code, text, err = run(capsys, "kernel-check", "--geometry", "radon", "--pairs", 2, "--tol", tol)
+    assert code == 2
+    assert "--tol must be positive and finite" in err
+    assert not any(ln.startswith("pair") for ln in text.splitlines())
 
 
 def test_dcoef_prints_a_table(capsys):

@@ -31,6 +31,7 @@ from funkradon import (
     invert,
     pv_filter,
 )
+from funkradon.acceptance import _round_trips
 from funkradon.fields import Grid, ScalarField
 from funkradon.inversion import FilteredSinogram, _fast_len, _fp_rows, dcoef_quadrature, reconstruct_riemann
 from funkradon.phantom import Gaussian
@@ -677,6 +678,39 @@ def test_half_range_radon_round_trip():
     grid = Grid.centered(33, 0.45)
     rec = invert(sino, grid)
     assert rec.rel_l2(ph.rasterize(grid)) <= 0.02
+
+
+# the acceptance phantoms of the families whose lambda0 is odd in phi, and
+# CI's three Gaussians for cormack k = 3
+HALF_RANGE_CASES = {
+    rt.label: (rt.geom, rt.phantom, rt.center, rt.extent)
+    for rt in _round_trips()
+    if rt.label in ("radon", "funk", "hgeodesic", "equidistant", "cormack2")
+}
+HALF_RANGE_CASES["cormack3"] = (
+    GeometryFamily("cormack", k=3),
+    Phantom(tuple(Gaussian((0.55 * np.cos(a), 0.55 * np.sin(a)), 0.0675) for a in (0.0, TAU / 3, -TAU / 3))),
+    (0.55, 0.0),
+    0.32,
+)
+
+
+@pytest.mark.parametrize("label", HALF_RANGE_CASES)
+def test_half_range_reconstruction_matches_full_range(label):
+    # g(-lambda, phi + pi) = g(lambda, phi) where lambda0 is odd in phi, so
+    # half a turn, doubled by pv_filter, gives the full turn's reconstruction
+    geom, ph, center, extent = HALF_RANGE_CASES[label]
+    # an even n_lambda keeps lambda = 0, where cormack k = 3 rows diverge, off the axis
+    lam, phi_full = default_axes(geom, 128, 90)
+    _, phi_half = default_axes(geom, 128, 45, half=True)
+    grid = Grid.centered(33, extent, center)
+    full = invert(forward_mphi(ph, geom, lam, phi_full), grid)
+    half_sino = forward_mphi(ph, geom, lam, phi_half)
+    table = pv_filter(half_sino)
+    assert table.phi_axis.size == 90
+    assert_allclose(table.phi_axis, phi_full, rtol=0, atol=1e-14)
+    assert half_sino.phi_full == "half"
+    assert invert(half_sino, grid).rel_l2(full) <= 1e-6
 
 
 def test_cormack_reconstructs_the_k_fold_rotational_average():

@@ -52,6 +52,7 @@ CIRCLE = GeometryFamily("ellipse", e1=1.0, e2=1.0)
 HYPER = GeometryFamily("hyperbola", eps=2.0)
 PARAB = GeometryFamily("parabola")
 CORMACK2 = GeometryFamily("cormack", k=2)
+ELLIPSE = GeometryFamily("ellipse", e1=1.2, e2=0.8, support_radius=0.7)
 
 # fixed two-level quadrature: deterministic and exactly linear in the phantom
 FIXED = dict(rtol=0.0, n_start=128, n_max=256)
@@ -110,10 +111,12 @@ def test_sinogram_rejects_bad_phi_axis():
         Sinogram(RADON, lam, [0.0, 0.5], np.zeros((2, 3)))
 
 
-def test_sinogram_half_range_needs_radon():
-    lam, phi = default_axes(FUNK, 3, 4, half=True)
-    with pytest.raises(ValueError, match="only meaningful for radon"):
-        Sinogram(FUNK, lam, phi, np.zeros((4, 3)))
+@pytest.mark.parametrize("geom", (ELLIPSE, CIRCLE, HYPER, PARAB), ids=descriptor)
+def test_sinogram_half_range_needs_odd_lambda0(geom):
+    lam, phi = default_axes(geom, 3, 4, half=True)
+    with pytest.raises(ValueError, match=f"odd in phi.* which {geom.tag} is not"):
+        Sinogram(geom, lam, phi, np.zeros((4, 3)))
+    assert Sinogram(geom, *default_axes(geom, 3, 4), np.zeros((4, 3))).phi_full == "full"
 
 
 def test_sinogram_rejects_shape_mismatch():
@@ -422,7 +425,6 @@ def oracle_ellipse_angles(g, disc, lam, phi):
     return disc.amplitude * np.arccos(np.clip(cu, -1.0, 1.0))
 
 
-ELLIPSE = GeometryFamily("ellipse", e1=1.2, e2=0.8, support_radius=0.7)
 TWO_DISCS = (Disc((0.05, -0.03), 0.35, 1.0), Disc((-0.1, 0.1), 0.1, 0.5))
 
 
@@ -1020,6 +1022,20 @@ def test_fkr1_round_trip_half_range(tmp_path):
     assert back.phi_full == "half"
     assert back.kind == "riemann"
     assert back.data.tobytes() == sino.data.tobytes()
+    assert back.phi_axis.tobytes() == sino.phi_axis.tobytes()
+
+
+def test_fkr1_round_trip_half_range_funk(tmp_path):
+    lam, phi = default_axes(FUNK, 9, 6, half=True)
+    data = np.random.default_rng(5).standard_normal((6, 9))
+    sino = Sinogram(FUNK, lam, phi, data)
+    path = tmp_path / "funk_half.fkr"
+    write_fkr1(path, sino)
+    back = read_fkr1(path)
+    assert back.geom == FUNK
+    assert back.phi_full == "half"
+    assert back.data.tobytes() == sino.data.tobytes()
+    assert back.lambda_axis.tobytes() == sino.lambda_axis.tobytes()
     assert back.phi_axis.tobytes() == sino.phi_axis.tobytes()
 
 

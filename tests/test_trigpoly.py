@@ -65,6 +65,41 @@ def test_eval_periodic_and_vectorized():
     assert_allclose(t.eval(z), direct, rtol=1e-13)
 
 
+def _eval_loop(t, phi):
+    """The per-harmonic loop TrigPoly.eval ran on its own before it became
+    the one-row case of the stack evaluator."""
+    phi = np.asarray(phi)
+    out = np.zeros(phi.shape, dtype=np.result_type(phi, float)) + t.a[0]
+    for m in range(1, len(t.a)):
+        mphi = m * phi
+        out = out + t.a[m] * np.cos(mphi) + t.b[m] * np.sin(mphi)
+    return out.real if np.isrealobj(phi) else out
+
+
+@pytest.mark.parametrize("shape", ((), (13,), (3, 5)))
+def test_eval_is_bit_identical_to_the_harmonic_loop(shape):
+    rng = np.random.default_rng(19)
+    t = poly(rng.standard_normal(5), np.concatenate([[0.0], rng.standard_normal(4)]))
+    ph = rng.uniform(-7, 7, size=shape)
+    z = ph + 1j * rng.uniform(-2, 2, size=shape)
+    for p in (ph, z):
+        got = np.asarray(t.eval(p))
+        want = _eval_loop(t, p)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert isinstance(t.eval(0.5), float) and isinstance(t.eval(0.5 + 0.1j), complex)
+    # the order-zero constant, at an array of angles
+    assert np.asarray(poly((2.5,)).eval(ph)).tobytes() == _eval_loop(poly((2.5,)), ph).tobytes()
+
+
+def test_derivative_coefficients_are_m_b_and_minus_m_a():
+    t = poly((1.0, 0.5, 0.0, -0.8), (0.0, -0.3, 2.0, 0.1))
+    d = t.derivative()
+    assert d.a == (0.0, -0.3, 4.0, 0.30000000000000004)
+    assert d.b == (0.0, -0.5, -0.0, 2.4000000000000004)
+    assert poly((3.0,)).derivative().order == 0
+
+
 def test_derivative_matches_finite_differences():
     t = poly((1.0, 0.5, 0.0, -0.8), (0.0, -0.3, 2.0, 0.1))
     ph = np.linspace(0.1, 6.0, 9)
