@@ -136,6 +136,8 @@ def cmd_dcoef(args) -> int:
     geom = geo.parse_geometry(args.geometry)
     if args.points < 1:
         raise ValueError("--points must be at least 1")
+    if not 0.0 < args.tol < np.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     rmax = geom.record.dcoef_radius(geom)
     pts = acceptance._sample_disc(rng, args.points, 0.05 * rmax, rmax)

@@ -317,11 +317,10 @@ def lambda_of(geom: GeometryFamily, x, phi):
     return lambda_harmonics(geom, x)(phi)
 
 
-def lambda_range(geom: GeometryFamily, support_radius: float | None = None):
-    """Interval of lambda values for curves meeting |x| <= support_radius,
-    intersected with the family's admissible parameter set."""
-    rho = geom.support_radius if support_radius is None else float(support_radius)
-    return geom.record.lambda_range(geom, rho)
+def lambda_range(geom: GeometryFamily):
+    """Interval of lambda values for curves meeting the family's support
+    disc, intersected with its admissible parameter set."""
+    return geom.record.lambda_range(geom, geom.support_radius)
 
 
 def dcoef_closed(geom: GeometryFamily, x):

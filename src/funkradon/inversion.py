@@ -16,9 +16,8 @@ coefficients of the 4-point Lagrange cubic on every stencil, built in O(m)
 per row for a block of rows at a time, so a pixel costs four gathers and
 Horner's rule. Where lambda0 is odd in phi, lambda0(x, phi + pi) =
 -lambda0(x, phi) (radon, funk, hgeodesic, equidistant and cormack, whose
-harmonics are b cos phi + c sin phi alone), antipodal rows of data with an
-even row count and a symmetric lambda axis are folded into one, and half
-a turn of data stands for the whole (pv_filter doubles it).
+harmonics are b cos phi + c sin phi alone), pv_filter folds antipodal rows
+of the data before filtering, so the table holds half a turn.
 
 The second-order singularity is never attacked head-on: integrating by parts
 turns it into a first-order principal value of dg/dlambda, which is computed
@@ -38,7 +37,7 @@ import numpy as np
 
 from . import geometry as geo
 from .fields import Grid, ScalarField
-from .transform import Sinogram, phi_span, riemann_to_mphi
+from .transform import Sinogram, phi_coverage, riemann_to_mphi
 
 __all__ = [
     "WindowingError",
@@ -74,10 +73,11 @@ class FilteredSinogram:
     """G(lambda0, phi) tables, one row per phi, on a uniform lambda0 grid.
 
     The lambda axis may be wider than the input sinogram's: root-harmonics
-    (parabola) data are extended evenly through lambda = 0 before filtering,
-    and half-range data doubled to a full phi range. The phi axis must tile
-    [0, 2pi) uniformly from 0, as a full-range Sinogram's does; any other is
-    refused, since backprojection weights every row by the first step.
+    (parabola) data are extended evenly through lambda = 0 before filtering.
+    The phi axis obeys Sinogram's rule (transform.phi_coverage), since
+    backprojection weights every row by the first step: a full turn, or
+    half a turn where lambda0 is odd in phi, whose rows then stand for
+    themselves and their antipodes (pv_filter's fold).
     """
 
     geom: geo.GeometryFamily
@@ -99,9 +99,7 @@ class FilteredSinogram:
             raise ValueError("filtered lambda axis must be uniform and ascending")
         if phi.ndim != 1 or phi.size < 2:
             raise ValueError(f"filtered table needs at least two phi rows, got {phi.size}")
-        # backproject weights every row by phi[1] - phi[0] over a full turn
-        if not abs(phi_span(phi) - TAU) < 1e-9:
-            raise ValueError("filtered phi axis must be uniform, start at 0 and tile [0, 2pi)")
+        phi_coverage(self.geom, phi)
         if values.shape != (phi.size, lam.size):
             raise ValueError(
                 f"filtered values of shape {values.shape} do not match the axes ({phi.size}, {lam.size})"
@@ -198,32 +196,33 @@ def _fp_rows(g: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def pv_filter(sino: Sinogram) -> FilteredSinogram:
-    """Tabulate the inner finite-part integral on the sinogram's own grid,
-    widened as FilteredSinogram says by the symmetries of the harmonics."""
+    """Tabulate the inner finite-part integral on the sinogram's own grid.
+
+    Where lambda0 is odd in phi, row j + n/2 at phi_j + pi is row j reversed
+    in lambda, and the linear filter commutes with that reversal: a full
+    turn of even length with lam[0] = -lam[-1] is folded to g[:n/2] +
+    g[n/2:, ::-1], and a half-range row, which stands for its antipode (its
+    own reversal on the mirrored axis), is filtered as 2 g on its own axis.
+    Either way the table holds a half turn (FilteredSinogram). Root-harmonics
+    (parabola) data are extended evenly through lambda = 0. Decay at the
+    lambda boundaries is checked before any row is folded or doubled.
+    """
     if sino.kind != "mphi":
         raise ValueError("pv_filter expects kind='mphi' data (convert riemann data first)")
     geom = sino.geom
     lam = sino.lambda_axis
     phi = sino.phi_axis
     g = sino.data
-    root = geo.lambda_harmonics(geom, np.empty((0, 2))).root
+    harm = geo.lambda_harmonics(geom, np.empty((0, 2)))
     # the even extension filters 2m - 1 nodes
-    m = 2 * lam.size - 1 if root else lam.size
+    m = 2 * lam.size - 1 if harm.root else lam.size
     if m < _MIN_NODES:
         raise ValueError(
             f"the filtered lambda axis has {m} nodes; cubic interpolation "
             f"needs at least {_MIN_NODES}"
         )
 
-    if sino.phi_full == "half":
-        # g(-lambda, phi + pi) = g(lambda, phi): mirror the lambda axis to
-        # synthesize the second half of the phi range
-        if np.max(np.abs(lam + lam[::-1])) > 1e-9 * (1.0 + abs(lam[-1])):
-            raise ValueError("half-range doubling needs a symmetric lambda axis")
-        g = np.concatenate([g, g[:, ::-1]], axis=0)
-        phi = np.concatenate([phi, phi + np.pi])
-
-    if root:
+    if harm.root:
         # lambda0 = sqrt(...) starts at 0 where the data is genuinely
         # nonzero; the transform is even in lambda, so extend and filter on
         # the symmetric axis, making 0 an interior node
@@ -245,6 +244,15 @@ def pv_filter(sino: Sinogram) -> FilteredSinogram:
                     f"({worst / peak:.2e} of peak); the scanned range does not "
                     "cover the phantom"
                 )
+
+    half = phi.size // 2
+    antipodal = phi.size % 2 == 0 and np.allclose(phi[half:], phi[:half] + np.pi, rtol=0.0, atol=1e-12)
+    if sino.phi_full == "half":
+        g = 2.0 * g
+    elif harm.odd and antipodal and lam[0] == -lam[-1]:
+        # one half-size array: g[half:, ::-1] is a view
+        g = g[:half] + g[half:, ::-1]
+        phi = phi[:half]
     return FilteredSinogram(geom, lam, phi, _fp_rows(g, lam))
 
 
@@ -273,18 +281,8 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     are first turned into power-form tables (_cubic_table, O(m) per row),
     _FILTER_BLOCK rows at a time into one buffer allocated per call, so the
     tables hold a few MB at any row count; a pixel then costs four gathers
-    and Horner's rule in s = t - (stencil start + 1).
-
-    Where the pixels' harmonics are odd (b cos phi + c sin phi alone:
-    radon, funk, hgeodesic, equidistant and cormack), so is lambda0 in phi.
-    With an even number of rows, a lambda axis symmetric about 0
-    and row j + n/2 at phi_j + pi, antipodal rows are then folded:
-    lambda0(x, phi + pi) = -lambda0(x, phi) is node t of the reversed row
-    where lambda0 is node m - 1 - t, and the 4-point stencil is symmetric
-    under that reversal, so row j plus row j + n/2 reversed, sampled at
-    lambda0(x, phi_j), stands for both rows up to rounding, whatever the
-    data. Pairs are folded as their block of tables is built, and the loop
-    runs over half of the rows.
+    and Horner's rule in s = t - (stencil start + 1). Every row is sampled;
+    a half-turn table's rows stand for their antipodes too (pv_filter).
 
     Cormack data of order k >= 2 determine only the k-fold rotational
     average f_k(x) = (1/k) sum_m f(R(2 pi m / k) x), which is returned.
@@ -303,30 +301,19 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     lam0_at = geo.lambda_harmonics(geom, pts)
     tol = 1e-9 * (1.0 + lam[-1] - lam[0])
     lo, hi = lam[0] - tol, lam[-1] + tol
-    half = phi.size // 2
-    fold = (
-        lam0_at.odd
-        and phi.size % 2 == 0
-        and lam[0] == -lam[-1]
-        and np.allclose(phi[half:], phi[:half] + np.pi, rtol=0.0, atol=1e-12)
-    )
     acc = np.zeros((grid.nx, grid.ny))
     val = np.empty_like(acc)
     coef = np.empty_like(acc)
-    n_rows = half if fold else phi.size
-    table = np.empty((min(_FILTER_BLOCK, n_rows), 4, m - 3))
-    for j in range(n_rows):
+    table = np.empty((min(_FILTER_BLOCK, phi.size), 4, m - 3))
+    for j in range(phi.size):
         if j % _FILTER_BLOCK == 0:
-            # power-form tables of the next block of rows, folded pairs summed
-            block = values[j : min(j + _FILTER_BLOCK, n_rows)]
-            if fold:
-                block = block + values[j + half : j + half + block.shape[0], ::-1]
+            # power-form tables of the next block of rows
+            block = values[j : j + _FILTER_BLOCK]
             _cubic_table(block, table[: block.shape[0]])
         p = float(phi[j])
         s = lam0_at(p)
         # min and max carry a NaN lambda0, which fails both comparisons, so
-        # it counts as uncovered too; on a folded pair lo = -hi, so row j
-        # covers row j + n/2 as well
+        # it counts as uncovered too
         if not (s.min() >= lo and s.max() <= hi):
             _refuse_uncovered(pts, s, lo, hi, lam, p)
         # s = t - 1 - k on the stencil k = clip(floor(t) - 1, 0, m - 4), with

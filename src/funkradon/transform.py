@@ -46,7 +46,7 @@ __all__ = [
     "TracingError",
     "DivergentRowError",
     "default_axes",
-    "phi_span",
+    "phi_coverage",
     "trace_curve",
     "forward_mphi",
     "forward_riemann",
@@ -72,15 +72,39 @@ class DivergentRowError(ValueError):
     the value the quadrature returns is set by where its rays start."""
 
 
-def phi_span(phi: np.ndarray) -> float:
-    """n times the step of a phi axis of n >= 2 nodes that is uniform,
-    ascending and starts at 0 (within 1e-12, and steps equal to rtol 1e-9),
-    or NaN for any other axis. Full-range axes span 2pi and half-range
-    ones pi, each within 1e-9."""
+def phi_coverage(geom: GeometryFamily, phi: np.ndarray) -> str:
+    """'full' for a phi axis of n >= 2 nodes, uniform from 0 (within 1e-12,
+    steps equal to rtol 1e-9), whose n steps span 2pi within 1e-9; 'half'
+    where they span pi and lambda0 is odd in phi (geometry.Harmonics.odd),
+    so half a turn stands for the whole. Any other axis raises ValueError."""
     dp = np.diff(phi)
     if abs(phi[0]) > 1e-12 or dp[0] <= 0 or not np.allclose(dp, dp[0], rtol=1e-9, atol=1e-12):
-        return float("nan")
-    return float(dp[0] * phi.size)
+        raise ValueError("phi axis must be uniform starting at 0")
+    span = dp[0] * phi.size
+    if abs(span - TAU) < 1e-9:
+        return "full"
+    if not abs(span - np.pi) < 1e-9:
+        raise ValueError("phi axis must tile [0, 2pi) or [0, pi)")
+    if not geo.lambda_harmonics(geom, np.empty((0, 2))).odd:
+        raise ValueError(f"a half-range phi axis needs lambda0 odd in phi, which {geom.tag} is not")
+    return "half"
+
+
+def _check_axes(geom: GeometryFamily, lam: np.ndarray, phi: np.ndarray) -> None:
+    """Refuse a lambda axis that is not uniform, ascending and inside the
+    family's admissible range, or a phi axis that phi_coverage refuses."""
+    if lam.ndim != 1 or lam.size < 2:
+        raise ValueError("lambda axis needs at least two samples")
+    dl = np.diff(lam)
+    if dl[0] <= 0 or not np.allclose(dl, dl[0], rtol=1e-9, atol=0):
+        raise ValueError("lambda axis must be uniform and ascending")
+    if phi.ndim != 1 or phi.size < 2:
+        raise ValueError("phi axis needs at least two samples")
+    phi_coverage(geom, phi)
+    lo, hi = geo.lambda_range(geom)
+    slack = 1e-9 * (1.0 + hi - lo)
+    if lam[0] < lo - slack or lam[-1] > hi + slack:
+        raise ValueError(f"lambda axis [{lam[0]}, {lam[-1]}] exceeds admissible range [{lo}, {hi}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +113,8 @@ class Sinogram:
 
     data[j, i] is the value at (lambda_axis[i], phi_axis[j]). The phi axis
     covers [0, 2pi) endpoint-free, or [0, pi) where lambda0 is odd in phi
-    (geometry.Harmonics.odd), since data(-lambda, phi + pi) = data(lambda,
-    phi) there; pv_filter doubles such data to a full turn.
+    (phi_coverage), since data(-lambda, phi + pi) = data(lambda, phi) there;
+    pv_filter folds a full turn of such data to a half turn before filtering.
     """
 
     geom: GeometryFamily
@@ -108,34 +132,15 @@ class Sinogram:
         object.__setattr__(self, "data", data)
         if self.kind not in ("mphi", "riemann"):
             raise ValueError(f"unknown sinogram kind {self.kind!r}")
-        if lam.ndim != 1 or lam.size < 2:
-            raise ValueError("lambda axis needs at least two samples")
-        dl = np.diff(lam)
-        if dl[0] <= 0 or not np.allclose(dl, dl[0], rtol=1e-9, atol=0):
-            raise ValueError("lambda axis must be uniform and ascending")
-        if phi.ndim != 1 or phi.size < 2:
-            raise ValueError("phi axis needs at least two samples")
-        span = phi_span(phi)
-        if np.isnan(span):
-            raise ValueError("phi axis must be uniform starting at 0")
-        if not (abs(span - TAU) < 1e-9 or abs(span - np.pi) < 1e-9):
-            raise ValueError("phi axis must tile [0, 2pi) or [0, pi)")
-        if abs(span - np.pi) < 1e-9 and not geo.lambda_harmonics(self.geom, np.empty((0, 2))).odd:
-            raise ValueError(f"a half-range phi axis needs lambda0 odd in phi, which {self.geom.tag} is not")
+        _check_axes(self.geom, lam, phi)
         if data.shape != (phi.size, lam.size):
             raise ValueError(f"data shape {data.shape} does not match axes ({phi.size}, {lam.size})")
         if not np.all(np.isfinite(data)):
             raise ValueError("sinogram entries must be finite")
-        lo, hi = geo.lambda_range(self.geom)
-        slack = 1e-9 * (1.0 + hi - lo)
-        if lam[0] < lo - slack or lam[-1] > hi + slack:
-            raise ValueError(
-                f"lambda axis [{lam[0]}, {lam[-1]}] exceeds admissible range [{lo}, {hi}]"
-            )
 
     @property
     def phi_full(self) -> str:
-        return "half" if abs(phi_span(self.phi_axis) - np.pi) < 1e-9 else "full"
+        return phi_coverage(self.geom, self.phi_axis)
 
     @property
     def n_lambda(self) -> int:
@@ -342,11 +347,15 @@ def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, w
         raise ValueError(f"workers must be at least 1, got {workers}")
     if n_start < 1:
         raise ValueError(f"n_start must be at least 1, got {n_start}")
+    # below 2 n_start the first level would be returned with no convergence test
+    if n_max < 2 * n_start:
+        raise ValueError(f"n_max must be at least 2 * n_start = {2 * n_start}, got {n_max}")
     if not rtol >= 0.0:
         raise ValueError(f"rtol must be nonnegative, got {rtol}")
     lam = np.asarray(lambda_axis, dtype=float)
     phi = np.asarray(phi_axis, dtype=float)
-    # a family without the m * mu split (hyperbola) is refused before any quadrature
+    # bad axes, and a family without the m * mu split (hyperbola), are refused before any quadrature
+    _check_axes(geom, lam, phi)
     mu = None if kind == "mphi" else geo.weight_mu(geom, lam)
     smooth, sharp = _split_phantom(phantom)
     disc_data = geom.record.sharp_disc_data

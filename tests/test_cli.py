@@ -447,11 +447,21 @@ def test_dcoef_prints_a_table(capsys):
 
 
 def test_dcoef_failure_exits_1(capsys):
+    # eight quadrature nodes miss the hgeodesic normalizer by about 1e-2
     code, text, _ = run(
-        capsys, "dcoef", "--geometry", "radon", "--points", 2, "--tol", -1,
+        capsys, "dcoef", "--geometry", "hgeodesic:support=0.7", "--points", 2, "--nphi", 8,
     )
     assert code == 1
     assert text.splitlines()[-1] == "FAIL"
+
+
+@pytest.mark.parametrize("tol", ("0", "-1", "nan", "inf"))
+def test_dcoef_refuses_a_tolerance_that_is_not_positive_and_finite(capsys, tol):
+    # inf passed every normalizer, and nan or -1 failed every one
+    code, text, err = run(capsys, "dcoef", "--geometry", "radon", "--points", 2, "--tol", tol)
+    assert code == 2
+    assert "--tol must be positive and finite" in err
+    assert not any(ln.startswith("x = ") for ln in text.splitlines())
 
 
 # ------------------------------------------------------------- plumbing

@@ -8,6 +8,7 @@ direct sampling of psi and against each family's own closed-form difference
 (OWN_DIFFERENCE), so each formula is validated by an independent route.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -360,18 +361,21 @@ def test_lambda_harmonics_match_each_family_own_lambda0(geom):
 
 
 def test_lambda_range_pins():
-    assert_allclose(lambda_range(RADON, 1.0), (-1.0, 1.0))
-    assert_allclose(lambda_range(CIRCLE, 0.9), (0.01, 3.61))
+    def at(geom, rho):
+        return lambda_range(dataclasses.replace(geom, support_radius=rho))
+
+    assert_allclose(at(RADON, 1.0), (-1.0, 1.0))
+    assert_allclose(at(CIRCLE, 0.9), (0.01, 3.61))
     z = 0.8 / (1.0 - 0.16)
-    assert_allclose(lambda_range(EQUI, 0.4), (-z, z))
-    assert_allclose(lambda_range(EQUI, 0.5), (-1.0, 1.0))  # clipped
-    assert_allclose(lambda_range(HYPER, 1.0), (-3.0, 1.0))
-    assert_allclose(lambda_range(PARAB, 1.0), (0.0, math.sqrt(2.0)))
-    assert_allclose(lambda_range(CORMACK2, 0.9), (-0.81, 0.81))
-    assert_allclose(lambda_range(HGEO, 0.7), (-1.4 / 1.49, 1.4 / 1.49))
-    assert_allclose(lambda_range(FUNK, 0.8), (-0.8, 0.8))
-    # defaults to the family's own support radius
-    assert_allclose(lambda_range(FUNK), lambda_range(FUNK, 0.8))
+    assert_allclose(at(EQUI, 0.4), (-z, z))
+    assert_allclose(at(EQUI, 0.5), (-1.0, 1.0))  # clipped
+    assert_allclose(at(HYPER, 1.0), (-3.0, 1.0))
+    assert_allclose(at(PARAB, 1.0), (0.0, math.sqrt(2.0)))
+    assert_allclose(at(CORMACK2, 0.9), (-0.81, 0.81))
+    assert_allclose(at(HGEO, 0.7), (-1.4 / 1.49, 1.4 / 1.49))
+    assert_allclose(at(FUNK, 0.8), (-0.8, 0.8))
+    # the family's own support radius
+    assert_allclose(lambda_range(FUNK), at(FUNK, 0.8))
 
 
 def test_lambda_range_covers_reachable_values():

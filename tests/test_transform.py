@@ -741,18 +741,32 @@ def test_forward_with_zero_rtol_runs_every_row_to_n_max(monkeypatch):
     assert counted[0] == 4 * lam.size * 513
 
 
+# forward keywords over radon on 9 x 4 axes, and the refusal they meet
+BAD_SETTINGS = {
+    "workers=0": (dict(workers=0), "workers"),
+    "workers=-1": (dict(workers=-1), "workers"),
+    "n_start=0": (dict(n_start=0), "n_start"),
+    "n_max=31": (dict(n_max=31), "n_max"),
+    "rtol=-1e-08": (dict(rtol=-1e-8), "rtol"),
+    "rtol=nan": (dict(rtol=float("nan")), "rtol"),
+    "half-range hyperbola": (dict(geom=HYPER, phi_axis=uniform_phi(4, half=True)), "odd in phi"),
+    "radon lambda past 1": (dict(lambda_axis=np.linspace(-1.5, 1.5, 9)), "admissible range"),
+}
+
+
 @pytest.mark.parametrize("forward", (forward_mphi, forward_riemann), ids=lambda f: f.__name__)
-@pytest.mark.parametrize(
-    "bad", (dict(workers=0), dict(workers=-1), dict(n_start=0), dict(rtol=-1e-8), dict(rtol=float("nan"))), ids=str
-)
-def test_forward_refuses_bad_settings_before_any_work(monkeypatch, forward, bad):
+@pytest.mark.parametrize("bad, refusal", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
+def test_forward_refuses_bad_settings_before_any_work(monkeypatch, forward, bad, refusal):
     # workers < 1 once gave an all-zero sinogram, n_start = 0 a
-    # ZeroDivisionError, and a negative or NaN rtol refined every row to n_max
+    # ZeroDivisionError, and a negative or NaN rtol refined every row to n_max;
+    # n_max below 2 n_start returned the first level with no convergence test
+    # (10.9 % of max off on the README's two-term radon phantom at 257 x 180),
+    # and the axes a Sinogram refuses were refused only after the quadrature
     ph = Phantom((Gaussian((0.2, 0.1), 0.15),))
     counted = count_points(monkeypatch)
-    (name,) = bad
-    with pytest.raises(ValueError, match=name):
-        forward(ph, RADON, np.linspace(-0.8, 0.8, 9), uniform_phi(4), **bad)
+    args = dict(geom=RADON, lambda_axis=np.linspace(-0.8, 0.8, 9), phi_axis=uniform_phi(4)) | bad
+    with pytest.raises(ValueError, match=refusal):
+        forward(ph, **args)
     assert counted == [0, 0]
 
 
@@ -853,12 +867,14 @@ def test_forward_turning_the_phantom_matches_turning_the_nodes(kind, geom):
     # rays (hyperbola, cormack k = 2), sheets (cormack) and plain arcs
     # (radon, parabola); cormack k = 3 takes an even n_lambda, with no
     # lambda = 0 row, since at rtol = 0 the Gaussians' f(0) = 1e-23 moves
-    # its rays by more than the refusal allows
+    # its rays by more than the refusal allows; at rtol = 0 every row takes
+    # both levels and the Richardson step (4 T_64 - T_32) / 3
     lam, phi = default_axes(geom, 16 if geom.k == 3 else 17, 7)
     forward = forward_mphi if kind == "mphi" else forward_riemann
     mu = None if kind == "mphi" else geometry.weight_mu(geom, lam)
-    got = forward(TURNED, geom, lam, phi, rtol=0.0, n_start=64, n_max=64).data
-    want = node_turning_forward(TURNED, geom, lam, phi, 64, mu)
+    got = forward(TURNED, geom, lam, phi, rtol=0.0, n_start=32, n_max=64).data
+    coarse, fine = (node_turning_forward(TURNED, geom, lam, phi, n, mu) for n in (32, 64))
+    want = (4.0 * fine - coarse) / 3.0
     assert np.max(np.abs(want)) > 0.0
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
