@@ -339,7 +339,7 @@ def check_half_range() -> CheckResult:
     rows = []
     ok = True
     for rt in _round_trips():
-        if not geo.lambda_harmonics(rt.geom, np.empty((0, 2))).odd:
+        if not geo.lambda_harmonics(rt.geom).odd:
             continue
         lam, phi_full = default_axes(rt.geom, n_lambda, n_phi)
         _, phi_half = default_axes(rt.geom, n_lambda, n_phi // 2, half=True)

@@ -9,9 +9,9 @@ reconstruction, the exact trigonometric polynomial psi(x, .) - psi(y, .)
 (in phi / 2 on the parabola), and the closed-form arcs the forward
 transform integrates along.
 
-Everything one family knows lives in one record (a _Family subclass below),
-registered under its tag; the public functions dispatch into it, and other
-modules ask ``geom.record`` for the family traits they need.
+Everything one family knows lives in one record (a _Family instance built by
+its own factory function below), registered under its tag; the public
+functions dispatch into it, and other modules ask ``geom.record`` for traits.
 
 Each record writes the curve parameter lambda0 = lambda_of once, as
 harmonics in phi of fixed points (Harmonics): a(x) + b(x) cos phi +
@@ -260,11 +260,12 @@ class Harmonics:
         return lam0
 
 
-def lambda_harmonics(geom: GeometryFamily, x) -> Harmonics:
+def lambda_harmonics(geom: GeometryFamily, x=None) -> Harmonics:
     """lambda0 of the points x at any angle, as Harmonics: lambda_of(geom, x,
-    phi) is lambda_harmonics(geom, x)(phi). The points are checked against
-    the family's domain here, once for every angle."""
-    return geom.record.harmonics(geom, *_domain_split(geom, x))
+    phi) is lambda_harmonics(geom, x)(phi), with x checked against the domain
+    once for every angle. With no x, the family's form (odd, root) alone."""
+    x1, x2 = np.empty((2, 0)) if x is None else _domain_split(geom, x)
+    return geom.record.harmonics(geom, x1, x2)
 
 
 def psi(geom: GeometryFamily, x, phi):
@@ -354,34 +355,34 @@ def weight_mu(geom: GeometryFamily, lam):
 def trig_difference(geom: GeometryFamily, x, y):
     """psi(x, .) - psi(y, .) as an exact TrigPoly, or None for the parabola.
 
-    Derived from the harmonics of the two points: the k terms are the same at
-    every point and cancel, so every family but the parabola yields a
-    polynomial of order one in phi (the cormack harmonics sit in the spatial
-    power, not the angle), with a constant term where lambda0 has one
-    (ellipse and hyperbola). The parabola's root harmonics give half-angle
-    square roots, no trigonometric polynomial; see half_angle_difference.
+    One view of _pair_difference's pass over the two points' harmonics, the
+    other being half_angle_difference: the k terms are the same at every
+    point and cancel, so every family but the parabola, whose root harmonics
+    give half-angle square roots, yields a polynomial of order one in phi
+    (the cormack harmonics sit in the spatial power, not the angle), with a
+    constant term where lambda0 has one (ellipse and hyperbola).
     """
-    return _pair_difference(geom, x, y, root=False)
+    t, c = _pair_difference(geom, x, y)
+    return t if c == 1.0 else None
 
 
 def half_angle_difference(geom: GeometryFamily, x, y):
     """T with psi_branch(x, phi) - psi_branch(y, phi) = T(phi / 2), an exact
-    TrigPoly of order one, for the parabola; None for every other family.
+    TrigPoly of order one, for the parabola, else None (a view, as above).
 
     The branch lambda_sign * sqrt(2 a) cos(phi / 2 - theta / 2) of psi_branch
     is the harmonic p cos u + q sin u at u = phi / 2 with
     p + i q = lambda_sign * sqrt(2 a) exp(i theta / 2); T is the difference of
     the two points' harmonics.
     """
-    return _pair_difference(geom, x, y, root=True)
+    t, c = _pair_difference(geom, x, y)
+    return t if c == 0.5 else None
 
 
-def _pair_difference(geom: GeometryFamily, x, y, root: bool):
-    """psi_branch(x, .) - psi_branch(y, .) of a distinct pair from the
-    harmonics of both points, formed in one pass over the stacked pair:
-    T(phi) off root harmonics, T(phi / 2) on them (see the two public
-    functions above); None where the family's harmonics are not of the kind
-    root asks for."""
+def _pair_difference(geom: GeometryFamily, x, y):
+    """(T, c) with psi_branch(x, phi) - psi_branch(y, phi) = T(c phi) for a
+    distinct pair, c = 1, or 1/2 on root harmonics: one pass over the
+    harmonics of the stacked pair."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (2,) or y.shape != (2,):
@@ -389,14 +390,12 @@ def _pair_difference(geom: GeometryFamily, x, y, root: bool):
     h = lambda_harmonics(geom, np.stack([x, y]))
     if np.all(x == y):
         raise ValueError("points must be distinct")
-    if h.root != root:
-        return None
     s = geom.record.lambda_sign
-    if root:
+    if h.root:
         w = s * np.sqrt(2.0 * h.a) * np.exp(0.5j * np.arctan2(h.c, h.b))
-        return _harmonic((w.real[0] - w.real[1], w.imag[0] - w.imag[1]))
+        return _harmonic((w.real[0] - w.real[1], w.imag[0] - w.imag[1])), 0.5
     const = 0.0 if h.a is None else s * (h.a[0] - h.a[1])
-    return _harmonic((s * (h.b[0] - h.b[1]), s * (h.c[0] - h.c[1])), const)
+    return _harmonic((s * (h.b[0] - h.b[1]), s * (h.c[0] - h.c[1])), const), 1.0
 
 
 def _lam_eps(lam):
@@ -557,7 +556,7 @@ class _Family:
     points (harmonics); psi, lambda_of, psi_branch and the pair differences
     trig_difference and half_angle_difference are derived from it, and
     |grad psi| from the split weight_m * weight_mu where grad_norm is unset,
-    and the phi and lambda symmetries from Harmonics.odd and Harmonics.root."""
+    and the family's form of lambda0 (lambda_harmonics with no points)."""
 
     harmonics: Callable  # (g, x1, x2) -> Harmonics of lambda0
     lambda_range: Callable  # (g, rho)

@@ -198,11 +198,11 @@ def _fp_rows(g: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def pv_filter(sino: Sinogram) -> FilteredSinogram:
     """Tabulate the inner finite-part integral on the sinogram's own grid.
 
-    Where lambda0 is odd in phi, row j + n/2 at phi_j + pi is row j reversed
-    in lambda, and the linear filter commutes with that reversal: a full
-    turn of even length with lam[0] = -lam[-1] is folded to g[:n/2] +
-    g[n/2:, ::-1], and a half-range row, which stands for its antipode (its
-    own reversal on the mirrored axis), is filtered as 2 g on its own axis.
+    Where lambda0 is odd in phi, row j + n/2 (at phi_j + pi on any turn
+    phi_coverage admits) is row j reversed in lambda, and the linear filter
+    commutes with that reversal: a full turn of even length with lam[0] =
+    -lam[-1] is folded to g[:n/2] + g[n/2:, ::-1], and a half-range row,
+    standing for its antipode too, is filtered as 2 g on its own axis.
     Either way the table holds a half turn (FilteredSinogram). Root-harmonics
     (parabola) data are extended evenly through lambda = 0. Decay at the
     lambda boundaries is checked before any row is folded or doubled.
@@ -213,7 +213,7 @@ def pv_filter(sino: Sinogram) -> FilteredSinogram:
     lam = sino.lambda_axis
     phi = sino.phi_axis
     g = sino.data
-    harm = geo.lambda_harmonics(geom, np.empty((0, 2)))
+    harm = geo.lambda_harmonics(geom)
     # the even extension filters 2m - 1 nodes
     m = 2 * lam.size - 1 if harm.root else lam.size
     if m < _MIN_NODES:
@@ -245,12 +245,11 @@ def pv_filter(sino: Sinogram) -> FilteredSinogram:
                     "cover the phantom"
                 )
 
-    half = phi.size // 2
-    antipodal = phi.size % 2 == 0 and np.allclose(phi[half:], phi[:half] + np.pi, rtol=0.0, atol=1e-12)
     if sino.phi_full == "half":
         g = 2.0 * g
-    elif harm.odd and antipodal and lam[0] == -lam[-1]:
+    elif harm.odd and phi.size % 2 == 0 and lam[0] == -lam[-1]:
         # one half-size array: g[half:, ::-1] is a view
+        half = phi.size // 2
         g = g[:half] + g[half:, ::-1]
         phi = phi[:half]
     return FilteredSinogram(geom, lam, phi, _fp_rows(g, lam))

@@ -77,15 +77,20 @@ def phi_coverage(geom: GeometryFamily, phi: np.ndarray) -> str:
     steps equal to rtol 1e-9), whose n steps span 2pi within 1e-9; 'half'
     where they span pi and lambda0 is odd in phi (geometry.Harmonics.odd),
     so half a turn stands for the whole. Any other axis raises ValueError."""
-    dp = np.diff(phi)
-    if abs(phi[0]) > 1e-12 or dp[0] <= 0 or not np.allclose(dp, dp[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("phi axis must be uniform starting at 0")
-    span = dp[0] * phi.size
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 1 or phi.size < 2:
+        raise ValueError("phi axis needs at least two samples")
+    # non-finite or huge nodes fail the comparisons; their arithmetic may not warn
+    with np.errstate(all="ignore"):
+        dp = np.diff(phi)
+        if abs(phi[0]) > 1e-12 or dp[0] <= 0 or not np.allclose(dp, dp[0], rtol=1e-9, atol=1e-12):
+            raise ValueError("phi axis must be uniform starting at 0")
+        span = dp[0] * phi.size
     if abs(span - TAU) < 1e-9:
         return "full"
     if not abs(span - np.pi) < 1e-9:
         raise ValueError("phi axis must tile [0, 2pi) or [0, pi)")
-    if not geo.lambda_harmonics(geom, np.empty((0, 2))).odd:
+    if not geo.lambda_harmonics(geom).odd:
         raise ValueError(f"a half-range phi axis needs lambda0 odd in phi, which {geom.tag} is not")
     return "half"
 
@@ -98,8 +103,6 @@ def _check_axes(geom: GeometryFamily, lam: np.ndarray, phi: np.ndarray) -> None:
     dl = np.diff(lam)
     if dl[0] <= 0 or not np.allclose(dl, dl[0], rtol=1e-9, atol=0):
         raise ValueError("lambda axis must be uniform and ascending")
-    if phi.ndim != 1 or phi.size < 2:
-        raise ValueError("phi axis needs at least two samples")
     phi_coverage(geom, phi)
     lo, hi = geo.lambda_range(geom)
     slack = 1e-9 * (1.0 + hi - lo)

@@ -499,11 +499,9 @@ def _pair(geom, x, y) -> _Pair:
             raise ValueError(f"{name} = ({p[0]}, {p[1]}) is not a finite point")
     if not distinct_points(*xy):
         raise ValueError("nucleus is only defined for distinct points")
-    from .geometry import half_angle_difference, trig_difference
+    from .geometry import _pair_difference  # at call time: geometry imports this module
 
-    t, c = trig_difference(geom, x, y), 1.0
-    if t is None:
-        t, c = half_angle_difference(geom, x, y), 0.5
+    t, c = _pair_difference(geom, x, y)
     zeros = _real_root_slopes(t)
     for arr in zeros:
         arr.flags.writeable = False

@@ -47,6 +47,7 @@ CIRCLE = GeometryFamily("ellipse", e1=1.0, e2=1.0)
 ELLIPSE = GeometryFamily("ellipse", e1=1.2, e2=0.8, support_radius=0.7)
 HYPER = GeometryFamily("hyperbola", eps=2.0)
 PARAB = GeometryFamily("parabola")
+CORMACK1 = GeometryFamily("cormack", k=1)
 CORMACK2 = GeometryFamily("cormack", k=2)
 CORMACK3 = GeometryFamily("cormack", k=3)
 TAU = 2.0 * math.pi
@@ -358,6 +359,22 @@ def test_lambda_harmonics_match_each_family_own_lambda0(geom):
         assert np.max(np.abs(at(p) - own(geom, x1, x2, np.cos(p), np.sin(p)))) <= 1e-14
     # psi is lambda0 with the family's sign, exactly
     assert np.array_equal(psi(geom, pts, ph), lambda_sign(geom) * lambda_of(geom, pts, ph))
+
+
+FORMS = (RADON, FUNK, HGEO, EQUI, CIRCLE, ELLIPSE, HYPER, PARAB, CORMACK1, CORMACK2, CORMACK3)
+
+
+@pytest.mark.parametrize("geom", FORMS, ids=descriptor)
+def test_family_form_of_lambda0_agrees_with_lambda0_point_by_point(geom):
+    # lambda_harmonics with no points reads the family's form alone
+    assert {g.tag for g in FORMS} == set(TAGS)
+    rng = np.random.default_rng(27)
+    pts = sample_points(geom, rng, 200, rmin=0.01)
+    ph = rng.uniform(0.0, TAU, size=200)
+    here, there = lambda_of(geom, pts, ph), lambda_of(geom, pts, ph + np.pi)
+    form = lambda_harmonics(geom)
+    assert form.odd == bool(np.all(np.abs(here + there) <= 1e-13 * (1.0 + np.abs(here))))
+    assert form.root == (geom.tag == "parabola")
 
 
 def test_lambda_range_pins():

@@ -579,7 +579,7 @@ def unfolded_table(sino):
     lam, phi, g = sino.lambda_axis, sino.phi_axis, sino.data
     if sino.phi_full == "half":
         phi, g = np.concatenate([phi, phi + np.pi]), np.concatenate([g, g[:, ::-1]])
-    if geo.lambda_harmonics(sino.geom, np.empty((0, 2))).root:
+    if geo.lambda_harmonics(sino.geom).root:
         lam, g = np.concatenate([-lam[:0:-1], lam]), np.concatenate([g[:, :0:-1], g], axis=1)
     return FilteredSinogram(sino.geom, lam, phi, _fp_rows(g, lam))
 
@@ -715,7 +715,7 @@ def test_half_range_radon_round_trip():
 HALF_RANGE_CASES = {
     rt.label: (rt.geom, rt.phantom, rt.center, rt.extent)
     for rt in _round_trips()
-    if geo.lambda_harmonics(rt.geom, np.empty((0, 2))).odd
+    if geo.lambda_harmonics(rt.geom).odd
 }
 HALF_RANGE_CASES["cormack3"] = (
     GeometryFamily("cormack", k=3),

@@ -14,6 +14,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from funkradon import (
@@ -117,6 +120,35 @@ def test_sinogram_half_range_needs_odd_lambda0(geom):
     with pytest.raises(ValueError, match=f"odd in phi.* which {geom.tag} is not"):
         Sinogram(geom, lam, phi, np.zeros((4, 3)))
     assert Sinogram(geom, *default_axes(geom, 3, 4), np.zeros((4, 3))).phi_full == "full"
+
+
+@pytest.mark.parametrize("phi", ([], [0.0], [[0.0, np.pi], [0.0, np.pi]], 0.0), ids=("empty", "one", "2x2", "0-d"))
+def test_phi_coverage_refuses_an_axis_that_is_not_1d_with_two_nodes(phi):
+    with pytest.raises(ValueError, match="phi axis needs at least two samples"):
+        transform.phi_coverage(RADON, phi)
+
+
+# uniform turns from 0 reach the 'full' and 'half' answers, and the ellipse's
+# refusal of a half turn; the raw arrays bring NaN, inf and nodes whose
+# differences overflow, which must not warn
+PHI_NODES = st.one_of(st.floats(), st.sampled_from((0.0, np.pi, np.nan, np.inf, -np.inf, 1.5e308, -1.5e308)))
+PHI_AXES = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5), elements=PHI_NODES),
+    st.builds(lambda n, span: np.linspace(0.0, span, n, endpoint=False), st.integers(0, 6), st.sampled_from((TAU, np.pi))),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(geom=st.sampled_from((RADON, ELLIPSE)), phi=PHI_AXES)
+@example(geom=RADON, phi=np.array([np.inf, np.inf]))
+@example(geom=RADON, phi=np.array([0.0, 1.5e308, -1.5e308]))
+@example(geom=RADON, phi=np.array([0.0, 1e308]))
+def test_phi_coverage_answers_or_raises_value_error_on_any_array(geom, phi):
+    try:
+        answer = transform.phi_coverage(geom, phi)
+    except ValueError:
+        return
+    assert answer in ("full", "half")
 
 
 def test_sinogram_rejects_shape_mismatch():

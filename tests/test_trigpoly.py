@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from funkradon import GeometryFamily, TrigPoly, nucleus_check, pv_inverse_square, residue_integral
-from funkradon import trigpoly
+from funkradon import geometry, trigpoly
 from funkradon.geometry import half_angle_difference, parse_geometry, psi_branch
 from funkradon.trigpoly import all_real_simple, kernel_scale, roots
 
@@ -691,6 +691,18 @@ def test_parabola_difference_is_a_half_angle_polynomial():
         want = psi_branch(PARAB, x, ph) - psi_branch(PARAB, y, ph)
         assert_allclose(t.eval(ph / 2), want, rtol=0, atol=1e-14)
     assert half_angle_difference(GeometryFamily("radon"), (0.5, 0.0), (0.0, 0.5)) is None
+
+
+def test_one_harmonics_build_per_parabola_pair(monkeypatch):
+    # the half-angle difference and its factor 1/2 come from one pass
+    calls = []
+    harmonics = geometry.lambda_harmonics
+    monkeypatch.setattr(geometry, "lambda_harmonics", lambda geom, x: calls.append(x) or harmonics(geom, x))
+    monkeypatch.setattr(trigpoly, "_last_pair", None)
+    x, y = (0.3, -0.2), (-0.1, 0.4)
+    nucleus_check(PARAB, x, y)
+    kernel_scale(PARAB, x, y)
+    assert len(calls) == 1
 
 
 def test_parabola_nucleus_at_the_close_pair_that_sampling_barely_passed():
