@@ -416,13 +416,23 @@ def ray_start_gain(geom: GeometryFamily, lam, R: float):
     """Per lambda row, the change of mphi data per unit f(0) when the rays
     from the origin start ten times closer to it.
 
-    Zero except on the lambda = 0 rows of a family whose ray integral
-    diverges at the origin (cormack k >= 2, weight r^(1-k) / k): there a
-    phantom with f(0) != 0 has a row value set by where the rays start.
+    Zero except where the family's ray integral diverges at the origin
+    (cormack k >= 2, weight r^(1-k) / k), and there on the lambda = 0 rows,
+    whose rays start at _RAY_START * R: a phantom with f(0) != 0 has a row
+    value set by where the rays start. An axis that spans lambda = 0 with no
+    node there samples that divergence through its two rows next to it,
+    whose curves come no closer to the origin than the family's record says
+    (|lambda|^(1/k) on cormack): those two rows take the gain of rays
+    starting there.
     """
     lam = np.asarray(lam, dtype=float)
-    gain = geom.record.ray_start_gain(geom, _RAY_START * R)
-    return np.where(np.abs(lam) <= _lam_eps(lam), gain, 0.0)
+    zero = np.abs(lam) <= _lam_eps(lam)
+    rows = zero.copy()
+    if not zero.any() and lam[0] < 0.0 < lam[-1]:
+        i = int(np.searchsorted(lam, 0.0))
+        rows[i - 1 : i + 1] = True
+    gain = geom.record.ray_start_gain(geom, np.where(zero, 0.0, lam), _RAY_START * R)
+    return np.where(rows, gain, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +583,7 @@ class _Family:
     kernel_condition_ok: Callable = lambda g: True
     dcoef_radius: Callable = lambda g: g.support_radius  # closed-form D(x) holds inside
     sharp_disc_data: Callable | None = None  # (g, disc, lam, phi), mphi data of indicator discs
-    ray_start_gain: Callable = lambda g, r0: 0.0  # (g, r0), see the public ray_start_gain
+    ray_start_gain: Callable = lambda g, lam, r0: 0.0  # (g, lam, r0), see the public ray_start_gain
     # (g, phi) -> (table_phi, turn): column phi's curves are the arcs at
     # table_phi turned by turn; column(g, table_phi) = (table_phi, 0)
     column: Callable = lambda g, phi: (0.0, phi)
@@ -855,13 +865,16 @@ def _cormack():
         w = (x1 + 1j * x2) ** g.k
         return Harmonics(w.real, w.imag)
 
-    def ray_start_gain(g, r0):
-        # 2k rays, each integrating f(0) r^(1-k) / k over [r0 / 10, r0]
+    def ray_start_gain(g, lam, r0):
+        # 2k rays, each integrating f(0) r^(1-k) / k over [r / 10, r]: from
+        # r = r0 on the lambda = 0 row, and from r = |lambda|^(1/k), where
+        # the curve of any other row comes closest to the origin
+        r = np.where(lam == 0.0, r0, np.abs(lam) ** (1.0 / g.k))
         if g.k == 2:
-            return 2.0 * np.log(10.0)
+            return np.full(r.shape, 2.0 * np.log(10.0))
         if g.k > 2:
-            return 2.0 * r0 ** (2 - g.k) * (10.0 ** (g.k - 2) - 1.0) / (g.k - 2)
-        return 0.0
+            return 2.0 * r ** (2 - g.k) * (10.0 ** (g.k - 2) - 1.0) / (g.k - 2)
+        return np.zeros(r.shape)
 
     def arcs(g, lam, lam_eps, _, R):
         # the sheet of phi = 0 through r^k = L at polar angle th0 = 0, or

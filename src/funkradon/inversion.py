@@ -17,7 +17,10 @@ per row for a block of rows at a time, so a pixel costs four gathers and
 Horner's rule. Where lambda0 is odd in phi, lambda0(x, phi + pi) =
 -lambda0(x, phi) (radon, funk, hgeodesic, equidistant and cormack, whose
 harmonics are b cos phi + c sin phi alone), pv_filter folds antipodal rows
-of the data before filtering, so the table holds half a turn.
+of the data before filtering, so the table holds half a turn. On a grid
+symmetric about the x1 axis, lambda0(x1, -x2, phi) = lambda0(x, -phi) lets
+one row's lambda0 and stencil, formed on the pixels with y >= 0, sample its
+mirror row at their images as well.
 
 The second-order singularity is never attacked head-on: integrating by parts
 turns it into a first-order principal value of dg/dlambda, which is computed
@@ -266,6 +269,47 @@ def _cubic_table(rows: np.ndarray, c: np.ndarray) -> None:
     c[:, 3] = (v3 - v0) / 6.0 + (v1 - v2) / 2.0
 
 
+def _mirror(filtered: FilteredSinogram, grid: Grid):
+    """None where backproject samples every row at every pixel; else whether
+    row -j mod n, the mirror of row j, is reversed in lambda.
+
+    lambda0(x1, -x2, phi) = lambda0(x, -phi) on every family, since b, a and
+    k are even in x2 and c is odd; so where the grid's y nodes are symmetric
+    about the x1 axis (within a few ulps), row j's lambda0 at a pixel is the
+    mirror row's lambda0 at the pixel's image. On a full turn the mirror row
+    is row -j mod n at -phi_j. On a half turn, where lambda0 is odd in phi, it
+    is row n - j at phi_(n-j) = pi - phi_j, whose lambda0 at the image is
+    minus row j's at the pixel: that row reversed in lambda (row 0 is its own
+    mirror, unreversed). Reversing maps the stencil offset t to m - 1 - t,
+    which is the offset of -lambda0 only where lam[0] == -lam[-1] and
+    (lam[-1] - lam[0]) / h is m - 1 exactly. On any other axis the reversed
+    row would be sampled up to (m - 1) times the rounding of h away from
+    where the row itself is (6.5e-13 of the image's maximum on funk at
+    m = 2049), so a half turn there has no mirror.
+    """
+    ys = grid.ys
+    if grid.ny < 2 or np.max(np.abs(ys + ys[::-1])) > 4.0 * np.spacing(np.max(np.abs(ys))):
+        return None
+    phi = filtered.phi_axis
+    # the table's phi axis spans a full turn or a half turn (FilteredSinogram)
+    if (phi[1] - phi[0]) * phi.size > 1.5 * np.pi:
+        return False
+    lam = filtered.lambda_axis
+    if lam[0] != -lam[-1] or (lam[-1] - lam[0]) / (lam[1] - lam[0]) != lam.size - 1:
+        return None
+    return True
+
+
+def _sample(c, k, s, val, coef):
+    """val = the power-form cubics c (4, m - 3) on the stencils k at the
+    offsets s, by four gathers and Horner's rule; coef is scratch."""
+    # k is in range, so mode="clip" only skips numpy's bounds check
+    c[3].take(k, out=val, mode="clip")
+    for ci in c[2::-1]:
+        val *= s
+        val += ci.take(k, out=coef, mode="clip")
+
+
 def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     """Average the filtered tables over phi at each pixel's lambda0 and apply
     the -1/(4 pi^2 D(x)) normalization (with the sheet count for the cormack
@@ -283,6 +327,13 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     and Horner's rule in s = t - (stencil start + 1). Every row is sampled;
     a half-turn table's rows stand for their antipodes too (pv_filter).
 
+    On a grid symmetric about the x1 axis (_mirror), lambda0 and the stencil
+    of a row are formed on the pixels with y >= 0 only. They sample that row
+    there and its mirror row at the images (x1, -x2) of those pixels, a
+    reversed mirror row at the reversed stencil (m - 4 - k, 1 - s). Rows go
+    in pairs j, -j mod n for j = 0 .. n/2, so each table is built once: the
+    buffer holds half a block of rows and half a block of their mirrors.
+
     Cormack data of order k >= 2 determine only the k-fold rotational
     average f_k(x) = (1/k) sum_m f(R(2 pi m / k) x), which is returned.
     """
@@ -290,51 +341,67 @@ def backproject(filtered: FilteredSinogram, grid: Grid) -> ScalarField:
     lam = filtered.lambda_axis
     phi = filtered.phi_axis
     values = filtered.values
-    m = lam.size
+    n, m = values.shape
     if m < _MIN_NODES:
         raise ValueError(f"backprojection needs at least {_MIN_NODES} lambda nodes, got {m}")
     h = lam[1] - lam[0]
     pts = grid.points()
     D = np.asarray(geo.dcoef_closed(geom, pts))
     sheet = geom.record.sheets(geom)
-    lam0_at = geo.lambda_harmonics(geom, pts)
+    flip = _mirror(filtered, grid)
+    # with the mirror, rows go in pairs j, -j mod n for j = 0 .. n/2
+    q, leads = (0, n) if flip is None else (grid.ny // 2, n // 2 + 1)
+    lam0_at = geo.lambda_harmonics(geom, pts[:, q:])
     tol = 1e-9 * (1.0 + lam[-1] - lam[0])
     lo, hi = lam[0] - tol, lam[-1] + tol
-    acc = np.zeros((grid.nx, grid.ny))
-    val = np.empty_like(acc)
-    coef = np.empty_like(acc)
-    table = np.empty((min(_FILTER_BLOCK, phi.size), 4, m - 3))
-    for j in range(phi.size):
-        if j % _FILTER_BLOCK == 0:
-            # power-form tables of the next block of rows
-            block = values[j : j + _FILTER_BLOCK]
-            _cubic_table(block, table[: block.shape[0]])
-        p = float(phi[j])
-        s = lam0_at(p)
-        # min and max carry a NaN lambda0, which fails both comparisons, so
-        # it counts as uncovered too
-        if not (s.min() >= lo and s.max() <= hi):
-            _refuse_uncovered(pts, s, lo, hi, lam, p)
-        # s = t - 1 - k on the stencil k = clip(floor(t) - 1, 0, m - 4), with
-        # t = (lambda0 - lambda_first) / h, formed in place on lambda0;
-        # clipping floor(t - 1) picks the same k, since t - 1 is exact for
-        # t >= 1/2 and below that both clip to 0
-        s -= lam[0]
-        s /= h
-        s -= 1.0
-        k = np.floor(s)
-        np.clip(k, 0, m - 4, out=k)
-        s -= k
-        k = k.astype(np.intp)
-        c = table[j % _FILTER_BLOCK]
-        # k is in range, so mode="clip" only skips numpy's bounds check
-        np.take(c[3], k, out=val, mode="clip")
-        for ci in c[2::-1]:
-            val *= s
-            val += np.take(ci, k, out=coef, mode="clip")
-        acc += val
+    # sums at the stencil's pixels, and of the mirror rows at their images
+    acc = np.zeros((1 if flip is None else 2, grid.nx, grid.ny - q))
+    val = np.empty_like(acc[0])
+    coef = np.empty_like(val)
+    block = min(_FILTER_BLOCK, n) // acc.shape[0]
+    table = np.empty((acc.shape[0], block, 4, m - 3))
+    for b0 in range(0, leads, block):
+        # power-form tables of the next block of rows, and of their mirrors
+        stop = min(b0 + block, leads)
+        _cubic_table(values[b0:stop], table[0, : stop - b0])
+        if flip is not None:
+            _cubic_table(values[-np.arange(b0, stop) % n], table[1, : stop - b0])
+        for j in range(b0, stop):
+            # row j, then its mirror row where that is another row, each with
+            # its own table first and the other's for the images
+            tabs = table[:, j - b0]
+            for r in (j,) if flip is None or -j % n == j else (j, n - j):
+                p = float(phi[r])
+                s = lam0_at(p)
+                # min and max carry a NaN lambda0, which fails both
+                # comparisons, so it counts as uncovered too
+                if not (s.min() >= lo and s.max() <= hi):
+                    _refuse_uncovered(pts, geo.lambda_harmonics(geom, pts)(p), lo, hi, lam, p)
+                # s = t - 1 - k on the stencil k = clip(floor(t) - 1, 0, m - 4),
+                # with t = (lambda0 - lambda_first) / h, formed in place on
+                # lambda0; clipping floor(t - 1) picks the same k, since t - 1
+                # is exact for t >= 1/2 and below that both clip to 0
+                s -= lam[0]
+                s /= h
+                s -= 1.0
+                k = np.floor(s)
+                np.clip(k, 0, m - 4, out=k)
+                s -= k
+                k = k.astype(np.intp)
+                _sample(tabs[0], k, s, val, coef)
+                acc[0] += val
+                if flip is not None:
+                    if flip and j:
+                        np.subtract(m - 4, k, out=k)
+                        np.subtract(1.0, s, out=s)
+                    _sample(tabs[1], k, s, val, coef)
+                    acc[1] += val
+                tabs = tabs[::-1]
+    if flip is not None:
+        # the y = 0 column of an odd grid is its own image, summed once
+        acc = np.concatenate([acc[1, :, grid.ny - 2 * q :][:, ::-1], acc[0]], axis=1)
     dphi = phi[1] - phi[0]
-    rec = -acc * dphi / (4.0 * np.pi**2 * D * sheet)
+    rec = -acc.reshape(grid.nx, grid.ny) * dphi / (4.0 * np.pi**2 * D * sheet)
     return ScalarField(grid, rec)
 
 

@@ -5,7 +5,10 @@ integrate them along curves without committing to a grid; rasterize produces
 the reference field that reconstructions are measured against. Every
 evaluation takes a turn: the values at the points turned about the origin by
 that angle, obtained by turning the component's centre the other way, so the
-forward transform can integrate a turned copy of one set of curve points.
+forward transform can integrate a turned copy of one set of curve points. A
+1-D sequence of turns evaluates every turn in one call, one value array per
+turn on a leading axis, so the forward transform evaluates all the columns
+that share a block of points at once.
 """
 
 from __future__ import annotations
@@ -27,17 +30,37 @@ def _require_finite(what, *values):
         raise ValueError(f"{what} must be finite")
 
 
-def _offsets(x, center, turn):
-    """x minus the centre turned about the origin by -turn: a component
-    depends on a point only through its distance from the centre, and
-    |R(turn) x - center| = |x - R(-turn) center|, so turning the centre as
-    two floats stands in for turning every point. The two offsets are fresh
-    arrays, 0-d at a single point, which the caller may overwrite."""
-    x = np.asarray(x, dtype=float)
+def _is_sequence(turn):
+    """Whether turn is a 1-D sequence of turns (a list, a tuple or a 1-D
+    array) rather than one turn; cheaper than np.ndim on a float, which
+    every component pays once per call."""
+    return isinstance(turn, (list, tuple, np.ndarray)) and np.ndim(turn) == 1
+
+
+def _turned(center, turn):
+    """The centre turned about the origin by -turn, as two floats."""
     cx, cy = center
     if turn:
         c, s = math.cos(turn), math.sin(turn)
         cx, cy = c * cx + s * cy, c * cy - s * cx
+    return cx, cy
+
+
+def _offsets(x, center, turn):
+    """x minus the centre turned about the origin by -turn: a component
+    depends on a point only through its distance from the centre, and
+    |R(turn) x - center| = |x - R(-turn) center|, so turning the centre as
+    two floats stands in for turning every point. A 1-D sequence of turns
+    turns the centre by each and gives the offsets one turn per slice of a
+    leading axis, each the offsets of that scalar turn bit for bit. The two
+    offsets are fresh arrays, 0-d at a single point and a scalar turn, which
+    the caller may overwrite."""
+    x = np.asarray(x, dtype=float)
+    if _is_sequence(turn):
+        cxy = np.array([_turned(center, t) for t in turn]).reshape(-1, 2)
+        cxy = cxy.reshape(cxy.shape[:1] + (1,) * (x.ndim - 1) + (2,))
+        return x[..., 0] - cxy[..., 0], x[..., 1] - cxy[..., 1]
+    cx, cy = _turned(center, turn)
     if x.ndim == 1:
         return np.array(x[0] - cx), np.array(x[1] - cy)
     return x[..., 0] - cx, x[..., 1] - cy
@@ -155,12 +178,18 @@ class Phantom:
 
     def eval(self, x, turn=0.0):
         """The phantom at the points x turned about the origin by turn,
-        f(R(turn) x): the phantom turned by -turn, evaluated at x. The sum
-        accumulates in the first component's result, so every component
-        returns a fresh array (or a float at a single point)."""
+        f(R(turn) x): the phantom turned by -turn, evaluated at x. turn may
+        be a 1-D sequence of turns (a list, a tuple or a 1-D array): the
+        result then has one leading slice per turn, of shape
+        (len(turn),) + x.shape[:-1], and each slice equals the call with
+        that turn alone bit for bit. A component takes turn the same way.
+        The sum accumulates in the first component's result, so every
+        component returns a fresh array (or a float at a single point and a
+        scalar turn) of that shape."""
         x = np.asarray(x, dtype=float)
         if not self.components:
-            return np.zeros(x.shape[:-1]) if x.ndim > 1 else 0.0
+            shape = ((len(turn),) if _is_sequence(turn) else ()) + x.shape[:-1]
+            return np.zeros(shape) if shape else 0.0
         out = self.components[0].eval(x, turn)
         for c in self.components[1:]:
             out += c.eval(x, turn)

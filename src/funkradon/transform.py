@@ -24,8 +24,11 @@ each level's arcs are mapped once for all columns. A column then turns the
 phantom, not the points: it evaluates the phantom turned by minus its angle
 (plus each of an arc's own turns) at the table's unturned points, which
 costs a turn of each component's centre instead of a turned copy of every
-node. Columns still stop refining independently, so splitting them among
-worker processes parallelizes over phi without changing any result. A row
+node. The columns that refine all the rows of a block of nodes evaluate
+it in one call, one turn each (Phantom.eval with a sequence of turns),
+whose slices equal the columns' own calls bit for bit. Columns still stop
+refining independently, so splitting them among worker processes
+parallelizes over phi without changing any result. A row
 whose integral diverges at a singular point of the family is refused
 (DivergentRowError).
 """
@@ -187,12 +190,13 @@ def _stretch_map(u):
 
 
 def _row_sums(vals, w):
-    """Per row i, sum_k vals[i, k] w[k] for one weight per node (w of shape
-    (nodes,)) or sum_k vals[i, k] w[i, k] for a weight per row and node, as
-    one einsum contraction. Not '@' or np.dot: those go to BLAS, which does
+    """Per row i, sum_k vals[..., i, k] w[k] for one weight per node (w of
+    shape (nodes,)) or sum_k vals[..., i, k] w[i, k] for a weight per row and
+    node, as one einsum contraction; a leading axis of columns sums each
+    column as it sums alone. Not '@' or np.dot: those go to BLAS, which does
     not promise the same summation order in every process, and forward data
     must not depend on the worker count."""
-    return np.einsum("ij,j->i" if w.ndim == 1 else "ij,ij->i", vals, w)
+    return np.einsum("...ij,j->...i" if w.ndim == 1 else "...ij,ij->...i", vals, w)
 
 
 def _columns(geom, phantom, lam, table, turns, R, mu, rtol, n_start, n_max):
@@ -226,12 +230,19 @@ def _columns(geom, phantom, lam, table, turns, R, mu, rtol, n_start, n_max):
     sum is one contraction (_row_sums). Each column then evaluates the
     phantom turned by minus its turn plus each of the arc's turns
     (Phantom.eval's turn) at the block's unturned points, on its own
-    refining rows only, so a column's values do not depend on which columns
-    share its table. A pass checks that its sums are finite once, at its
-    end: NaN and inf carry through the weighted sums.
+    refining rows only. The columns that refine every row of the block do
+    so in one call, a sequence of turns, where all their values fit in
+    _TABLE_POINTS: one call per level for the single row of a family's
+    lambda = 0 rays, not one per column. A larger block keeps a call per
+    column, since values past a few hundred kB cost more to allocate than
+    the calls they save. Every slice of a shared call is the column's own
+    call bit for bit, so a column's values do not depend on which columns
+    share its table or its calls. A pass checks that its sums are finite
+    once, at its end: NaN and inf carry through the weighted sums.
     """
     arcs = geo.arcs(geom, lam, table, R)
     feature = phantom.feature_scale
+    turns = np.asarray(turns, dtype=float)
 
     def node_sum(u, todo, first=False):
         """Per column and row, the sum over arcs and their turned copies of
@@ -281,23 +292,30 @@ def _columns(geom, phantom, lam, table, turns, R, mu, rtol, n_start, n_max):
                     d = np.diff(P, axis=1)
                     d *= d
                     chord2[act] = np.maximum(chord2[act], np.max(d[..., 0] + d[..., 1], axis=1))
-                # the refining rows of each column; a column that refines
-                # them all takes the block whole, as a slice where it can
+                # the refining rows of each column; the columns that refine
+                # them all take the block whole, as a slice where they can,
+                # in one call where their values (rows x nodes x columns) fit
+                # in _TABLE_POINTS; any other column evaluates its own rows
                 refining = todo[:, act]
                 whole = refining.all(axis=1)
                 span = slice(act[0], act[-1] + 1) if act[-1] - act[0] == act.size - 1 else act
-                for j, turn in enumerate(turns):
-                    if whole[j]:
-                        Q, w, at = P, weight, span
-                    else:
-                        own = np.flatnonzero(refining[j])
-                        if own.size == 0:
-                            continue
-                        Q, at = P[own], act[own]
-                        w = weight if weight.ndim == 1 else weight[own]
-                    vals = phantom.eval(Q, arc.turns[0] + turn)
+                cols = np.flatnonzero(whole)
+                if 0 < cols.size * B.size <= _TABLE_POINTS:
+                    calls = [((cols[:, None], act), turns[cols])]
+                else:
+                    calls = [((j, span), turns[j]) for j in cols]
+                for at, turn in calls:
+                    vals = phantom.eval(P, arc.turns[0] + turn)
                     for t in arc.turns[1:]:
-                        vals += phantom.eval(Q, t + turn)
+                        vals += phantom.eval(P, t + turn)
+                    tot[at] += fac[span] * _row_sums(vals, weight)
+                for j in np.flatnonzero(~whole & refining.any(axis=1)):
+                    own = np.flatnonzero(refining[j])
+                    Q, at = P[own], act[own]
+                    w = weight if weight.ndim == 1 else weight[own]
+                    vals = phantom.eval(Q, arc.turns[0] + turns[j])
+                    for t in arc.turns[1:]:
+                        vals += phantom.eval(Q, t + turns[j])
                     tot[j, at] += fac[at] * _row_sums(vals, w)
         # NaN and inf carry through the weighted sums, so one check per pass
         # catches a non-finite value at any node
@@ -397,7 +415,10 @@ def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, w
 
 def _refuse_divergent_rows(geom, phantom, lam, R, data, rtol, n_max):
     """Raise DivergentRowError where starting the rays from the origin ten
-    times closer would move a row by more than rtol * max|data|.
+    times closer would move a row by more than rtol * max|data|: the lambda
+    = 0 row, or, on an axis that spans lambda = 0 with no node there, the
+    two rows next to it (geometry.ray_start_gain), which carry the
+    divergence into the filter.
 
     rtol = 0 is judged at n_max * eps, the round-off of a trapezoid sum over
     n_max nodes, below which no quadrature depth tells the rows apart.
@@ -410,10 +431,17 @@ def _refuse_divergent_rows(geom, phantom, lam, R, data, rtol, n_max):
     bad = np.flatnonzero(gain * abs(f0) > tol)
     if bad.size:
         i = int(bad[0])
+        # a lambda = 0 node is the one row with a gain, the rows next to a
+        # lambda = 0 that the axis steps over are two
+        row = f"the mphi row lambda = {lam[i]:.3g} (index {i})"
+        if np.count_nonzero(gain) == 2:
+            where, rays = f"the axis steps over lambda = 0, and {row} next to it samples the row that", "those"
+        else:
+            where, rays = row, "its"
         raise DivergentRowError(
-            f"{geo.descriptor(geom)}: the mphi row lambda = {lam[i]:.3g} (index {i}) diverges at the "
-            f"origin, where the phantom is f(0) = {f0:.3g}; starting its rays ten times closer moves it "
-            f"by {gain[i] * abs(f0):.3g}, more than {tol:.3g}. Use a phantom that vanishes at the origin"
+            f"{geo.descriptor(geom)}: {where} diverges at the origin, where the phantom is f(0) = {f0:.3g}; "
+            f"starting {rays} rays ten times closer moves it by {gain[i] * abs(f0):.3g}, more than {tol:.3g}. "
+            "Use a phantom that vanishes at the origin"
         )
 
 

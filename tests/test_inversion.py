@@ -35,7 +35,7 @@ from funkradon.acceptance import _round_trips
 from funkradon.fields import Grid, ScalarField
 from funkradon.inversion import FilteredSinogram, _fast_len, _fp_rows, dcoef_quadrature, reconstruct_riemann
 from funkradon.phantom import Gaussian
-from funkradon.transform import default_axes, forward_riemann
+from funkradon.transform import default_axes, forward_riemann, phi_coverage
 
 TAU = 2.0 * np.pi
 
@@ -409,6 +409,25 @@ def seam(h, lam0):
     return SeamHarmonics(h.b, h.c, h.a, h.k, h.root, lam0)
 
 
+def mirrored(upper, n):
+    """lambda0 per row of a full turn on an n x n grid symmetric about the
+    x1 axis, from each row's values at the pixels with y >= 0, upper[j] of
+    shape (n, n - n // 2): row j at the pixels below is row -j mod len(upper)
+    at their images (x1, -x2), as lambda0 is on every family."""
+    cut = n - 2 * (n // 2)
+    return [np.concatenate([upper[-j % len(upper)][:, cut:][:, ::-1], upper[j]], axis=1) for j in range(len(upper))]
+
+
+def inject(monkeypatch, lam0_at):
+    """Make backproject read lambda0 at phi from lam0_at[phi], a full grid's
+    values, at the pixels it forms lambda0 on: the last columns, those with
+    y >= 0 where the mirror applies."""
+    harmonics = geo.lambda_harmonics
+    monkeypatch.setattr(
+        geo, "lambda_harmonics", lambda geom, x: seam(harmonics(geom, x), lambda p: lam0_at[p][:, -x.shape[1] :].copy())
+    )
+
+
 def test_backproject_zero_table():
     sino = window_sinogram(lambda lam: np.zeros_like(lam), m=33, n_phi=8)
     rec = backproject(pv_filter(sino), Grid.centered(9, 0.5))
@@ -504,14 +523,18 @@ def test_backproject_matches_the_lagrange_oracle(m, monkeypatch):
         lam[-1] + tol * rng.uniform(size=8),
         [lam[0] - tol, lam[-1] + tol],
     ])
-    n = int(np.ceil(np.sqrt(probes.size)))
-    probes = np.concatenate([probes, rng.uniform(lam[0], lam[-1], n * n - probes.size)])
+    # every probe at a pixel with y >= 0 of every row, where backproject's
+    # mirror forms lambda0 and the stencil; the pixels below read the
+    # mirror row's stencil
+    n = int(np.ceil(np.sqrt(2 * probes.size)))
+    upper = n - n // 2
+    probes = np.concatenate([probes, rng.uniform(lam[0], lam[-1], n * upper - probes.size)])
     phi = uniform_phi(3)
     values = rng.normal(size=(phi.size, m))
-    lam0_at = {float(p): rng.permutation(probes).reshape(n, n) for p in phi}
+    lam0 = mirrored([rng.permutation(probes).reshape(n, upper) for _ in phi], n)
+    lam0_at = dict(zip(map(float, phi), lam0))
     # lambda0 enters at the pixels' harmonics, one call per row at its phi
-    harmonics = geo.lambda_harmonics
-    monkeypatch.setattr(geo, "lambda_harmonics", lambda geom, x: seam(harmonics(geom, x), lambda p: lam0_at[p].copy()))
+    inject(monkeypatch, lam0_at)
     grid = Grid.centered(n, 0.5)
 
     got = backproject(FilteredSinogram(RADON, lam, phi, values), grid).values
@@ -534,9 +557,10 @@ def test_backproject_stencils_at_the_axis_ends_match_the_lagrange_oracle(m, monk
     probes = np.array([lam[0] - tol / 2, lam[0], lam[0] + h / 2, lam[-1] - h / 2, lam[-1], lam[-1] + tol / 2])
     phi = uniform_phi(2)
     values = rng.normal(size=(phi.size, m))
-    lam0_at = {float(p): np.concatenate([rng.permutation(probes), probes[:3]]).reshape(3, 3) for p in phi}
-    harmonics = geo.lambda_harmonics
-    monkeypatch.setattr(geo, "lambda_harmonics", lambda geom, x: seam(harmonics(geom, x), lambda p: lam0_at[p].copy()))
+    # the six probes fill the 3 x 2 pixels with y >= 0 of each row
+    lam0 = mirrored([rng.permutation(probes).reshape(3, 2) for _ in phi], 3)
+    lam0_at = dict(zip(map(float, phi), lam0))
+    inject(monkeypatch, lam0_at)
     grid = Grid.centered(3, 0.5)
 
     got = backproject(FilteredSinogram(RADON, lam, phi, values), grid).values
@@ -645,41 +669,132 @@ def test_pv_filter_folds_antipodal_rows(monkeypatch, sino, grid, rows):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def oracle_backproject(filtered, grid):
-    """backproject with a fresh power-form table per block of 64 rows: the
-    form the one-buffer loop must equal bit for bit."""
+def oracle_backproject(filtered, grid, mirror=False):
+    """backproject with a fresh power-form table per row: the form the
+    shared-buffer loop must equal bit for bit. With mirror (a grid symmetric
+    about the x1 axis), lambda0 and the stencil of each row are formed at the
+    pixels with y >= 0 and sample there the row and, at the images
+    (x1, -x2), its mirror row -j mod n, on a half turn reversed by sampling
+    it at (m - 4 - k, 1 - s) (row 0 unreversed); rows are then taken in the
+    order 0, 1, n - 1, 2, n - 2, ..."""
     geom, lam, phi, values = filtered.geom, filtered.lambda_axis, filtered.phi_axis, filtered.values
-    m, h = lam.size, lam[1] - lam[0]
+    (n, m), h = values.shape, lam[1] - lam[0]
+    half = phi_coverage(geom, phi) == "half"
+    v0, v1, v2, v3 = values[:, :-3], values[:, 1:-2], values[:, 2:-1], values[:, 3:]
+    c1 = v2 - v0 / 3.0 - v1 / 2.0 - v3 / 6.0
+    table = np.stack([v1, c1, (v0 + v2) / 2.0 - v1, (v3 - v0) / 6.0 + (v1 - v2) / 2.0], axis=1)
+    q = grid.ny // 2 if mirror else 0
     pts = grid.points()
-    lam0_at = geo.lambda_harmonics(geom, pts)
-    acc = np.zeros((grid.nx, grid.ny))
-    for j in range(phi.size):
-        if j % 64 == 0:
-            block = values[j : j + 64]
-            v0, v1, v2, v3 = block[:, :-3], block[:, 1:-2], block[:, 2:-1], block[:, 3:]
-            c1 = v2 - v0 / 3.0 - v1 / 2.0 - v3 / 6.0
-            table = np.stack([v1, c1, (v0 + v2) / 2.0 - v1, (v3 - v0) / 6.0 + (v1 - v2) / 2.0], axis=1)
+    lam0_at = geo.lambda_harmonics(geom, pts[:, q:])
+    order = [r for j in range(n // 2 + 1) for r in dict.fromkeys((j, -j % n))] if mirror else range(n)
+    acc = np.zeros((2, grid.nx, grid.ny - q))
+    for j in order:
         s = (lam0_at(float(phi[j])) - lam[0]) / h - 1.0
         k = np.clip(np.floor(s), 0, m - 4)
         s -= k
-        c = table[j % 64][:, k.astype(np.intp)]
-        acc += ((c[3] * s + c[2]) * s + c[1]) * s + c[0]
+        c = table[j][:, k.astype(np.intp)]
+        acc[0] += ((c[3] * s + c[2]) * s + c[1]) * s + c[0]
+        if mirror:
+            if half and j:
+                k, s = m - 4 - k, 1.0 - s
+            c = table[-j % n][:, k.astype(np.intp)]
+            acc[1] += ((c[3] * s + c[2]) * s + c[1]) * s + c[0]
+    image = np.concatenate([acc[1, :, grid.ny - 2 * q :][:, ::-1], acc[0]], axis=1)
     sheet = geom.record.sheets(geom)
-    return -acc * (phi[1] - phi[0]) / (4.0 * np.pi**2 * np.asarray(geo.dcoef_closed(geom, pts)) * sheet)
+    return -image * (phi[1] - phi[0]) / (4.0 * np.pi**2 * np.asarray(geo.dcoef_closed(geom, pts)) * sheet)
 
 
 @pytest.mark.parametrize(
-    "filtered, grid",
+    "filtered, grid, mirror",
     [
-        (pv_filter(rough_radon_rows(150, np.linspace(-1.0, 1.0, 65))), RADON_GRID),  # folded: 75 rows
-        (pv_filter(rough_radon_rows(151, np.linspace(-1.0, 1.0, 65))), RADON_GRID),  # 151 rows
-        (pv_filter(random_sinogram(FUNK, 150)), FOLD_GRID),  # folded: 75 rows
-        (pv_filter(random_sinogram(ELLIPSE, 130)), FOLD_GRID),  # 130 rows
+        (pv_filter(rough_radon_rows(150, np.linspace(-1.0, 1.0, 65))), RADON_GRID, True),  # folded: 75 rows
+        (pv_filter(rough_radon_rows(151, np.linspace(-1.0, 1.0, 65))), RADON_GRID, True),  # 151 rows
+        (pv_filter(random_sinogram(FUNK, 150)), FOLD_GRID, False),  # folded: 75 rows
+        (pv_filter(random_sinogram(ELLIPSE, 130)), FOLD_GRID, False),  # 130 rows
     ],
     ids=["radon folded", "radon unfolded", "funk folded", "ellipse unfolded"],
 )
-def test_backproject_equals_the_fresh_table_form_bit_for_bit(filtered, grid):
-    assert backproject(filtered, grid).values.tobytes() == oracle_backproject(filtered, grid).tobytes()
+def test_backproject_equals_the_fresh_table_form_bit_for_bit(filtered, grid, mirror):
+    # RADON_GRID is symmetric about the x1 axis and its lambda axis is
+    # [-1, 1], so even the folded half turn takes the mirror; FOLD_GRID is not
+    assert backproject(filtered, grid).values.tobytes() == oracle_backproject(filtered, grid, mirror).tobytes()
+
+
+def record_widths(monkeypatch):
+    """Record the number of y columns of every grid backproject forms lambda0
+    on from here on."""
+    widths = []
+    harmonics = geo.lambda_harmonics
+
+    def recording(geom, x=None):
+        if x is not None:
+            widths.append(np.shape(x)[1])
+        return harmonics(geom, x)
+
+    monkeypatch.setattr(geo, "lambda_harmonics", recording)
+    return widths
+
+
+# grids symmetric about the x1 axis, clear of the origin of the punctured
+# families, with a y = 0 column (odd) and without (even)
+MIRROR_GRIDS = {n: Grid.centered(n, 0.2, (0.03, 0.0)) for n in (17, 16)}
+CIRCLE = GeometryFamily("ellipse", e1=1.0, e2=1.0, support_radius=0.7)
+# lambda axes of 65 nodes whose step is exact, lam[-1] - lam[0] = 64 h, and
+# which cover the mirror grids and FOLD_GRID on the families with lambda0
+# odd in phi
+EXACT_AXES = {g: np.linspace(-w, w, 65) for g, w in ((RADON, 0.5), (FUNK, 0.5), (HGEO, 0.75), (EQUI, 0.875), (CORMACK2, 0.25))}
+MIRROR_CASES = {}
+for _geom in (RADON, FUNK, HGEO, EQUI, CORMACK2, ELLIPSE, CIRCLE, HYPER, PARAB):
+    MIRROR_CASES[f"{geo.descriptor(_geom)} n_phi 25"] = random_sinogram(_geom, 25)
+for _geom in (ELLIPSE, CIRCLE, HYPER, PARAB):
+    MIRROR_CASES[f"{geo.descriptor(_geom)} n_phi 24"] = random_sinogram(_geom, 24)
+for _geom, _lam in EXACT_AXES.items():
+    MIRROR_CASES[f"{geo.descriptor(_geom)} folded"] = random_sinogram(_geom, 24, lam=_lam)
+    MIRROR_CASES[f"{geo.descriptor(_geom)} half range"] = random_sinogram(_geom, 12, half=True, lam=_lam)
+
+
+@pytest.mark.parametrize("n", MIRROR_GRIDS)
+@pytest.mark.parametrize("sino", MIRROR_CASES.values(), ids=MIRROR_CASES.keys())
+def test_backproject_mirror_matches_every_row_sampled_at_every_pixel(monkeypatch, sino, n):
+    # lambda0(x1, -x2, phi) = lambda0(x, -phi) on every family, so on a grid
+    # symmetric about the x1 axis backproject forms lambda0 and the stencil
+    # on the pixels with y >= 0 alone and samples the mirror row at their
+    # images: row -j mod n of a full turn, or row n - j reversed in lambda
+    # on a half turn (folded, or half-range data doubled)
+    grid = MIRROR_GRIDS[n]
+    filtered = pv_filter(sino)
+    want = per_row_backprojection(filtered, grid)
+    widths = record_widths(monkeypatch)
+    got = backproject(filtered, grid).values
+    assert widths == [n - n // 2]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", MIRROR_GRIDS)
+def test_backproject_takes_no_mirror_on_a_half_turn_whose_step_is_not_exact(monkeypatch, n):
+    # funk's default axis is symmetric, but (lam[-1] - lam[0]) / h is not
+    # 64, so a reversed row would be sampled off its own stencil: every row
+    # is sampled at every pixel, as off the axis
+    sino = random_sinogram(FUNK, 24)
+    lam = sino.lambda_axis
+    assert lam[0] == -lam[-1] and (lam[-1] - lam[0]) / (lam[1] - lam[0]) != lam.size - 1
+    filtered = pv_filter(sino)
+    assert filtered.phi_axis.size == 12
+    want = oracle_backproject(filtered, MIRROR_GRIDS[n])
+    widths = record_widths(monkeypatch)
+    assert backproject(filtered, MIRROR_GRIDS[n]).values.tobytes() == want.tobytes()
+    assert widths == [n]
+
+
+@pytest.mark.parametrize("sino", MIRROR_CASES.values(), ids=MIRROR_CASES.keys())
+def test_backproject_off_the_axis_is_the_per_row_loop_bit_for_bit(monkeypatch, sino):
+    # FOLD_GRID is not symmetric about the x1 axis: no mirror, every row at
+    # every pixel in row order
+    filtered = pv_filter(sino)
+    want = oracle_backproject(filtered, FOLD_GRID)
+    widths = record_widths(monkeypatch)
+    assert backproject(filtered, FOLD_GRID).values.tobytes() == want.tobytes()
+    assert widths == [FOLD_GRID.ny]
 
 
 def test_invert_is_homogeneous():

@@ -136,6 +136,32 @@ def test_component_eval_at_a_single_point_is_a_float(comp, turn):
     assert type(Phantom((comp,)).eval(np.zeros(2), turn)) is float
 
 
+@pytest.mark.parametrize(
+    "ph",
+    (Phantom(COMPONENTS[:1]), Phantom(COMPONENTS[2:3]), Phantom(COMPONENTS[3:]), Phantom(COMPONENTS)),
+    ids=("gaussian", "mollified disc", "sharp disc", "mixed"),
+)
+def test_eval_of_a_sequence_of_turns_is_each_turn_alone_bit_for_bit(ph):
+    # the forward transform evaluates all the columns that share a block of
+    # points in one call; each column's values must be its own call's
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-0.7, 0.7, size=(23, 17, 2))
+    turns = (0.0, 0.7, -2.1, np.float64(math.pi), 5.0, 1e-3)
+    kept = x.copy()
+    got = ph.eval(x, turns)
+    assert np.array_equal(x, kept)
+    assert got.shape == (len(turns),) + x.shape[:-1]
+    for turn, values in zip(turns, got):
+        assert values.tobytes() == ph.eval(x, turn).tobytes()
+    # a list, an array and a single point; no turns at all is no values
+    assert ph.eval(x, np.array(turns)).tobytes() == got.tobytes()
+    at_point = ph.eval(x[3, 4], list(turns))
+    assert at_point.shape == (len(turns),)
+    assert all(v == ph.eval(x[3, 4], t) for t, v in zip(turns, at_point))
+    assert ph.eval(x, []).shape == (0,) + x.shape[:-1]
+    assert Phantom(()).eval(x, turns).shape == got.shape
+
+
 def test_feature_scale_is_the_smallest_component_scale():
     # sigma for a Gaussian, the rim band for a disc
     g = Gaussian((0.0, 0.0), 0.1)

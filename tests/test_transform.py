@@ -558,7 +558,7 @@ class _NaNComponent:
     support_radius = 0.3
 
     def eval(self, x, turn=0.0):
-        return np.full(np.shape(x)[:-1], np.nan)
+        return np.full(np.shape(turn) + np.shape(x)[:-1], np.nan)
 
 
 def test_forward_rejects_non_finite_phantom_values():
@@ -582,18 +582,29 @@ def test_forward_rejects_support_outside_domain():
 RING = Phantom(tuple(Gaussian((0.5 * np.cos(a), 0.5 * np.sin(a)), 0.05) for a in np.arange(12) * (TAU / 12)))
 
 
-@pytest.mark.parametrize("forward", (forward_mphi, forward_riemann), ids=("mphi", "riemann"))
+WORKER_CASES = {
+    "radon": (RADON, Phantom((Gaussian((0.2, 0.1), 0.15),)), 4),
+    # seven columns split unevenly between the workers: cormack and the
+    # parabola share one arc table, the unequal ellipse maps one per column
+    "cormack3": (GeometryFamily("cormack", k=3), RING, 7),
+    "parabola": (PARAB, RING, 7),
+    "ellipse": (GeometryFamily("ellipse", e1=1.2, e2=0.8, support_radius=0.7), RING, 7),
+    # the hyperbola's lambda = 0 rays and hgeodesic's lambda = 0 line arc
+    # have one row each, which a worker's columns evaluate in one call; the
+    # hyperbola has no arc-length data
+    "hyperbola": (HYPER, RING, 7),
+    "hgeodesic": (HGEO, RING, 7),
+}
+
+
 @pytest.mark.parametrize(
-    "geom, ph, n_phi",
+    "forward, geom, ph, n_phi",
     [
-        (RADON, Phantom((Gaussian((0.2, 0.1), 0.15),)), 4),
-        # seven columns split unevenly between the workers: cormack and the
-        # parabola share one arc table, the unequal ellipse maps one per column
-        (GeometryFamily("cormack", k=3), RING, 7),
-        (PARAB, RING, 7),
-        (GeometryFamily("ellipse", e1=1.2, e2=0.8, support_radius=0.7), RING, 7),
+        pytest.param(forward, *case, id=f"{label}-{kind}")
+        for label, case in WORKER_CASES.items()
+        for forward, kind in ((forward_mphi, "mphi"), (forward_riemann, "riemann"))
+        if not (label == "hyperbola" and kind == "riemann")
     ],
-    ids=("radon", "cormack3", "parabola", "ellipse"),
 )
 def test_forward_worker_count_is_invisible(forward, geom, ph, n_phi):
     lam, phi = default_axes(geom, 17, n_phi)
@@ -601,6 +612,19 @@ def test_forward_worker_count_is_invisible(forward, geom, ph, n_phi):
     pooled = forward(ph, geom, lam, phi, workers=2)
     assert np.max(np.abs(serial.data)) > 0.0
     assert np.array_equal(serial.data, pooled.data)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("rt", _round_trips(), ids=lambda rt: rt.label)
+def test_forward_columns_do_not_depend_on_the_columns_beside_them(rt, workers):
+    # every other column of 16 is a column of 8 at the same angle; the 16
+    # share their calls and blocks with other columns than the 8 do, on one
+    # worker or split between two
+    lam = default_axes(rt.geom, 33, 8)[0]
+    eight = forward_mphi(rt.phantom, rt.geom, lam, uniform_phi(8), workers=workers).data
+    sixteen = forward_mphi(rt.phantom, rt.geom, lam, uniform_phi(16), workers=workers).data
+    assert np.max(np.abs(eight)) > 0.0
+    assert sixteen[::2].tobytes() == eight.tobytes()
 
 
 @pytest.mark.parametrize("shift", (1e-11, 1e-9))
@@ -644,11 +668,13 @@ def test_conic_rows_next_to_lambda_zero_match_the_zero_row(label, shift):
 def test_cormack_data_do_not_change_when_the_phantom_turns_by_2pi_over_k(k):
     # each curve is one sheet and its copies turned by 2 pi m / k, so a
     # phantom without that symmetry, turned by 2 pi / k, has the same data
+    # (sigma 0.06 leaves f(0) = 3e-18, below what the rows next to
+    # lambda = 0 allow at FIXED's rtol = 0; sigma 0.08 left 1.5e-10)
     geom = GeometryFamily("cormack", k=k)
     c, s = np.cos(TAU / k), np.sin(TAU / k)
     lam, phi = np.linspace(-0.3, 0.3, 6), uniform_phi(4)
     data = [
-        forward_mphi(Phantom((Gaussian(centre, 0.08),)), geom, lam, phi, **FIXED).data
+        forward_mphi(Phantom((Gaussian(centre, 0.06),)), geom, lam, phi, **FIXED).data
         for centre in ((0.5, 0.2), (0.5 * c - 0.2 * s, 0.5 * s + 0.2 * c))
     ]
     assert np.max(data[0]) > 0.01
@@ -660,15 +686,15 @@ def test_cormack_data_do_not_change_when_the_phantom_turns_by_2pi_over_k(k):
 
 
 def count_points(monkeypatch):
-    """Count the points every Phantom.eval call receives from here on, and
-    the calls in counted[1]."""
+    """Count the values every Phantom.eval call returns from here on, one per
+    point and turn, and the calls in counted[1]."""
     counted = [0, 0]
     evaluate = Phantom.eval
 
-    def counting(self, x, *turn):
-        counted[0] += np.size(x) // 2
+    def counting(self, x, turn=0.0):
+        counted[0] += np.size(x) // 2 * np.size(turn)
         counted[1] += 1
-        return evaluate(self, x, *turn)
+        return evaluate(self, x, turn)
 
     monkeypatch.setattr(Phantom, "eval", counting)
     return counted
@@ -724,6 +750,29 @@ def test_forward_maps_each_arc_once_per_level_for_all_columns(monkeypatch):
     sizes.clear()
     forward_mphi(ph, RADON, lam, phi, rtol=0.0, n_max=8192)
     assert max(sizes) <= _TABLE_POINTS < sum(sizes)
+
+
+def test_forward_evaluates_whole_columns_together_within_the_table_bound(monkeypatch):
+    # the columns that take a block whole share one Phantom.eval call where
+    # all their values fit in _TABLE_POINTS, so the hyperbola's single-row
+    # lambda = 0 rays cost a call per level, not one per column; a deep
+    # level's blocks are that large on their own and keep a call each
+    sizes = []
+    evaluate = Phantom.eval
+
+    def recording(self, x, turn=0.0):
+        sizes.append((np.size(x) // 2, np.size(turn)))
+        return evaluate(self, x, turn)
+
+    monkeypatch.setattr(Phantom, "eval", recording)
+    rt = next(rt for rt in _round_trips() if rt.label == "hyperbola")
+    forward_mphi(rt.phantom, rt.geom, *default_axes(rt.geom, 129, 45))
+    assert max(points * turns for points, turns in sizes) <= _TABLE_POINTS
+    assert max(turns for _, turns in sizes) == 45
+    sizes.clear()
+    ph = parse_phantom("gauss:0.06,0.04,0.15,1;disc:-0.2,0.1,0.1,0.5,0.02")
+    forward_mphi(ph, RADON, *default_axes(RADON, 33, 16), rtol=0.0, n_max=8192)
+    assert max(points * turns for points, turns in sizes) <= _TABLE_POINTS < sum(p * t for p, t in sizes)
 
 
 def test_row_sums_equal_multiply_then_sum_for_every_weight_shape():
@@ -911,9 +960,9 @@ def test_forward_turning_the_phantom_matches_turning_the_nodes(kind, geom):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-# Phantom.eval points of one adaptive forward of each acceptance phantom at
-# 33 x 8, as the node-turning forward counted them: turning the phantom
-# evaluates it on the same number of points
+# Phantom.eval values of one adaptive forward of each acceptance phantom at
+# 33 x 8, as the node-turning forward counted them: turning the phantom, and
+# evaluating several columns in one call, evaluates it at the same points
 EVAL_POINTS = {
     "radon": 8712,
     "circle": 8712,
@@ -937,15 +986,16 @@ def test_forward_evaluates_the_phantom_on_a_pinned_number_of_points(monkeypatch,
 @pytest.mark.parametrize("label, arcs", (("radon", 1), ("hgeodesic", 2)))
 def test_forward_evaluates_the_end_nodes_in_the_first_level(monkeypatch, label, arcs):
     # every row of these columns converges at the first comparison, so each
-    # column makes one pass over each arc for the first level, whose end
-    # nodes count half, and one for its midpoints; a separate pass over the
-    # end nodes would cost a third more calls on the same points
-    # (hgeodesic has a line arc and a circle arc, on disjoint rows)
+    # level makes one pass over each arc, the first level's with its end
+    # nodes at half weight; a separate pass over the end nodes would cost a
+    # third more calls on the same points. Every column takes each block
+    # whole, and the eight columns' values (at most 33 x 17 x 8) fit in one
+    # call (hgeodesic has a line arc and a circle arc, on disjoint rows)
     rt = next(rt for rt in _round_trips() if rt.label == label)
     lam, phi = default_axes(rt.geom, 33, 8)
     counted = count_points(monkeypatch)
     forward_mphi(rt.phantom, rt.geom, lam, phi)
-    assert counted == [EVAL_POINTS[label], 2 * arcs * phi.size]
+    assert counted == [EVAL_POINTS[label], 2 * arcs]
 
 
 # ---------------------------------------------------------------------------
@@ -969,8 +1019,36 @@ def test_forward_refuses_the_cormack_zero_row_when_f_at_the_origin_is_not_zero(k
     assert "even" not in message and "number of lambda" not in message
     # arc-length data weigh the rays by dr alone, which converges
     forward_riemann(ORIGIN_GAUSSIAN, geom, lam, phi)
+    # the rows next to a lambda = 0 that the axis steps over carry it too
     lam, phi = default_axes(geom, 32, 8)
-    assert np.all(np.isfinite(forward_mphi(ORIGIN_GAUSSIAN, geom, lam, phi).data))
+    with pytest.raises(DivergentRowError, match=rf"k={k}.*steps over lambda = 0.*\(index 15\).*f\(0\) = 1"):
+        forward_mphi(ORIGIN_GAUSSIAN, geom, lam, phi)
+    forward_riemann(ORIGIN_GAUSSIAN, geom, lam, phi)
+
+
+@pytest.mark.parametrize("n_lambda", (32, 33))
+@pytest.mark.parametrize("k", (2, 3))
+def test_forward_refuses_a_cormack_phantom_off_the_origin_that_is_not_zero_there(k, n_lambda):
+    # the probe of a wrong answer with no refusal: a sigma 0.15 Gaussian at
+    # (0.06, 0.04), f(0) = 0.89, reconstructed 0.31 off in rel_l2 at k = 2
+    # and an even n_lambda of 256; the node at lambda = 0 or the two rows
+    # next to it are refused alike
+    geom = GeometryFamily("cormack", k=k)
+    ph = Phantom((Gaussian((0.06, 0.04), 0.15),))
+    lam, phi = default_axes(geom, n_lambda, 8)
+    index = "16" if n_lambda == 33 else "15"
+    with pytest.raises(DivergentRowError, match=rf"k={k}.*\(index {index}\).*f\(0\) = 0.891.*vanishes at the origin"):
+        forward_mphi(ph, geom, lam, phi)
+
+
+def test_forward_keeps_the_acceptance_cormack_phantom_on_either_axis():
+    # two Gaussians at +-0.55 with sigma 0.0675 leave f(0) = 8e-15: too little
+    # to move the lambda = 0 row, or the rows next to it, by rtol
+    rt = next(rt for rt in _round_trips() if rt.label == "cormack2")
+    assert 0.0 < rt.phantom.eval(np.zeros(2)) < 1e-14
+    for n_lambda in (32, 33):
+        lam, phi = default_axes(rt.geom, n_lambda, 8)
+        assert np.max(forward_mphi(rt.phantom, rt.geom, lam, phi).data) > 0.0
 
 
 def test_forward_keeps_the_cormack_zero_row_where_it_converges():
