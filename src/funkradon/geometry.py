@@ -118,6 +118,11 @@ class GeometryFamily:
                 object.__setattr__(self, p.name, p.cast(value))
         if record.open_disc and not (self.support_radius < 1):
             raise ValueError(f"{self.tag} lives on the open unit disc; support_radius must be < 1")
+        # a double support radius, so that an overflow reads inf (cormack's support^k)
+        with np.errstate(over="ignore"):
+            lo, hi = record.lambda_range(self, np.float64(self.support_radius))
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"{descriptor(self)}: the lambda range over the support disc overflows, [{lo}, {hi}]")
 
     @property
     def record(self) -> "_Family":
@@ -882,8 +887,17 @@ def _cormack():
         # one turned by 2 pi m / k (see the arc geometry notes)
         k = g.k
         L = np.abs(lam)
-        with np.errstate(divide="ignore"):
-            ch = R**k / L
+        # a sheet reaches r = R at cosh kt = R^k / L, and the rays of a
+        # lambda = 0 row weigh r^(1-k) / k, most at their start r0; as
+        # doubles, an overflow reads inf
+        r0 = _RAY_START * R
+        with np.errstate(divide="ignore", over="ignore"):
+            ch = np.float64(R) ** k / L
+            w0 = np.float64(r0) ** (1 - k) / k if np.any(L <= lam_eps) else 0.0
+        start = f"the lambda = 0 rays' weight r^(1-k)/k at their start r = {r0:.3g}"
+        for what, value in (("R^k / |lambda|", ch[L > lam_eps]), (start, w0)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{descriptor(g)}: {what} overflows on the working disc of radius R = {R:.6g}")
         W = np.where(L > lam_eps, np.arccosh(np.maximum(ch, 1.0)) / k, 0.0)
         th0 = np.where(lam >= 0.0, 0.0, np.pi / k)
         c0, s0 = np.cos(th0), np.sin(th0)

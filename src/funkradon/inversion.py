@@ -34,13 +34,13 @@ O(m) in memory for m lambda nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry as geo
 from .fields import Grid, ScalarField
-from .transform import Sinogram, phi_coverage, riemann_to_mphi
+from .transform import Sinogram, _hold_table, riemann_to_mphi
 
 __all__ = [
     "WindowingError",
@@ -77,36 +77,20 @@ class FilteredSinogram:
 
     The lambda axis may be wider than the input sinogram's: root-harmonics
     (parabola) data are extended evenly through lambda = 0 before filtering.
-    The phi axis obeys Sinogram's rule (transform.phi_coverage), since
-    backprojection weights every row by the first step: a full turn, or
-    half a turn where lambda0 is odd in phi, whose rows then stand for
-    themselves and their antipodes (pv_filter's fold).
+    Otherwise the table obeys Sinogram's rule (transform._hold_table), so
+    backprojection may weight every row by the first phi step: phi_full
+    says whether the rows span a full turn or half a turn, whose rows stand
+    for themselves and their antipodes (pv_filter's fold).
     """
 
     geom: geo.GeometryFamily
     lambda_axis: np.ndarray
     phi_axis: np.ndarray
     values: np.ndarray
+    phi_full: str = field(init=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.lambda_axis, dtype=float)
-        phi = np.asarray(self.phi_axis, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "lambda_axis", lam)
-        object.__setattr__(self, "phi_axis", phi)
-        object.__setattr__(self, "values", values)
-        if lam.ndim != 1 or lam.size < 2:
-            raise ValueError("filtered lambda axis needs at least two nodes")
-        dl = np.diff(lam)
-        if dl[0] <= 0 or not np.allclose(dl, dl[0], rtol=1e-9, atol=0):
-            raise ValueError("filtered lambda axis must be uniform and ascending")
-        if phi.ndim != 1 or phi.size < 2:
-            raise ValueError(f"filtered table needs at least two phi rows, got {phi.size}")
-        phi_coverage(self.geom, phi)
-        if values.shape != (phi.size, lam.size):
-            raise ValueError(
-                f"filtered values of shape {values.shape} do not match the axes ({phi.size}, {lam.size})"
-            )
+        _hold_table(self, "values", "filtered")
 
 
 def dcoef_quadrature(geom: geo.GeometryFamily, x, n_phi: int = 256):
@@ -204,8 +188,9 @@ def pv_filter(sino: Sinogram) -> FilteredSinogram:
     Where lambda0 is odd in phi, row j + n/2 (at phi_j + pi on any turn
     phi_coverage admits) is row j reversed in lambda, and the linear filter
     commutes with that reversal: a full turn of even length with lam[0] =
-    -lam[-1] is folded to g[:n/2] + g[n/2:, ::-1], and a half-range row,
-    standing for its antipode too, is filtered as 2 g on its own axis.
+    -lam[-1] is folded to g[:n/2] + g[n/2:, ::-1], and a row of a half turn
+    (the sinogram's phi_full), standing for its antipode too, is filtered as
+    2 g on its own axis.
     Either way the table holds a half turn (FilteredSinogram). Root-harmonics
     (parabola) data are extended evenly through lambda = 0. Decay at the
     lambda boundaries is checked before any row is folded or doubled.
@@ -276,8 +261,9 @@ def _mirror(filtered: FilteredSinogram, grid: Grid):
     lambda0(x1, -x2, phi) = lambda0(x, -phi) on every family, since b, a and
     k are even in x2 and c is odd; so where the grid's y nodes are symmetric
     about the x1 axis (within a few ulps), row j's lambda0 at a pixel is the
-    mirror row's lambda0 at the pixel's image. On a full turn the mirror row
-    is row -j mod n at -phi_j. On a half turn, where lambda0 is odd in phi, it
+    mirror row's lambda0 at the pixel's image. Which turn the table's phi
+    axis spans is the table's phi_full. On a full turn the mirror row is
+    row -j mod n at -phi_j. On a half turn, where lambda0 is odd in phi, it
     is row n - j at phi_(n-j) = pi - phi_j, whose lambda0 at the image is
     minus row j's at the pixel: that row reversed in lambda (row 0 is its own
     mirror, unreversed). Reversing maps the stencil offset t to m - 1 - t,
@@ -290,9 +276,7 @@ def _mirror(filtered: FilteredSinogram, grid: Grid):
     ys = grid.ys
     if grid.ny < 2 or np.max(np.abs(ys + ys[::-1])) > 4.0 * np.spacing(np.max(np.abs(ys))):
         return None
-    phi = filtered.phi_axis
-    # the table's phi axis spans a full turn or a half turn (FilteredSinogram)
-    if (phi[1] - phi[0]) * phi.size > 1.5 * np.pi:
+    if filtered.phi_full == "full":
         return False
     lam = filtered.lambda_axis
     if lam[0] != -lam[-1] or (lam[-1] - lam[0]) / (lam[1] - lam[0]) != lam.size - 1:

@@ -35,7 +35,7 @@ whose integral diverges at a singular point of the family is refused
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,19 +98,41 @@ def phi_coverage(geom: GeometryFamily, phi: np.ndarray) -> str:
     return "half"
 
 
-def _check_axes(geom: GeometryFamily, lam: np.ndarray, phi: np.ndarray) -> None:
-    """Refuse a lambda axis that is not uniform, ascending and inside the
-    family's admissible range, or a phi axis that phi_coverage refuses."""
+def _check_axes(geom: GeometryFamily, lam: np.ndarray, phi: np.ndarray, what: str = "sinogram") -> str:
+    """Refuse a lambda axis of under two nodes or of unequal or nonpositive
+    steps, or a phi axis phi_coverage refuses; return phi_coverage's answer."""
     if lam.ndim != 1 or lam.size < 2:
-        raise ValueError("lambda axis needs at least two samples")
+        raise ValueError(f"{what} lambda axis needs at least two samples")
     dl = np.diff(lam)
     if dl[0] <= 0 or not np.allclose(dl, dl[0], rtol=1e-9, atol=0):
-        raise ValueError("lambda axis must be uniform and ascending")
-    phi_coverage(geom, phi)
+        raise ValueError(f"{what} lambda axis must be uniform and ascending")
+    return phi_coverage(geom, phi)
+
+
+def _check_range(geom: GeometryFamily, lam: np.ndarray) -> None:
+    """Refuse a lambda axis outside the family's admissible range."""
     lo, hi = geo.lambda_range(geom)
     slack = 1e-9 * (1.0 + hi - lo)
     if lam[0] < lo - slack or lam[-1] > hi + slack:
         raise ValueError(f"lambda axis [{lam[0]}, {lam[-1]}] exceeds admissible range [{lo}, {hi}]")
+
+
+def _hold_table(table, name: str, what: str) -> None:
+    """The rule of Sinogram's and FilteredSinogram's (lambda, phi) tables:
+    hold the axes and the values (field name) as float arrays, refuse what
+    _check_axes refuses, values that do not match the axes in shape or are
+    not finite, and hold phi_coverage's answer as phi_full."""
+    lam = np.asarray(table.lambda_axis, dtype=float)
+    phi = np.asarray(table.phi_axis, dtype=float)
+    values = np.asarray(getattr(table, name), dtype=float)
+    object.__setattr__(table, "lambda_axis", lam)
+    object.__setattr__(table, "phi_axis", phi)
+    object.__setattr__(table, name, values)
+    object.__setattr__(table, "phi_full", _check_axes(table.geom, lam, phi, what))
+    if values.shape != (phi.size, lam.size):
+        raise ValueError(f"{what} values of shape {values.shape} do not match the axes ({phi.size}, {lam.size})")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} entries must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +140,10 @@ class Sinogram:
     """Sampled transform data on a uniform (lambda, phi) lattice.
 
     data[j, i] is the value at (lambda_axis[i], phi_axis[j]). The phi axis
-    covers [0, 2pi) endpoint-free, or [0, pi) where lambda0 is odd in phi
-    (phi_coverage), since data(-lambda, phi + pi) = data(lambda, phi) there;
-    pv_filter folds a full turn of such data to a half turn before filtering.
+    covers [0, 2pi) endpoint-free, or [0, pi) where lambda0 is odd in phi,
+    since data(-lambda, phi + pi) = data(lambda, phi) there; phi_full holds
+    which, 'full' or 'half'. Besides _hold_table's rule, the kind must be
+    known and the lambda axis inside the family's admissible range.
     """
 
     geom: GeometryFamily
@@ -128,25 +151,13 @@ class Sinogram:
     phi_axis: np.ndarray
     data: np.ndarray
     kind: str = "mphi"
+    phi_full: str = field(init=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.lambda_axis, dtype=float)
-        phi = np.asarray(self.phi_axis, dtype=float)
-        data = np.asarray(self.data, dtype=float)
-        object.__setattr__(self, "lambda_axis", lam)
-        object.__setattr__(self, "phi_axis", phi)
-        object.__setattr__(self, "data", data)
         if self.kind not in ("mphi", "riemann"):
             raise ValueError(f"unknown sinogram kind {self.kind!r}")
-        _check_axes(self.geom, lam, phi)
-        if data.shape != (phi.size, lam.size):
-            raise ValueError(f"data shape {data.shape} does not match axes ({phi.size}, {lam.size})")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("sinogram entries must be finite")
-
-    @property
-    def phi_full(self) -> str:
-        return phi_coverage(self.geom, self.phi_axis)
+        _hold_table(self, "data", "sinogram")
+        _check_range(self.geom, self.lambda_axis)
 
     @property
     def n_lambda(self) -> int:
@@ -237,8 +248,9 @@ def _columns(geom, phantom, lam, table, turns, R, mu, rtol, n_start, n_max):
     column, since values past a few hundred kB cost more to allocate than
     the calls they save. Every slice of a shared call is the column's own
     call bit for bit, so a column's values do not depend on which columns
-    share its table or its calls. A pass checks that its sums are finite
-    once, at its end: NaN and inf carry through the weighted sums.
+    share its table or its calls. Both kinds of call run in one loop, over
+    (tot index, turns, rows of the block). A pass checks that its sums are
+    finite once, at its end: NaN and inf carry through the weighted sums.
     """
     arcs = geo.arcs(geom, lam, table, R)
     feature = phantom.feature_scale
@@ -301,22 +313,18 @@ def _columns(geom, phantom, lam, table, turns, R, mu, rtol, n_start, n_max):
                 span = slice(act[0], act[-1] + 1) if act[-1] - act[0] == act.size - 1 else act
                 cols = np.flatnonzero(whole)
                 if 0 < cols.size * B.size <= _TABLE_POINTS:
-                    calls = [((cols[:, None], act), turns[cols])]
+                    calls = [((cols[:, None], act), turns[cols], slice(None))]
                 else:
-                    calls = [((j, span), turns[j]) for j in cols]
-                for at, turn in calls:
-                    vals = phantom.eval(P, arc.turns[0] + turn)
-                    for t in arc.turns[1:]:
-                        vals += phantom.eval(P, t + turn)
-                    tot[at] += fac[span] * _row_sums(vals, weight)
+                    calls = [((j, span), turns[j], slice(None)) for j in cols]
                 for j in np.flatnonzero(~whole & refining.any(axis=1)):
                     own = np.flatnonzero(refining[j])
-                    Q, at = P[own], act[own]
-                    w = weight if weight.ndim == 1 else weight[own]
-                    vals = phantom.eval(Q, arc.turns[0] + turns[j])
+                    calls.append(((j, act[own]), turns[j], own))
+                for at, turn, own in calls:
+                    Q, w = P[own], weight if weight.ndim == 1 else weight[own]
+                    vals = phantom.eval(Q, arc.turns[0] + turn)
                     for t in arc.turns[1:]:
-                        vals += phantom.eval(Q, t + turns[j])
-                    tot[j, at] += fac[at] * _row_sums(vals, w)
+                        vals += phantom.eval(Q, t + turn)
+                    tot[at] += fac[at[1]] * _row_sums(vals, w)
         # NaN and inf carry through the weighted sums, so one check per pass
         # catches a non-finite value at any node
         if not np.all(np.isfinite(tot)):
@@ -377,6 +385,7 @@ def _forward(phantom, geom, lambda_axis, phi_axis, kind, rtol, n_start, n_max, w
     phi = np.asarray(phi_axis, dtype=float)
     # bad axes, and a family without the m * mu split (hyperbola), are refused before any quadrature
     _check_axes(geom, lam, phi)
+    _check_range(geom, lam)
     mu = None if kind == "mphi" else geo.weight_mu(geom, lam)
     smooth, sharp = _split_phantom(phantom)
     disc_data = geom.record.sharp_disc_data

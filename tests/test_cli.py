@@ -5,6 +5,8 @@ reports, and the files left behind. The selftest subcommand is covered by
 the acceptance battery through a real subprocess, not here.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,31 @@ def test_forward_refuses_a_cormack_row_that_diverges_at_the_origin(capsys, tmp_p
     )
     assert code == 2
     assert "k=2" in err and "f(0) = 1" in err and "lambda = 0 (index 16)" in err
+    assert not (tmp_path / "x.fkr1").exists()
+
+
+@pytest.mark.parametrize(
+    "geometry, phantom, overflow",
+    [
+        ("cormack:k=2000,support=1.5", "gauss:0.5,0,0.1,1", r"lambda range over the support disc overflows"),
+        ("cormack:k=5000,support=1", "gauss:0.5,0,0.1,1", r"R\^k / \|lambda\| overflows on the working disc"),
+        # R^k is finite here, and R^k / |lambda| overflows on the rows next to 0
+        ("cormack:k=4900,support=1", "gauss:0.5,0,0.1,1", r"R\^k / \|lambda\| overflows on the working disc"),
+        # f(0) = 0 exactly: what overflows is the weight r^(1-k)/k at r = 1e-9 R
+        ("cormack:k=64,support=1", "gauss:0.9,0,0.02,1", r"rays' weight r\^\(1-k\)/k at their start .* overflows on the working disc"),
+    ],
+    ids=["support-k", "R-k", "R-k-over-lambda", "ray-weight"],
+)
+def test_forward_refuses_a_cormack_order_whose_numbers_overflow(capsys, tmp_path, geometry, phantom, overflow):
+    # each used to exit 1 with an OverflowError traceback, or exit 2 blaming
+    # the phantom for a non-finite value on a curve
+    code, _, err = run(
+        capsys, "forward", "--geometry", geometry, "--phantom", phantom,
+        "--nlambda", 513, "--nphi", 8, "--out", tmp_path / "x.fkr1",
+    )
+    assert code == 2
+    assert err.startswith(f"error: {geometry}: ")
+    assert re.search(overflow, err)
     assert not (tmp_path / "x.fkr1").exists()
 
 
@@ -350,6 +377,13 @@ def test_invert_refuses_a_non_finite_grid(capsys, tmp_path, radon_file, flag):
     assert not out.exists()
 
 
+def test_invert_rejects_a_tiny_grid(capsys, tmp_path, radon_file):
+    code, _, err = run(capsys, "invert", "--in", radon_file, "--out", tmp_path / "x.f64", "--grid-n", 4)
+    assert code == 2
+    assert "resolutions must be at least 8" in err
+    assert not (tmp_path / "x.f64").exists()
+
+
 def test_invert_missing_input_exits_2(capsys, tmp_path):
     code, _, err = run(
         capsys, "invert", "--in", tmp_path / "absent.fkr1", "--out", tmp_path / "x.f64",
@@ -435,6 +469,14 @@ def test_kernel_check_refuses_a_tolerance_that_is_not_positive_and_finite(capsys
     assert code == 2
     assert "--tol must be positive and finite" in err
     assert not any(ln.startswith("pair") for ln in text.splitlines())
+
+
+@pytest.mark.parametrize("command, flag", [("kernel-check", "--pairs"), ("dcoef", "--points")])
+def test_a_sample_of_zero_is_refused(capsys, command, flag):
+    code, text, err = run(capsys, command, "--geometry", "radon", flag, 0)
+    assert code == 2
+    assert f"{flag} must be at least 1" in err
+    assert "PASS" not in text and "FAIL" not in text
 
 
 def test_dcoef_prints_a_table(capsys):

@@ -60,6 +60,8 @@ def test_error_metrics():
     other = ScalarField(Grid(2, 2, 1.0, 0.0, 1.0), ref.values)
     with pytest.raises(ValueError, match="different grids"):
         ref.rel_l2(other)
+    with pytest.raises(ValueError, match="different grids"):
+        ref.linf(other)
     zero = ScalarField(g, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="zero"):
         ref.rel_l2(zero)
@@ -93,6 +95,13 @@ def test_f64grid_rejects_malformed(tmp_path):
         read_f64grid(p)
     p.write_text("F64GRID 2 2 0.0 0.0 1.0\n0 0\n0 0 0\n")
     with pytest.raises(ValueError, match="row 1"):
+        read_f64grid(p)
+    p.write_text("F64GRID 2 2 a 0 1\n0 0\n0 0\n")
+    with pytest.raises(ValueError, match="malformed number in header 'a 0 1'"):
+        read_f64grid(p)
+    # numpy's reader refuses the underscore that Python's float() accepts
+    p.write_text("F64GRID 2 2 0.0 0.0 1.0\n1_0 2\n0 0\n")
+    with pytest.raises(ValueError, match="unreadable data rows"):
         read_f64grid(p)
 
 

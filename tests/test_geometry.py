@@ -171,6 +171,9 @@ def valid_families(draw):
         params = {"k": draw(st.integers(min_value=1, max_value=64))}
     if tag in ("hgeodesic", "equidistant"):
         support = draw(st.floats(min_value=1e-6, max_value=1.0, exclude_max=True))
+    elif tag == "cormack":
+        # a family whose lambda range support^k overflows is refused
+        support = draw(st.floats(min_value=1e-6, max_value=min(1e6, 10.0 ** (300 / params["k"]))))
     else:
         support = draw(_SIZES)
     return GeometryFamily(tag, support_radius=support, **params)
@@ -256,6 +259,18 @@ def test_grad_rejects_degenerate_point():
     # on the ellipse of centers the gradient magnitude 2|x - e(phi)| vanishes
     with pytest.raises(GeometryDomainError, match="positive"):
         grad_norm(CIRCLE, (1.0, 0.0), 0.0)
+
+
+def test_hyperbola_gradient_is_refused_at_the_origin():
+    # the focus: the one point where the hyperbola's |grad psi| has no value
+    with pytest.raises(GeometryDomainError, match="hyperbola gradient is undefined at the origin"):
+        grad_norm(HYPER, (0.0, 0.0), 0.3)
+
+
+@pytest.mark.parametrize("fn", (lambda_of, psi, grad_norm), ids=lambda f: f.__name__)
+def test_points_need_a_trailing_axis_of_length_two(fn):
+    with pytest.raises(ValueError, match="points must have a trailing axis of length 2"):
+        fn(RADON, np.zeros((3, 3)), 0.7)
 
 
 @pytest.mark.parametrize("geom", (CIRCLE, ELLIPSE), ids=("circle", "ellipse"))

@@ -233,8 +233,19 @@ def test_filtered_sinogram_refuses_values_that_do_not_match_the_axes(shape):
 def test_filtered_sinogram_refuses_a_single_phi_row():
     # the phi step of backprojection needs a second row
     lam = np.linspace(-1.0, 1.0, 33)
-    with pytest.raises(ValueError, match="at least two phi rows, got 1"):
+    with pytest.raises(ValueError, match="phi axis needs at least two samples"):
         FilteredSinogram(RADON, lam, np.zeros(1), np.zeros((1, 33)))
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf), ids=("nan", "inf", "-inf"))
+def test_filtered_sinogram_refuses_non_finite_values(bad):
+    # one NaN in this 33 x 8 radon table used to come back as 25 NaN pixels
+    # of 81 on a 9^2 grid of extent 0.5, with no error
+    lam = np.linspace(-1.0, 1.0, 33)
+    values = np.zeros((8, 33))
+    values[3, 16] = bad
+    with pytest.raises(ValueError, match="filtered entries must be finite"):
+        FilteredSinogram(RADON, lam, uniform_phi(8), values)
 
 
 @pytest.mark.parametrize(

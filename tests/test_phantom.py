@@ -43,6 +43,12 @@ def test_smooth_disc_rolloff():
         Disc((0, 0), 0.5, 1.0, width=-0.1)
 
 
+@pytest.mark.parametrize("radius", (0.0, -0.5))
+def test_disc_refuses_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ValueError, match="disc radius must be positive"):
+        Disc((0.0, 0.0), radius, 1.0)
+
+
 def test_phantom_sums_components():
     p = Phantom((Gaussian((0.0, 0.0), 0.1), Disc((0.5, 0.0), 0.2, 1.5)))
     assert p.eval((0.5, 0.0)) == pytest.approx(1.5 + math.exp(-0.5 * 25))

@@ -27,12 +27,15 @@ from funkradon import (
     Sinogram,
     TracingError,
     forward_mphi,
+    invert,
+    pv_filter,
     read_fkr1,
     trace_curve,
     write_fkr1,
 )
 from funkradon import geometry, transform
 from funkradon.acceptance import _round_trips
+from funkradon.fields import Grid
 from funkradon.geometry import descriptor, lambda_of
 from funkradon.phantom import Disc, Gaussian, parse_phantom
 from funkradon.transform import (
@@ -153,8 +156,34 @@ def test_phi_coverage_answers_or_raises_value_error_on_any_array(geom, phi):
 
 def test_sinogram_rejects_shape_mismatch():
     lam, phi = default_axes(RADON, 3, 4)
-    with pytest.raises(ValueError, match="does not match axes"):
+    with pytest.raises(ValueError, match=r"shape \(3, 4\) do not match the axes \(4, 3\)"):
         Sinogram(RADON, lam, phi, np.zeros((3, 4)))
+
+
+def test_phi_coverage_runs_once_per_table(monkeypatch, tmp_path):
+    # each table holds phi_coverage's answer as phi_full, which the FKR1
+    # writer, pv_filter and backprojection's mirror read; a forward checks
+    # its axes before any quadrature, then builds its Sinogram
+    calls = []
+    real = transform.phi_coverage
+    monkeypatch.setattr(transform, "phi_coverage", lambda geom, phi: calls.append(phi) or real(geom, phi))
+
+    def count(fn, *args):
+        calls.clear()
+        return fn(*args), len(calls)
+
+    lam, phi = default_axes(RADON, 33, 8)
+    sino, n = count(forward_mphi, Phantom((Gaussian((0.06, 0.04), 0.15),)), RADON, lam, phi)
+    assert n == 2
+    path = tmp_path / "s.fkr1"
+    assert count(write_fkr1, path, sino)[1] == 0
+    back, n = count(read_fkr1, path)
+    assert n == 1 and back.phi_full == "full"
+    # a grid symmetric about the x1 axis, so that backprojection mirrors rows
+    _, n = count(invert, back, Grid.centered(9, 0.5))
+    assert n == 1
+    table, n = count(pv_filter, back)
+    assert n == 1 and table.phi_full == "half"
 
 
 def test_sinogram_rejects_non_finite_entries():

@@ -790,6 +790,22 @@ def test_nucleus_functions_refuse_a_non_finite_point(spec):
                     fn(g, x, y)
 
 
+@pytest.mark.parametrize("fn", (geometry.trig_difference, nucleus_check), ids=lambda f: f.__name__)
+def test_pair_functions_refuse_points_that_are_not_single(fn):
+    with pytest.raises(ValueError, match="a psi difference expects single points"):
+        fn(GeometryFamily("radon"), np.zeros(3), np.ones(3))
+
+
+def test_trigpoly_refuses_coefficients_that_are_not_one_dimensional():
+    with pytest.raises(ValueError, match="coefficient arrays must be one-dimensional"):
+        TrigPoly(np.ones((2, 2)), np.zeros((2, 2)))
+
+
+def test_residue_stack_refuses_an_a_b_pair_of_unequal_shapes():
+    with pytest.raises(ValueError, match=r"an \(a, b\) pair of equal \(n, k \+ 1\) arrays"):
+        residue_integral(poly((1.0,)), (np.ones((3, 2)), np.zeros((2, 2))))
+
+
 def test_trigpoly_refuses_non_finite_coefficients():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
